@@ -175,21 +175,34 @@ def cmd_predict(args) -> int:
 # ---------------------------------------------------------------------- eval
 
 def _load_predictions(path) -> list:
+    """Prediction records as ("<path>:<line>", record) pairs, in file order."""
     records = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                records.append(json.loads(line))
+                records.append((f"{path}:{lineno}", json.loads(line)))
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed prediction record: {exc}") from exc
     return records
 
 
-def _eval_one(record, scenes, mve_bins):
-    scene = scenes[record["scene_id"]]
-    agent = next(a for a in scene.agents if a.agent_id == record["agent_id"])
+def _find_agent(scene, where, record):
+    """The agent of `scene` that a prediction record names; `where` is its file:line."""
+    for agent in scene.agents:
+        if agent.agent_id == record["agent_id"]:
+            return agent
+    raise ValueError(
+        f"{where}: agent_id {record['agent_id']!r} is not in scene {scene.scene_id!r}"
+    )
+
+
+def _eval_one(where, record, scenes, mve_bins):
+    scene = scenes.get(record["scene_id"])
+    if scene is None:
+        raise ValueError(f"{where}: scene_id {record['scene_id']!r} is not in the dataset")
+    agent = _find_agent(scene, where, record)
     batch = TrajBatch(np.asarray(record["trajectories"]), scene.t_obs, scene.t_pred)
     a, f = ade_fde(batch, agent.trajectory)
     nll = kde_nll(batch, agent.trajectory) if batch.n_samples >= 2 else None
@@ -210,9 +223,9 @@ def cmd_eval(args) -> int:
 
     if args.jobs > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(lambda r: _eval_one(r, scenes, args.mve_bins), records))
+            rows = list(pool.map(lambda wr: _eval_one(*wr, scenes, args.mve_bins), records))
     else:
-        rows = [_eval_one(r, scenes, args.mve_bins) for r in records]
+        rows = [_eval_one(where, r, scenes, args.mve_bins) for where, r in records]
 
     ades = [r["ade"] for r in rows]
     fdes = [r["fde"] for r in rows]
@@ -273,8 +286,8 @@ def _render_scene(scene, records) -> str:
             f'<rect x="{c * CELL_PX}" y="{r * CELL_PX}" width="{CELL_PX}" '
             f'height="{CELL_PX}" fill="#e8e6e0"/>'
         )
-    for record in records:
-        agent = next(a for a in scene.agents if a.agent_id == record["agent_id"])
+    for where, record in records:
+        agent = _find_agent(scene, where, record)
         gt = " ".join(_svg_point(env, p) for p in agent.trajectory)
         lines.append(
             f'<polyline points="{gt}" fill="none" stroke="#2f5ed8" '
@@ -294,8 +307,8 @@ def cmd_render(args) -> int:
     scenes = {s.scene_id: s for s in read_dataset(args.data)}
     records = _load_predictions(args.predictions)
     by_scene: dict = {}
-    for record in records:
-        by_scene.setdefault(record["scene_id"], []).append(record)
+    for where, record in records:
+        by_scene.setdefault(record["scene_id"], []).append((where, record))
 
     targets = [args.scene] if args.scene else sorted(by_scene)
     out = Path(args.out)

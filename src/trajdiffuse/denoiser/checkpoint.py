@@ -13,6 +13,8 @@ byte-stable).
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -62,21 +64,36 @@ def _write_record(fh, name: str, array: np.ndarray) -> None:
     fh.write(arr.astype("<f4").tobytes())
 
 
-def _read_exact(fh, n: int) -> bytes:
+def _read_exact(fh, n: int, end: int, what: str = "data") -> bytes:
+    """Read exactly n bytes, checking first that they fit before offset `end`."""
+    left = end - fh.tell()
+    if n > left:
+        raise TruncatedCheckpointError(
+            f"{fh.name}: file truncated: {what} needs {n} bytes, {left} left"
+        )
     data = fh.read(n)
     if len(data) != n:
-        raise TruncatedCheckpointError(f"file truncated: wanted {n} bytes, got {len(data)}")
+        raise TruncatedCheckpointError(
+            f"{fh.name}: file truncated: wanted {n} bytes, got {len(data)}"
+        )
     return data
 
 
-def _read_record(fh) -> tuple[str, np.ndarray]:
-    (name_len,) = struct.unpack("<I", _read_exact(fh, 4))
-    name = _read_exact(fh, name_len).decode("utf-8")
-    (rank,) = struct.unpack("<I", _read_exact(fh, 4))
-    dims = [struct.unpack("<Q", _read_exact(fh, 8))[0] for _ in range(rank)]
-    count = int(np.prod(dims)) if dims else 1
-    values = np.frombuffer(_read_exact(fh, 4 * count), dtype="<f4").astype(np.float64)
-    return name, values.reshape(dims)
+def _read_record(fh, end: int) -> tuple[str, np.ndarray]:
+    (name_len,) = struct.unpack("<I", _read_exact(fh, 4, end))
+    try:
+        name = _read_exact(fh, name_len, end, "record name").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{fh.name}: record name is not UTF-8: {exc}") from exc
+    (rank,) = struct.unpack("<I", _read_exact(fh, 4, end))
+    dims = [struct.unpack("<Q", _read_exact(fh, 8, end))[0] for _ in range(rank)]
+    count = math.prod(dims)  # exact Python int: declared dims are not trusted
+    raw = _read_exact(fh, 4 * count, end, f"record {name!r} with dims {dims}")
+    values = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+    try:
+        return name, values.reshape(dims)
+    except ValueError as exc:  # e.g. a zero dim next to one numpy cannot index
+        raise CheckpointError(f"{fh.name}: record {name!r} has dims {dims}: {exc}") from exc
 
 
 def _write_section(fh, records: list[tuple[str, np.ndarray]]) -> None:
@@ -85,11 +102,11 @@ def _write_section(fh, records: list[tuple[str, np.ndarray]]) -> None:
         _write_record(fh, name, arr)
 
 
-def _read_section(fh) -> dict:
-    (count,) = struct.unpack("<I", _read_exact(fh, 4))
+def _read_section(fh, end: int) -> dict:
+    (count,) = struct.unpack("<I", _read_exact(fh, 4, end))
     out = {}
     for _ in range(count):
-        name, arr = _read_record(fh)
+        name, arr = _read_record(fh, end)
         out[name] = arr
     return out
 
@@ -117,54 +134,67 @@ def load_checkpoint(path) -> tuple[DenoiserParams, NoiseSchedule]:
     """Read a checkpoint; the descriptor comes back inside DenoiserParams.arch."""
     path = Path(path)
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4) != MAGIC:
+        end = os.fstat(fh.fileno()).st_size
+        if _read_exact(fh, 4, end) != MAGIC:
             raise BadMagicError(f"{path} is not a checkpoint (bad magic)")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
+        (version,) = struct.unpack("<I", _read_exact(fh, 4, end))
         if version != VERSION:
-            raise VersionMismatchError(f"unsupported checkpoint version {version}")
-        tensors = _read_section(fh)
-        sched_vectors = _read_section(fh)
-        desc_fields = _read_section(fh)
+            raise VersionMismatchError(f"{path}: unsupported checkpoint version {version}")
+        tensors = _read_section(fh, end)
+        sched_vectors = _read_section(fh, end)
+        desc_fields = _read_section(fh, end)
+        trailing = end - fh.tell()
+        if trailing:
+            raise CheckpointError(
+                f"{path}: {trailing} trailing bytes after the descriptor section"
+            )
 
     try:
         widths = tuple(int(w) for w in np.atleast_1d(desc_fields["widths"]))
         kwargs = {name: desc_fields[name].item() for name in _DESC_SCALARS}
+        for name in _DESC_SCALARS:
+            if name != "coord_scale":
+                kwargs[name] = int(kwargs[name])
+        desc = ArchDescriptor(widths=widths, **kwargs)
     except KeyError as exc:
-        raise DescriptorMismatchError(f"descriptor field missing: {exc}") from exc
-    for name in _DESC_SCALARS:
-        if name != "coord_scale":
-            kwargs[name] = int(kwargs[name])
-    desc = ArchDescriptor(widths=widths, **kwargs)
+        raise DescriptorMismatchError(f"{path}: descriptor field missing: {exc}") from exc
+    except (ValueError, OverflowError) as exc:  # non-integral, non-scalar or invalid fields
+        raise DescriptorMismatchError(f"{path}: invalid descriptor: {exc}") from exc
 
     expected = {name: shape for name, shape, _ in param_specs(desc)}
     if set(tensors) != set(expected):
         missing = set(expected) - set(tensors)
         extra = set(tensors) - set(expected)
         raise DescriptorMismatchError(
-            f"tensor names do not match the descriptor (missing {sorted(missing)}, "
+            f"{path}: tensor names do not match the descriptor (missing {sorted(missing)}, "
             f"unexpected {sorted(extra)})"
         )
     for name, arr in tensors.items():
         if arr.shape != expected[name]:
             raise DescriptorMismatchError(
-                f"tensor {name!r} has shape {arr.shape}, descriptor implies {expected[name]}"
+                f"{path}: tensor {name!r} has shape {arr.shape}, "
+                f"descriptor implies {expected[name]}"
             )
 
     for field in _SCHEDULE_FIELDS:
         if field not in sched_vectors:
-            raise DescriptorMismatchError(f"schedule vector {field!r} missing")
+            raise DescriptorMismatchError(f"{path}: schedule vector {field!r} missing")
     alphas = sched_vectors["alphas"]
     if alphas.size != desc.n_steps:
         raise DescriptorMismatchError(
-            f"schedule length {alphas.size} does not match descriptor n_steps {desc.n_steps}"
+            f"{path}: schedule length {alphas.size} does not match "
+            f"descriptor n_steps {desc.n_steps}"
         )
     alpha_bars = sched_vectors["alpha_bars"]
-    schedule = NoiseSchedule(
-        n_steps=int(alphas.size),
-        alphas=alphas,
-        alpha_bars=alpha_bars,
-        alpha_bars_prev=np.concatenate(([1.0], alpha_bars[:-1])),
-        posterior_vars=sched_vectors["posterior_vars"],
-        loss_weights=sched_vectors["loss_weights"],
-    )
+    try:
+        schedule = NoiseSchedule(
+            n_steps=int(alphas.size),
+            alphas=alphas,
+            alpha_bars=alpha_bars,
+            alpha_bars_prev=np.concatenate(([1.0], alpha_bars[:-1])),
+            posterior_vars=sched_vectors["posterior_vars"],
+            loss_weights=sched_vectors["loss_weights"],
+        )
+    except ValueError as exc:
+        raise DescriptorMismatchError(f"{path}: invalid schedule: {exc}") from exc
     return DenoiserParams(tensors=tensors, arch=desc), schedule

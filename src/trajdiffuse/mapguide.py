@@ -44,45 +44,64 @@ class GuidanceConfig:
         return self.step_scale if self.step_scale is not None else resolution
 
 
-def _dt1d_squared(f: np.ndarray) -> np.ndarray:
-    """Felzenszwalb-Huttenlocher 1-D squared distance transform (lower envelope)."""
-    n = f.shape[0]
-    d = np.empty(n)
-    v = np.zeros(n, dtype=np.intp)
-    z = np.empty(n + 1)
-    z[0], z[1] = -np.inf, np.inf
-    k = 0
+def _envelope_rows(f: np.ndarray) -> np.ndarray:
+    """Felzenszwalb-Huttenlocher 1-D squared distance transform of every row of `f`.
+
+    The lower envelope of parabolas runs on all rows in lockstep: each row
+    keeps its own parabola stack (v, z, k), the sweeps over q and p advance
+    every row together, and the pop / advance loops repeat only on the rows
+    that still need a step. Each row sees exactly the arithmetic of the
+    textbook scalar envelope, so the result is the same to the bit.
+    """
+    m, n = f.shape
+    rows = np.arange(m)
+    v = np.zeros((m, n), dtype=np.intp)  # parabola vertices, per row
+    z = np.empty((m, n + 1))  # boundaries between parabolas, per row
+    z[:, 0], z[:, 1] = -np.inf, np.inf
+    k = np.zeros(m, dtype=np.intp)  # index of each row's top parabola
     for q in range(1, n):
-        s = ((f[q] + q * q) - (f[v[k]] + v[k] * v[k])) / (2 * q - 2 * v[k])
-        while s <= z[k]:
-            k -= 1
-            s = ((f[q] + q * q) - (f[v[k]] + v[k] * v[k])) / (2 * q - 2 * v[k])
+        fq = f[:, q] + q * q
+        vk = v[rows, k]
+        s = (fq - (f[rows, vk] + vk * vk)) / (2 * q - 2 * vk)
+        pop = np.flatnonzero(s <= z[rows, k])
+        while pop.size:
+            k[pop] -= 1
+            vk = v[pop, k[pop]]
+            s[pop] = (fq[pop] - (f[pop, vk] + vk * vk)) / (2 * q - 2 * vk)
+            pop = pop[s[pop] <= z[pop, k[pop]]]
         k += 1
-        v[k] = q
-        z[k] = s
-        z[k + 1] = np.inf
-    k = 0
+        v[rows, k] = q
+        z[rows, k] = s
+        z[rows, k + 1] = np.inf
+    d = np.empty((m, n))
+    k[:] = 0
     for p in range(n):
-        while z[k + 1] < p:
-            k += 1
-        d[p] = (p - v[k]) ** 2 + f[v[k]]
+        step = np.flatnonzero(z[rows, k + 1] < p)
+        while step.size:
+            k[step] += 1
+            step = step[z[step, k[step] + 1] < p]
+        vk = v[rows, k]
+        d[:, p] = (p - vk) ** 2 + f[rows, vk]
     return d
 
 
 def distance_transform(nav_grid: np.ndarray, resolution: float) -> np.ndarray:
-    """Exact Euclidean distance (meters) to the nearest navigable pixel center."""
+    """Exact Euclidean distance (meters) to the nearest navigable pixel center.
+
+    Two passes of the Felzenszwalb-Huttenlocher lower envelope, first down
+    every column, then along every row, each pass sweeping all columns (or
+    rows) in lockstep: an H x W map costs about 2 * (H + W) Python iterations
+    of vector operations.
+    """
     nav_grid = np.asarray(nav_grid, dtype=bool)
     check_positive(resolution, "resolution")
     if nav_grid.ndim != 2 or nav_grid.size == 0:
         raise ValueError("nav_grid must be a non-empty 2-D boolean array")
     if not nav_grid.any():
         raise ValueError("nav_grid has no navigable pixel")
-    h, w = nav_grid.shape
     d2 = np.where(nav_grid, 0.0, _BIG)
-    for c in range(w):
-        d2[:, c] = _dt1d_squared(d2[:, c])
-    for r in range(h):
-        d2[r, :] = _dt1d_squared(d2[r, :])
+    d2 = _envelope_rows(d2.T).T
+    d2 = _envelope_rows(d2)
     return np.sqrt(d2) * resolution
 
 

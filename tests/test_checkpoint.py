@@ -1,9 +1,14 @@
+import math
+import re
+import struct
+
 import numpy as np
 import pytest
 
 from trajdiffuse.denoiser import (
     ArchDescriptor,
     BadMagicError,
+    CheckpointError,
     DescriptorMismatchError,
     TruncatedCheckpointError,
     VersionMismatchError,
@@ -57,7 +62,37 @@ def test_truncated_file_reports_truncation(saved):
     _, _, path = saved
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
-    with pytest.raises(TruncatedCheckpointError):
+    with pytest.raises(TruncatedCheckpointError, match=re.escape(str(path))):
+        load_checkpoint(path)
+
+
+def test_huge_declared_dims_are_rejected_before_reading(saved):
+    _, _, path = saved
+    data = bytearray(path.read_bytes())
+    # first tensor record: section count, name length, name, rank, then its dims
+    (name_len,) = struct.unpack_from("<I", data, 12)
+    first_dim = 12 + 4 + name_len + 4
+    struct.pack_into("<Q", data, first_dim, 2**60)
+    path.write_bytes(bytes(data))
+    with pytest.raises(TruncatedCheckpointError, match=re.escape(str(path))):
+        load_checkpoint(path)
+
+
+def test_trailing_bytes_are_rejected(saved):
+    _, _, path = saved
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(CheckpointError, match="1 trailing bytes") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("name, dims", [(b"\xff", [1]), (b"x", [0, 2**62])])
+def test_malformed_record_is_reported_with_path(tmp_path, name, dims):
+    path = tmp_path / "bad.ckpt"
+    record = struct.pack("<I", len(name)) + name + struct.pack("<I", len(dims))
+    record += b"".join(struct.pack("<Q", d) for d in dims) + b"\0" * 4 * math.prod(dims)
+    path.write_bytes(b"TDFK" + struct.pack("<II", 1, 1) + record)
+    with pytest.raises(CheckpointError, match=re.escape(str(path))):
         load_checkpoint(path)
 
 
@@ -85,6 +120,17 @@ def test_shape_descriptor_inconsistency_is_reported(saved, tmp_path):
     save_checkpoint(params, schedule, bad)
     with pytest.raises(DescriptorMismatchError):
         load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("value", [4.0, float("nan"), float("inf")])
+def test_invalid_descriptor_field_is_reported_with_path(saved, value):
+    _, _, path = saved
+    data = bytearray(path.read_bytes())
+    at = data.index(b"kernel_len") + len(b"kernel_len") + 4  # after the rank-0 header
+    data[at:at + 4] = struct.pack("<f", value)
+    path.write_bytes(bytes(data))
+    with pytest.raises(DescriptorMismatchError, match=re.escape(str(path))):
+        load_checkpoint(path)
 
 
 def test_schedule_descriptor_step_mismatch_rejected(tmp_path):

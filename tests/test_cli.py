@@ -1,11 +1,12 @@
 import json
+import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trajdiffuse.cli import main
+from trajdiffuse.cli import build_parser, main
 
 
 def run(*argv):
@@ -246,6 +247,23 @@ def test_eval_report_matches_metrics_module(workspace, tmp_path):
         ades.append(module_ade_fde(batch, agent.trajectory)[0])
     assert report["ade"] == pytest.approx(np.mean(ades), abs=1e-12)
     assert report["acfl"] is not None  # two agents per scene
+
+
+@pytest.mark.parametrize("field, value", [("agent_id", 9999), ("scene_id", "nope")])
+def test_eval_unknown_id_names_file_line_and_id(workspace, tmp_path, capsys, field, value):
+    _, data, _, preds = workspace
+    records = read_jsonl(preds)
+    records[1][field] = value
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+    argv = ["eval", "--predictions", bad, "--data", data, "--out", tmp_path / "m.json"]
+    message = f"{bad}:2: {field} {value!r}"
+
+    args = build_parser().parse_args([str(a) for a in argv])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        args.func(args)
+    assert run(*argv) == 1
+    assert message in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- render

@@ -63,6 +63,24 @@ def test_distance_matches_brute_force_on_random_grids():
             distance_transform(grid, res), brute_force_distance(grid, res)
         )
 
+    blocked_lines = rng.random((9, 11)) < 0.4
+    blocked_lines[4, :] = False
+    blocked_lines[:, 6] = False  # still all _BIG after the column pass
+    blocked_lines[0, 0] = True
+    corner = np.zeros((40, 150), dtype=bool)
+    corner[39, 149] = True
+    edge_shapes = [
+        np.ones((1, 1), dtype=bool),
+        (np.arange(13) % 5 == 2).reshape(1, 13),
+        (np.arange(17) % 7 == 0).reshape(17, 1),
+        blocked_lines,
+        corner,
+    ]
+    for grid in edge_shapes:
+        np.testing.assert_array_equal(
+            distance_transform(grid, 0.3), brute_force_distance(grid, 0.3)
+        )
+
 
 def test_all_blocked_grid_rejected():
     with pytest.raises(ValueError):
