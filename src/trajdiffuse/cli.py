@@ -174,6 +174,9 @@ def cmd_predict(args) -> int:
 
 # ---------------------------------------------------------------------- eval
 
+_RECORD_KEYS = ("scene_id", "agent_id", "trajectories")
+
+
 def _load_predictions(path) -> list:
     """Prediction records as ("<path>:<line>", record) pairs, in file order."""
     records = []
@@ -181,29 +184,54 @@ def _load_predictions(path) -> list:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"{path}:{lineno}"
             try:
-                records.append((f"{path}:{lineno}", json.loads(line)))
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed prediction record: {exc}") from exc
+                raise ValueError(f"{where}: malformed prediction record: {exc}") from exc
+            if not isinstance(record, dict):
+                raise ValueError(f"{where}: prediction record is not a JSON object")
+            missing = [key for key in _RECORD_KEYS if key not in record]
+            if missing:
+                raise ValueError(
+                    f"{where}: prediction record lacks {', '.join(map(repr, missing))}"
+                )
+            records.append((where, record))
     return records
 
 
-def _find_agent(scene, where, record):
-    """The agent of `scene` that a prediction record names; `where` is its file:line."""
+def _resolve_record(scene, where, record):
+    """The agent of `scene` that a prediction record names, and its (K, T, 2)
+    samples, checked against the scene; `where` is the record's file:line."""
     for agent in scene.agents:
         if agent.agent_id == record["agent_id"]:
-            return agent
-    raise ValueError(
-        f"{where}: agent_id {record['agent_id']!r} is not in scene {scene.scene_id!r}"
-    )
+            break
+    else:
+        raise ValueError(
+            f"{where}: agent_id {record['agent_id']!r} is not in scene {scene.scene_id!r}"
+        )
+    t_obs = record.get("t_obs", scene.t_obs)
+    if t_obs != scene.t_obs:
+        raise ValueError(f"{where}: t_obs {t_obs!r} differs from the scene's {scene.t_obs}")
+    t_len = scene.t_obs + scene.t_pred
+    expected = f"(K >= 1, {t_len}, 2)"
+    try:
+        samples = np.asarray(record["trajectories"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: trajectories is not a {expected} array: {exc}") from exc
+    if samples.ndim != 3 or len(samples) < 1 or samples.shape[1:] != (t_len, 2):
+        raise ValueError(f"{where}: trajectories has shape {samples.shape}, expected {expected}")
+    if not np.all(np.isfinite(samples)):
+        raise ValueError(f"{where}: trajectories holds non-finite values")
+    return agent, samples
 
 
 def _eval_one(where, record, scenes, mve_bins):
     scene = scenes.get(record["scene_id"])
     if scene is None:
         raise ValueError(f"{where}: scene_id {record['scene_id']!r} is not in the dataset")
-    agent = _find_agent(scene, where, record)
-    batch = TrajBatch(np.asarray(record["trajectories"]), scene.t_obs, scene.t_pred)
+    agent, samples = _resolve_record(scene, where, record)
+    batch = TrajBatch(samples, scene.t_obs, scene.t_pred)
     a, f = ade_fde(batch, agent.trajectory)
     nll = kde_nll(batch, agent.trajectory) if batch.n_samples >= 2 else None
     return {
@@ -287,13 +315,13 @@ def _render_scene(scene, records) -> str:
             f'height="{CELL_PX}" fill="#e8e6e0"/>'
         )
     for where, record in records:
-        agent = _find_agent(scene, where, record)
+        agent, samples = _resolve_record(scene, where, record)
         gt = " ".join(_svg_point(env, p) for p in agent.trajectory)
         lines.append(
             f'<polyline points="{gt}" fill="none" stroke="#2f5ed8" '
             f'stroke-width="2" stroke-dasharray="6,4"/>'
         )
-        for sample in record["trajectories"]:
+        for sample in samples:
             pts = " ".join(_svg_point(env, p) for p in sample)
             lines.append(
                 f'<polyline points="{pts}" fill="none" stroke="#d83a2f" '

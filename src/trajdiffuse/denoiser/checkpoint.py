@@ -8,7 +8,9 @@ u32 rank, rank u64 dims, then float32 values little-endian.
 Values are stored as float32. Freshly initialized parameters are exactly
 float32-representable, so init -> save -> load is bit-exact; tensors coming
 out of training round-trip at float32 precision (save -> load -> save is
-byte-stable).
+byte-stable). The reader returns the stored values as they are, after
+checking that they are finite and that the derived schedule vectors agree
+with the stored alphas to float32 precision.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..schedule import NoiseSchedule
+from ..schedule import NoiseSchedule, from_alphas
 from .net import ArchDescriptor, DenoiserParams, param_specs
 
 MAGIC = b"TDFK"
@@ -130,6 +132,45 @@ def save_checkpoint(params: DenoiserParams, schedule: NoiseSchedule, path) -> No
         _write_section(fh, desc_records)
 
 
+def _check_derived_vectors(path, stored: NoiseSchedule) -> None:
+    """Stored alpha_bars, posterior_vars and loss_weights must be what
+    from_alphas gives for the stored alphas, up to float32 storage.
+
+    Both sides start from the float64 alphas a_i the file was written from:
+    the stored vectors are their float32 roundings, the reference is computed
+    from float32 alphas a_i (1 + e_i) with |e_i| <= u = 2^-24. To first order:
+    - alpha_bar_i is off by (i + 1) u relative (i factors, one rounding);
+    - 1 - a_i by u a_i / (1 - a_i), and 1 - alpha_bar_i by
+      i u alpha_bar_i / (1 - alpha_bar_i);
+    - posterior_vars and loss_weights add these up with the powers they
+      appear in, plus one rounding.
+    The bound is doubled for second-order terms and float64 rounding, and
+    float32's smallest normal is added for values stored below it.
+    """
+    u = 2.0 ** -24
+    ref = from_alphas(stored.alphas)
+    i = np.arange(1, ref.n_steps + 1)
+    a, ab = ref.alphas, ref.alpha_bars
+    # relative errors of 1 - a_i, 1 - alpha_bar_i and 1 - alpha_bar_{i-1}
+    err_1ma = u * a / (1.0 - a)
+    err_1mab = i * u * ab / (1.0 - ab)
+    err_1mabp = np.concatenate(([0.0], err_1mab[:-1]))  # 1 - alpha_bar_0 is exact
+    rtol = {
+        "alpha_bars": (i + 1) * u,
+        "posterior_vars": err_1ma + err_1mabp + err_1mab + u,
+        "loss_weights": (i - 1) * u + 2 * err_1ma + 2 * err_1mab + u,
+    }
+    for field, rel in rtol.items():
+        have, want = getattr(stored, field), getattr(ref, field)
+        off = np.abs(have - want) > 2 * rel * np.abs(want) + np.finfo(np.float32).tiny
+        if np.any(off):
+            step = int(np.argmax(off)) + 1
+            raise DescriptorMismatchError(
+                f"{path}: schedule vector {field!r} disagrees with its alphas at step "
+                f"{step}: stored {have[step - 1]!r}, alphas give {want[step - 1]!r}"
+            )
+
+
 def load_checkpoint(path) -> tuple[DenoiserParams, NoiseSchedule]:
     """Read a checkpoint; the descriptor comes back inside DenoiserParams.arch."""
     path = Path(path)
@@ -175,16 +216,24 @@ def load_checkpoint(path) -> tuple[DenoiserParams, NoiseSchedule]:
                 f"{path}: tensor {name!r} has shape {arr.shape}, "
                 f"descriptor implies {expected[name]}"
             )
+        if not np.all(np.isfinite(arr)):
+            raise DescriptorMismatchError(f"{path}: tensor {name!r} holds non-finite values")
 
     for field in _SCHEDULE_FIELDS:
         if field not in sched_vectors:
             raise DescriptorMismatchError(f"{path}: schedule vector {field!r} missing")
+        if not np.all(np.isfinite(sched_vectors[field])):
+            raise DescriptorMismatchError(
+                f"{path}: schedule vector {field!r} holds non-finite values"
+            )
     alphas = sched_vectors["alphas"]
     if alphas.size != desc.n_steps:
         raise DescriptorMismatchError(
             f"{path}: schedule length {alphas.size} does not match "
             f"descriptor n_steps {desc.n_steps}"
         )
+    if np.any(alphas <= 0) or np.any(alphas >= 1):
+        raise DescriptorMismatchError(f"{path}: schedule vector 'alphas' leaves (0, 1)")
     alpha_bars = sched_vectors["alpha_bars"]
     try:
         schedule = NoiseSchedule(
@@ -197,4 +246,5 @@ def load_checkpoint(path) -> tuple[DenoiserParams, NoiseSchedule]:
         )
     except ValueError as exc:
         raise DescriptorMismatchError(f"{path}: invalid schedule: {exc}") from exc
+    _check_derived_vectors(path, schedule)
     return DenoiserParams(tensors=tensors, arch=desc), schedule

@@ -3,7 +3,14 @@
 Each layer is a forward/backward function pair. Forwards return (y, cache);
 backwards take the upstream gradient plus the cache and return the input
 gradient along with gradients for every parameter used. Everything runs in
-float64; reductions use BLAS matmuls where shapes allow.
+float64; reductions use BLAS matmuls where shapes allow:
+- conv1d is one im2col GEMM per pass;
+- attention runs its projections, scores and weighted sums as (batched)
+  GEMMs and its weight gradients as one reshaped GEMM each, with the softmax
+  done in place on the (B, C, C) scores;
+- Mish takes one exponential, e = exp(min(x, 20)), and caches it with x, so
+  the backward rebuilds tanh(softplus(x)) and sigmoid(x) from e alone;
+- group norm forms x - mean once and takes the variance from it.
 """
 
 from __future__ import annotations
@@ -61,10 +68,14 @@ def groupnorm_forward(x, gamma, beta, groups, eps=1e-5):
     bsz, c, length = x.shape
     xg = x.reshape(bsz, groups, -1)
     mu = xg.mean(axis=2, keepdims=True)
-    var = xg.var(axis=2, keepdims=True)
+    d = xg - mu
+    # the operation sequence of xg.var, reusing d instead of a second mean
+    var = np.square(d).sum(axis=2, keepdims=True) / xg.shape[2]
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = ((xg - mu) * inv).reshape(bsz, c, length)
-    y = gamma[None, :, None] * xhat + beta[None, :, None]
+    d *= inv
+    xhat = d.reshape(bsz, c, length)
+    y = gamma[None, :, None] * xhat
+    y += beta[None, :, None]
     return y, (xhat, inv, gamma, groups)
 
 
@@ -83,16 +94,39 @@ def groupnorm_backward(dy, cache):
 
 # --------------------------------------------------------------------- mish
 
+def _tanh_softplus(e):
+    """tanh(log(1 + e)) for e = exp(x): n / (n + 2) with n = e * (e + 2)."""
+    t = e + 2.0
+    t *= e
+    t /= t + 2.0
+    return t
+
+
 def mish_forward(x):
-    sp = np.logaddexp(0.0, x)
-    t = np.tanh(sp)
-    return x * t, (x, t)
+    """x * tanh(softplus(x)) from one exponential; caches (x, e).
+
+    The exponent is clamped at 20: beyond it tanh(softplus(x)) rounds to 1.0
+    and 1 - t*t in the backward is exactly 0, so the clamp loses nothing.
+    """
+    e = np.minimum(x, 20.0)
+    np.exp(e, out=e)
+    y = _tanh_softplus(e)
+    y *= x
+    return y, (x, e)
 
 
 def mish_backward(dy, cache):
-    x, t = cache
-    sig = np.exp(-np.logaddexp(0.0, -x))
-    return dy * (t + x * (1.0 - t * t) * sig)
+    x, e = cache
+    t = _tanh_softplus(e)
+    sig = e + 1.0
+    np.divide(e, sig, out=sig)  # sigmoid(x) = e / (1 + e)
+    g = t * t
+    np.subtract(1.0, g, out=g)
+    g *= x
+    g *= sig
+    g += t  # t + x * (1 - t*t) * sigmoid(x)
+    g *= dy
+    return g
 
 
 # ------------------------------------------------------------------- linear
@@ -130,15 +164,18 @@ def attention_forward(x, p, prefix):
     wv, bv = p[prefix + ".wv"], p[prefix + ".bv"]
     wo, bo = p[prefix + ".wo"], p[prefix + ".bo"]
     width = x.shape[2]
-    q = np.einsum("bcw,wu->bcu", x, wq) + bq
-    k = np.einsum("bcw,wu->bcu", x, wk) + bk
-    v = np.einsum("bcw,wu->bcu", x, wv) + bv
-    scores = np.einsum("bcu,bdu->bcd", q, k) / math.sqrt(width)
-    scores -= scores.max(axis=2, keepdims=True)
-    expw = np.exp(scores)
-    attn = expw / expw.sum(axis=2, keepdims=True)
-    o = np.einsum("bcd,bdu->bcu", attn, v)
-    y = np.einsum("bcu,uv->bcv", o, wo) + bo
+    q = x @ wq + bq
+    k = x @ wk + bk
+    v = x @ wv + bv
+    # softmax in place on the (B, C, C) scores: each step is bit-identical
+    # to its out-of-place form, without allocating three more such arrays
+    attn = q @ k.transpose(0, 2, 1)
+    attn /= math.sqrt(width)
+    attn -= attn.max(axis=2, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=2, keepdims=True)
+    o = attn @ v
+    y = o @ wo + bo
     return y + x, (x, q, k, v, attn, o)
 
 
@@ -146,20 +183,22 @@ def attention_backward(dy, p, prefix, cache, grads):
     x, q, k, v, attn, o = cache
     wq, wk, wv, wo = (p[prefix + s] for s in (".wq", ".wk", ".wv", ".wo"))
     width = x.shape[2]
-    grads[prefix + ".wo"] = np.einsum("bcu,bcv->uv", o, dy)
+    grads[prefix + ".wo"] = o.reshape(-1, width).T @ dy.reshape(-1, width)
     grads[prefix + ".bo"] = dy.sum(axis=(0, 1))
-    do = np.einsum("bcv,uv->bcu", dy, wo)
-    dattn = np.einsum("bcu,bdu->bcd", do, v)
-    dv = np.einsum("bcd,bcu->bdu", attn, do)
-    dscores = attn * (dattn - (dattn * attn).sum(axis=2, keepdims=True))
+    do = dy @ wo.T
+    dv = attn.transpose(0, 2, 1) @ do
+    dscores = do @ v.transpose(0, 2, 1)  # d attn, turned into d scores in place
+    dscores -= (dscores * attn).sum(axis=2, keepdims=True)
+    dscores *= attn
     dscores /= math.sqrt(width)
-    dq = np.einsum("bcd,bdu->bcu", dscores, k)
-    dk = np.einsum("bcd,bcu->bdu", dscores, q)
+    dq = dscores @ k
+    dk = dscores.transpose(0, 2, 1) @ q
+    x2 = x.reshape(-1, width)
     dx = dy.copy()  # residual branch
     for dt, w, tag in ((dq, wq, "q"), (dk, wk, "k"), (dv, wv, "v")):
-        grads[prefix + ".w" + tag] = np.einsum("bcw,bcu->wu", x, dt)
+        grads[prefix + ".w" + tag] = x2.T @ dt.reshape(-1, width)
         grads[prefix + ".b" + tag] = dt.sum(axis=(0, 1))
-        dx += np.einsum("bcu,wu->bcw", dt, w)
+        dx += dt @ w.T
     return dx
 
 

@@ -66,6 +66,74 @@ def test_truncated_file_reports_truncation(saved):
         load_checkpoint(path)
 
 
+def _entry_offset(data, field, index):
+    """Byte offset of entry `index` of the rank-1 record `field`."""
+    name = field.encode()
+    header = struct.pack("<I", len(name)) + name
+    return data.index(header) + len(header) + 4 + 8 + 4 * index  # after rank and dim
+
+
+def _patch_vector(path, field, index, value):
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<f", data, _entry_offset(data, field, index), value)
+    path.write_bytes(bytes(data))
+
+
+def _stored(path, field, index):
+    data = path.read_bytes()
+    return struct.unpack_from("<f", data, _entry_offset(data, field, index))[0]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_tensor_is_rejected(saved, tmp_path, value):
+    params, schedule, _ = saved
+    params.tensors["attn.wq"][1, 2] = value
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(params, schedule, bad)
+    with pytest.raises(DescriptorMismatchError, match="tensor 'attn.wq' holds non-finite") as info:
+        load_checkpoint(bad)
+    assert str(bad) in str(info.value)
+
+
+@pytest.mark.parametrize("field", ["alphas", "alpha_bars", "posterior_vars", "loss_weights"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_schedule_vector_is_rejected(saved, field, value):
+    _, _, path = saved
+    _patch_vector(path, field, 3, value)
+    with pytest.raises(DescriptorMismatchError, match=f"{field}' holds non-finite") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0, -0.5, 1.5])
+def test_alphas_outside_unit_interval_are_rejected(saved, value):
+    _, _, path = saved
+    _patch_vector(path, "alphas", 2, value)
+    with pytest.raises(DescriptorMismatchError, match=r"'alphas' leaves \(0, 1\)") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("field", ["alpha_bars", "posterior_vars", "loss_weights"])
+def test_derived_schedule_vector_must_match_alphas(saved, field):
+    _, _, path = saved
+    _patch_vector(path, field, 4, _stored(path, field, 4) * 1.001)
+    with pytest.raises(DescriptorMismatchError, match=f"{field}' disagrees with its alphas at "
+                                                      "step 5") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
+def test_one_float32_step_in_a_derived_vector_is_accepted(saved):
+    # a neighbouring float32 is within storage precision: the loader keeps
+    # returning exactly what the file holds
+    _, _, path = saved
+    value = np.nextafter(np.float32(_stored(path, "loss_weights", 4)), np.float32(np.inf))
+    _patch_vector(path, "loss_weights", 4, float(value))
+    _, schedule = load_checkpoint(path)
+    assert schedule.loss_weights[4] == float(value)
+
+
 def test_huge_declared_dims_are_rejected_before_reading(saved):
     _, _, path = saved
     data = bytearray(path.read_bytes())

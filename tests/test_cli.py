@@ -266,6 +266,73 @@ def test_eval_unknown_id_names_file_line_and_id(workspace, tmp_path, capsys, fie
     assert message in capsys.readouterr().err
 
 
+def _eval_bad_record(data, preds, tmp_path, edit):
+    """Run eval on the predictions with record 2 edited; return (argv, bad path)."""
+    records = read_jsonl(preds)
+    edit(records[1])
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return ["eval", "--predictions", bad, "--data", data, "--out", tmp_path / "m.json"], bad
+
+
+def _assert_rejected(argv, message, capsys):
+    args = build_parser().parse_args([str(a) for a in argv])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        args.func(args)
+    assert run(*argv) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["scene_id", "agent_id", "trajectories"])
+def test_eval_record_missing_key_names_file_line_and_key(workspace, tmp_path, capsys, key):
+    _, data, _, preds = workspace
+    argv, bad = _eval_bad_record(data, preds, tmp_path, lambda r: r.pop(key))
+    _assert_rejected(argv, f"{bad}:2: prediction record lacks {key!r}", capsys)
+
+
+def test_eval_record_t_obs_mismatch_is_rejected(workspace, tmp_path, capsys):
+    _, data, _, preds = workspace
+
+    def edit(record):
+        record["t_obs"] -= 1
+
+    argv, bad = _eval_bad_record(data, preds, tmp_path, edit)
+    _assert_rejected(argv, f"{bad}:2: t_obs 7 differs from the scene's 8", capsys)
+
+
+@pytest.mark.parametrize("edit, problem", [
+    pytest.param(lambda r: [s.pop() for s in r["trajectories"]], "has shape (3, 19, 2)",
+                 id="short"),
+    pytest.param(lambda r: r.update(trajectories=[]), "has shape (0,)", id="no-samples"),
+    pytest.param(lambda r: [p.append(0.0) for s in r["trajectories"] for p in s],
+                 "has shape (3, 20, 3)", id="3d-points"),
+    pytest.param(lambda r: r["trajectories"][0].pop(), "is not a (K >= 1, 20, 2) array",
+                 id="ragged"),
+    pytest.param(lambda r: r["trajectories"][2][5].__setitem__(1, float("nan")),
+                 "holds non-finite values", id="nan"),
+    pytest.param(lambda r: r["trajectories"][0][0].__setitem__(0, float("-inf")),
+                 "holds non-finite values", id="inf"),
+])
+def test_eval_record_bad_trajectories_are_rejected(workspace, tmp_path, capsys, edit, problem):
+    _, data, _, preds = workspace
+    argv, bad = _eval_bad_record(data, preds, tmp_path, edit)
+    _assert_rejected(argv, f"{bad}:2: trajectories {problem}", capsys)
+
+
+def test_render_checks_records_like_eval(workspace, tmp_path, capsys):
+    _, data, _, preds = workspace
+    _, bad = _eval_bad_record(data, preds, tmp_path, lambda r: r.pop("trajectories"))
+    argv = ["render", "--predictions", bad, "--data", data, "--out", tmp_path / "svgs"]
+    _assert_rejected(argv, f"{bad}:2: prediction record lacks 'trajectories'", capsys)
+
+    def edit(record):
+        record["trajectories"][0][0][0] = float("nan")
+
+    _, bad = _eval_bad_record(data, preds, tmp_path, edit)
+    argv = ["render", "--predictions", bad, "--data", data, "--out", tmp_path / "svgs"]
+    _assert_rejected(argv, f"{bad}:2: trajectories holds non-finite values", capsys)
+
+
 # --------------------------------------------------------------------- render
 
 def test_render_single_scene_svg(workspace, tmp_path):

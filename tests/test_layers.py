@@ -235,3 +235,148 @@ def test_sinusoidal_embedding_distinctness():
     for i in range(25):
         for j in range(i + 1, 25):
             assert np.abs(e[i] - e[j]).max() > 1e-6
+
+
+# ---------------------------------------------- oracles: the einsum / logaddexp forms
+
+def _oracle_attention_forward(x, p, prefix):
+    wq, bq = p[prefix + ".wq"], p[prefix + ".bq"]
+    wk, bk = p[prefix + ".wk"], p[prefix + ".bk"]
+    wv, bv = p[prefix + ".wv"], p[prefix + ".bv"]
+    wo, bo = p[prefix + ".wo"], p[prefix + ".bo"]
+    width = x.shape[2]
+    q = np.einsum("bcw,wu->bcu", x, wq) + bq
+    k = np.einsum("bcw,wu->bcu", x, wk) + bk
+    v = np.einsum("bcw,wu->bcu", x, wv) + bv
+    scores = np.einsum("bcu,bdu->bcd", q, k) / np.sqrt(width)
+    scores -= scores.max(axis=2, keepdims=True)
+    expw = np.exp(scores)
+    attn = expw / expw.sum(axis=2, keepdims=True)
+    o = np.einsum("bcd,bdu->bcu", attn, v)
+    y = np.einsum("bcu,uv->bcv", o, wo) + bo
+    return y + x, (x, q, k, v, attn, o)
+
+
+def _oracle_attention_backward(dy, p, prefix, cache, grads):
+    x, q, k, v, attn, o = cache
+    wq, wk, wv, wo = (p[prefix + s] for s in (".wq", ".wk", ".wv", ".wo"))
+    width = x.shape[2]
+    grads[prefix + ".wo"] = np.einsum("bcu,bcv->uv", o, dy)
+    grads[prefix + ".bo"] = dy.sum(axis=(0, 1))
+    do = np.einsum("bcv,uv->bcu", dy, wo)
+    dattn = np.einsum("bcu,bdu->bcd", do, v)
+    dv = np.einsum("bcd,bcu->bdu", attn, do)
+    dscores = attn * (dattn - (dattn * attn).sum(axis=2, keepdims=True))
+    dscores /= np.sqrt(width)
+    dq = np.einsum("bcd,bdu->bcu", dscores, k)
+    dk = np.einsum("bcd,bcu->bdu", dscores, q)
+    dx = dy.copy()
+    for dt, w, tag in ((dq, wq, "q"), (dk, wk, "k"), (dv, wv, "v")):
+        grads[prefix + ".w" + tag] = np.einsum("bcw,bcu->wu", x, dt)
+        grads[prefix + ".b" + tag] = dt.sum(axis=(0, 1))
+        dx += np.einsum("bcu,wu->bcw", dt, w)
+    return dx
+
+
+def _oracle_mish(x):
+    return x * np.tanh(np.logaddexp(0.0, x))
+
+
+def _oracle_mish_grad(x):
+    t = np.tanh(np.logaddexp(0.0, x))
+    sig = np.exp(-np.logaddexp(0.0, -x))
+    return t + x * (1.0 - t * t) * sig
+
+
+def _oracle_groupnorm_forward(x, gamma, beta, groups, eps=1e-5):
+    bsz, c, length = x.shape
+    xg = x.reshape(bsz, groups, -1)
+    mu = xg.mean(axis=2, keepdims=True)
+    var = xg.var(axis=2, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = ((xg - mu) * inv).reshape(bsz, c, length)
+    return gamma[None, :, None] * xhat + beta[None, :, None], inv
+
+
+PREDICT_SHAPES = [(20, 32, 20), (20, 64, 10), (20, 128, 5)]  # (B, C, L) per U-Net level
+
+
+@pytest.mark.parametrize("shape", PREDICT_SHAPES)
+def test_attention_matches_einsum_oracle_at_predict_shapes(shape):
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=shape)
+    p = _attention_params(rng, shape[2])
+    up = rng.normal(size=shape)
+    y, cache = attention_forward(x, p, "attn")
+    y_ref, cache_ref = _oracle_attention_forward(x, p, "attn")
+    np.testing.assert_allclose(y, y_ref, rtol=0, atol=1e-12)
+    for got, ref in zip(cache, cache_ref):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+    grads, grads_ref = {}, {}
+    dx = attention_backward(up, p, "attn", cache, grads)
+    dx_ref = _oracle_attention_backward(up, p, "attn", cache_ref, grads_ref)
+    np.testing.assert_allclose(dx, dx_ref, rtol=0, atol=1e-12)
+    assert set(grads) == set(grads_ref) == set(p)
+    for name in p:
+        np.testing.assert_allclose(grads[name], grads_ref[name], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", PREDICT_SHAPES)
+def test_mish_matches_logaddexp_oracle_at_predict_shapes(shape):
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=shape) * 4
+    up = rng.normal(size=shape)
+    y, cache = mish_forward(x)
+    np.testing.assert_allclose(y, _oracle_mish(x), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        mish_backward(up, cache), up * _oracle_mish_grad(x), rtol=0, atol=1e-12
+    )
+
+
+def test_mish_extreme_inputs_match_oracle():
+    x = np.array([-800.0, 800.0, 19.99, 20.0, 20.01, 0.0, -0.0, 1e-300, -1e-300,
+                  -30.0, 30.0, -745.0, 709.0])
+    y, cache = mish_forward(x)
+    assert np.all(np.isfinite(y))
+    np.testing.assert_allclose(y, _oracle_mish(x), rtol=1e-15, atol=1e-300)
+    np.testing.assert_array_equal(np.signbit(y), np.signbit(_oracle_mish(x)))
+    np.testing.assert_array_equal(y[[1, 4, 12]], x[[1, 4, 12]])  # tanh(softplus) is 1.0
+    dy = mish_backward(np.ones_like(x), cache)
+    assert np.all(np.isfinite(dy))
+    np.testing.assert_allclose(dy, _oracle_mish_grad(x), rtol=1e-14, atol=1e-300)
+    assert len(cache) == 2  # (x, e): no third cached array
+
+
+@pytest.mark.parametrize("shape", PREDICT_SHAPES)
+def test_groupnorm_is_bit_identical_to_var_oracle(shape):
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=shape) * 3 + 1
+    gamma = rng.normal(size=shape[1]) + 1.0
+    beta = rng.normal(size=shape[1])
+    groups = 8
+    y, cache = groupnorm_forward(x, gamma, beta, groups)
+    y_ref, inv_ref = _oracle_groupnorm_forward(x, gamma, beta, groups)
+    np.testing.assert_array_equal(y, y_ref)
+    np.testing.assert_array_equal(cache[1], inv_ref)
+
+
+def test_attention_gradients_at_bottleneck_shape():
+    rng = np.random.default_rng(14)
+    c, w = 128, 5
+    x = rng.normal(size=(1, c, w))
+    p = _attention_params(rng, w)
+    up = rng.normal(size=(1, c, w))
+
+    def loss():
+        y, _ = attention_forward(x, p, "attn")
+        return float((y * up).sum())
+
+    # the loss sums 640 terms with |terms| summing to ~420, so rounding in
+    # each central difference is up to eps * 420 / h ~ 1e-7
+    atol = 1e-7
+    _, cache = attention_forward(x, p, "attn")
+    grads = {}
+    dx = attention_backward(up, p, "attn", cache, grads)
+    assert_close(dx, fd_grad(loss, x), tol=5e-6, atol=atol)
+    for name in p:
+        assert_close(grads[name], fd_grad(loss, p[name]), tol=5e-6, atol=atol)
