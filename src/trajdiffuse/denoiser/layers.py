@@ -74,8 +74,7 @@ def groupnorm_forward(x, gamma, beta, groups, eps=1e-5):
     inv = 1.0 / np.sqrt(var + eps)
     d *= inv
     xhat = d.reshape(bsz, c, length)
-    y = gamma[None, :, None] * xhat
-    y += beta[None, :, None]
+    y = gamma[None, :, None] * xhat + beta[None, :, None]
     return y, (xhat, inv, gamma, groups)
 
 
@@ -118,15 +117,8 @@ def mish_forward(x):
 def mish_backward(dy, cache):
     x, e = cache
     t = _tanh_softplus(e)
-    sig = e + 1.0
-    np.divide(e, sig, out=sig)  # sigmoid(x) = e / (1 + e)
-    g = t * t
-    np.subtract(1.0, g, out=g)
-    g *= x
-    g *= sig
-    g += t  # t + x * (1 - t*t) * sigmoid(x)
-    g *= dy
-    return g
+    sig = e / (1.0 + e)
+    return dy * (t + x * (1.0 - t * t) * sig)
 
 
 # ------------------------------------------------------------------- linear
