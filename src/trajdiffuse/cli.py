@@ -249,11 +249,7 @@ def cmd_eval(args) -> int:
     scenes = {s.scene_id: s for s in read_dataset(args.data)}
     records = _load_predictions(args.predictions)
 
-    if args.jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(lambda wr: _eval_one(*wr, scenes, args.mve_bins), records))
-    else:
-        rows = [_eval_one(where, r, scenes, args.mve_bins) for where, r in records]
+    rows = [_eval_one(where, r, scenes, args.mve_bins) for where, r in records]
 
     ades = [r["ade"] for r in rows]
     fdes = [r["fde"] for r in rows]
@@ -261,7 +257,7 @@ def cmd_eval(args) -> int:
     ecfls = [r["ecfl"] for r in rows]
     mves = [r["mve"] for r in rows]
     per_scene_batches: dict = {}
-    for row in rows:  # input order regardless of completion order
+    for row in rows:
         per_scene_batches.setdefault(row["scene_id"], []).append(row["batch"])
 
     acfl_values = [
@@ -423,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output metrics JSON")
     p.add_argument("--mve-bins", type=int, default=36)
     p.add_argument("--acfl-threshold", type=float, default=0.5)
-    p.add_argument("--jobs", type=int, default=1, help="parallel agents")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("render", help="render scenes with predictions to SVG")

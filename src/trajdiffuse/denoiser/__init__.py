@@ -11,9 +11,6 @@ from .net import (
     ArchDescriptor,
     DenoiserParams,
     backward_from_cache,
-    cross_channel_attention,
-    denoiser_backward,
-    denoiser_forward,
     forward_with_cache,
     init_params,
     param_specs,
@@ -32,9 +29,6 @@ __all__ = [
     "DescriptorMismatchError",
     "adam_update",
     "backward_from_cache",
-    "cross_channel_attention",
-    "denoiser_backward",
-    "denoiser_forward",
     "forward_with_cache",
     "init_params",
     "load_checkpoint",

@@ -14,11 +14,10 @@ finite differences in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..diffusion import TrajBatch
 from .layers import (
     attention_backward,
     attention_forward,
@@ -261,7 +260,8 @@ def forward_with_cache(params: DenoiserParams, x: np.ndarray, i):
     desc = params.arch
     p = params.tensors
     i_arr = _check_input(params, x, i)
-    x_cf = np.ascontiguousarray(np.asarray(x, dtype=np.float64).transpose(0, 2, 1))
+    x = np.asarray(x, dtype=np.float64)
+    x_cf = np.ascontiguousarray(x.transpose(0, 2, 1))
 
     emb0 = sinusoidal_embedding(i_arr, desc.emb_dim)
     t1, c_t1 = linear_forward(emb0, p["time_mlp.fc1.w"], p["time_mlp.fc1.b"])
@@ -305,6 +305,7 @@ def forward_with_cache(params: DenoiserParams, x: np.ndarray, i):
         "dec": dec_caches,
         "up": up_caches,
         "out": c_out,
+        "shape": x.shape,
     }
     return np.ascontiguousarray(y.transpose(0, 2, 1)), cache
 
@@ -314,7 +315,13 @@ def backward_from_cache(params: DenoiserParams, cache: dict, upstream: np.ndarra
     desc = params.arch
     p = params.tensors
     last = desc.n_levels - 1
-    dy = np.asarray(upstream, dtype=np.float64).transpose(0, 2, 1)
+    upstream = np.asarray(upstream, dtype=np.float64)
+    if upstream.shape != cache["shape"]:
+        raise ValueError(
+            f"upstream gradient shape {upstream.shape} does not match the forward "
+            f"output {cache['shape']}"
+        )
+    dy = upstream.transpose(0, 2, 1)
 
     grads: dict = {}
     d_emb_total = 0.0
@@ -369,33 +376,3 @@ def backward_from_cache(params: DenoiserParams, cache: dict, upstream: np.ndarra
 
     dx = (dx_residual + dh).transpose(0, 2, 1)
     return grads, np.ascontiguousarray(dx)
-
-
-# ------------------------------------------------------------- public surface
-
-def denoiser_forward(params: DenoiserParams, x_cond: TrajBatch, i) -> TrajBatch:
-    """Predict the clean trajectory from a conditioned noisy batch at step i."""
-    y, _ = forward_with_cache(params, x_cond.samples, i)
-    return x_cond.like(y)
-
-
-def denoiser_backward(params: DenoiserParams, x_cond: TrajBatch, i,
-                      upstream_grad: np.ndarray) -> dict:
-    """Gradients of sum(forward * upstream_grad) w.r.t. every parameter tensor."""
-    upstream = np.asarray(upstream_grad, dtype=np.float64)
-    if upstream.shape != x_cond.samples.shape:
-        raise ValueError(
-            f"upstream_grad shape {upstream.shape} does not match batch {x_cond.samples.shape}"
-        )
-    _, cache = forward_with_cache(params, x_cond.samples, i)
-    grads, _ = backward_from_cache(params, cache, upstream)
-    return grads
-
-
-def cross_channel_attention(features: np.ndarray, params: DenoiserParams) -> np.ndarray:
-    """Apply the bottleneck attention to a single (C, W) feature map."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise ValueError(f"features must be (C, W), got shape {features.shape}")
-    y, _ = attention_forward(features[None], params.tensors, "attn")
-    return y[0]

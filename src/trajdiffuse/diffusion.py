@@ -1,15 +1,17 @@
-"""Diffusion math core over trajectory batches.
+"""Diffusion math core: the only implementation, called by `pipeline`.
 
-Forward noising via the closed-form marginal, inpainting-style frame
-conditioning, the posterior mean in the clean-signal parameterization, the
-stochastic reverse step, and the training loss (plain MSE or the
-schedule-weighted form). Every operation is a pure function; randomness
-enters only through explicit noise arrays supplied by the caller.
+Pure functions over ndarrays of shape (B, T, 2): forward noising via the
+closed-form marginal, inpainting-style frame clamping, the posterior mean in
+the clean-signal parameterization, the stochastic reverse step, and the
+batched training loss with its gradient (plain MSE or the schedule-weighted
+form). Randomness enters only through explicit noise arrays supplied by the
+caller. TrajBatch and ConditionSpec are the trajectory and clamp-set types
+the rest of the package passes around.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,10 +49,6 @@ class TrajBatch:
     def n_frames(self) -> int:
         return self.samples.shape[1]
 
-    def like(self, samples: np.ndarray) -> "TrajBatch":
-        """New batch with the same frame split and the given samples."""
-        return TrajBatch(samples, self.t_obs, self.t_pred)
-
 
 @dataclass(frozen=True)
 class ConditionSpec:
@@ -85,11 +83,6 @@ class ConditionSpec:
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "values", values)
 
-    @property
-    def n_waypoints(self) -> int:
-        """Number of interior waypoint anchors (history and goal excluded)."""
-        return int(self.frames.size - self.t_obs - 1)
-
     @classmethod
     def from_anchors(cls, history, waypoint_frames, waypoint_values, goal_value,
                      t_pred: int) -> "ConditionSpec":
@@ -115,57 +108,55 @@ class ConditionSpec:
         order = np.argsort(frames)
         return cls(frames[order], values[order], t_obs=t_obs, t_pred=t_pred)
 
-    def transformed(self, center, scale: float) -> "ConditionSpec":
-        """Same clamp set with values mapped to (v - center) / scale."""
-        center = np.asarray(center, dtype=np.float64).reshape(2)
-        return ConditionSpec(
-            self.frames.copy(), (self.values - center) / float(scale), self.t_obs, self.t_pred
-        )
 
+def forward_noise(x0: np.ndarray, i, noise: np.ndarray, schedule: NoiseSchedule) -> np.ndarray:
+    """Sample the closed-form marginal: sqrt(ab_i) * x0 + sqrt(1 - ab_i) * noise.
 
-def forward_noise(clean: TrajBatch, i: int, noise: np.ndarray, schedule: NoiseSchedule) -> TrajBatch:
-    """Sample the closed-form marginal: sqrt(ab_i) * clean + sqrt(1 - ab_i) * noise."""
-    i = check_step_index(i, schedule.n_steps)
+    x0 and noise have shape (B, T, 2); i is an int or a (B,) int array of
+    per-sample steps.
+    """
+    x0 = np.asarray(x0, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
-    check_same_shape(noise, clean.samples, "noise", "samples")
-    ab = schedule.alpha_bars[i - 1]
-    return clean.like(np.sqrt(ab) * clean.samples + np.sqrt(1.0 - ab) * noise)
-
-
-def apply_conditioning(traj: TrajBatch, cond: ConditionSpec) -> TrajBatch:
-    """Overwrite the clamped frames of every sample with the clamp values."""
-    if cond.t_obs + cond.t_pred != traj.n_frames:
-        raise IndexError("condition frame layout does not match the batch length")
-    out = traj.samples.copy()
-    out[:, cond.frames, :] = cond.values
-    return traj.like(out)
+    check_same_shape(noise, x0, "noise", "x0")
+    if np.ndim(i) == 0:
+        ab = schedule.alpha_bars[check_step_index(i, schedule.n_steps) - 1]
+    else:
+        steps = np.asarray(i)
+        if steps.shape != x0.shape[:1] or not np.issubdtype(steps.dtype, np.integer):
+            raise ValueError(f"per-sample steps must be a ({x0.shape[0]},) int array, "
+                             f"got {steps.dtype} {steps.shape}")
+        if np.any(steps < 1) or np.any(steps > schedule.n_steps):
+            raise IndexError(f"step index out of range 1..{schedule.n_steps}")
+        ab = schedule.alpha_bars[steps - 1][:, None, None]
+    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * noise
 
 
 def clamp_frames_batch(samples: np.ndarray, frames: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Per-sample conditioning: values has shape (K, n_frames, 2)."""
+    """Copy of samples with frames overwritten; values has shape (B, n_frames, 2)."""
     out = samples.copy()
     out[:, frames, :] = values
     return out
 
 
-def posterior_mean(x0_pred: TrajBatch, x_i: TrajBatch, i: int, schedule: NoiseSchedule) -> TrajBatch:
+def posterior_mean(x0_pred: np.ndarray, x_i: np.ndarray, i: int,
+                   schedule: NoiseSchedule) -> np.ndarray:
     """Posterior mean of the reverse kernel given the predicted clean signal.
 
     mu = [sqrt(a_i)(1 - ab_{i-1}) x_i + sqrt(ab_{i-1})(1 - a_i) x0] / (1 - ab_i),
     which collapses to x0 exactly at i = 1 where ab_0 = 1.
     """
     i = check_step_index(i, schedule.n_steps)
-    check_same_shape(x0_pred.samples, x_i.samples, "x0_pred", "x_i")
+    x0_pred = np.asarray(x0_pred, dtype=np.float64)
+    x_i = np.asarray(x_i, dtype=np.float64)
+    check_same_shape(x0_pred, x_i, "x0_pred", "x_i")
     a = schedule.alphas[i - 1]
     ab = schedule.alpha_bars[i - 1]
     ab_prev = schedule.alpha_bars_prev[i - 1]
-    coef_xi = np.sqrt(a) * (1.0 - ab_prev)
-    coef_x0 = np.sqrt(ab_prev) * (1.0 - a)
-    return x_i.like((coef_xi * x_i.samples + coef_x0 * x0_pred.samples) / (1.0 - ab))
+    return (np.sqrt(a) * (1 - ab_prev) * x_i + np.sqrt(ab_prev) * (1 - a) * x0_pred) / (1 - ab)
 
 
-def reverse_step(x_i: TrajBatch, x0_pred: TrajBatch, i: int, schedule: NoiseSchedule,
-                 noise: np.ndarray) -> TrajBatch:
+def reverse_step(x_i: np.ndarray, x0_pred: np.ndarray, i: int, schedule: NoiseSchedule,
+                 noise: np.ndarray) -> np.ndarray:
     """One stochastic reverse step: posterior mean plus sigma_q(i) * noise.
 
     sigma_q(1) = 0, so the final step is deterministic and returns the
@@ -173,40 +164,10 @@ def reverse_step(x_i: TrajBatch, x0_pred: TrajBatch, i: int, schedule: NoiseSche
     """
     i = check_step_index(i, schedule.n_steps)
     noise = np.asarray(noise, dtype=np.float64)
-    check_same_shape(noise, x_i.samples, "noise", "samples")
+    check_same_shape(noise, np.asarray(x_i), "noise", "x_i")
     mean = posterior_mean(x0_pred, x_i, i, schedule)
     sigma = np.sqrt(schedule.posterior_vars[i - 1])
-    if sigma == 0.0:
-        return mean
-    return mean.like(mean.samples + sigma * noise)
-
-
-def _future_sq_error(x0_pred: TrajBatch, x0_true: TrajBatch) -> np.ndarray:
-    """Per-sample mean squared error over future frames only, shape (K,)."""
-    check_same_shape(x0_pred.samples, x0_true.samples, "x0_pred", "x0_true")
-    t_obs = x0_true.t_obs
-    diff = x0_pred.samples[:, t_obs:, :] - x0_true.samples[:, t_obs:, :]
-    return np.mean(diff * diff, axis=(1, 2))
-
-
-def training_loss(x0_pred: TrajBatch, x0_true: TrajBatch, i: int, schedule: NoiseSchedule,
-                  weighting: str = "simple") -> float:
-    """Training loss over future frames, averaged over the batch.
-
-    "simple" is the unweighted MSE; "paper" multiplies the same MSE by
-    lambda(alpha_i) / (2 sigma_q^2(i)) and rejects i = 1 where the weight is
-    singular.
-    """
-    i = check_step_index(i, schedule.n_steps)
-    per_sample = _future_sq_error(x0_pred, x0_true)
-    if weighting == "simple":
-        return float(np.mean(per_sample))
-    if weighting == "paper":
-        if i < 2:
-            raise ValueError("paper weighting requires i >= 2 (sigma_q^2(1) = 0)")
-        w = schedule.loss_weights[i - 1] / (2.0 * schedule.posterior_vars[i - 1])
-        return float(w * np.mean(per_sample))
-    raise ValueError(f"unknown weighting {weighting!r}")
+    return mean if sigma == 0.0 else mean + sigma * noise
 
 
 def loss_and_grad(pred: np.ndarray, target: np.ndarray, t_obs: int, i_steps: np.ndarray,

@@ -113,10 +113,6 @@ class TrajDiffuse:
         )
         return predict(request, self.model_params_, self.schedule_, self.guidance_config())
 
-    def predict_request(self, request: PredictionRequest) -> PredictionResult:
-        self._check_fitted()
-        return predict(request, self.model_params_, self.schedule_, self.guidance_config())
-
     # ------------------------------------------------------------------ I/O
 
     def save(self, path) -> None:

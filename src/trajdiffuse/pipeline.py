@@ -1,25 +1,28 @@
 """End-to-end guided prediction and the training loop.
 
+Both loops call the diffusion math in `diffusion` and the network in
+`denoiser`; this module only orchestrates them.
+
 Prediction runs the reverse diffusion chain per intent: condition the noisy
 trajectory on the observed history and the intent anchors, predict the clean
-signal, take a stochastic reverse step, optionally apply the map guidance in
-world coordinates, and re-condition. The returned trajectories carry the
-observed history and the intent anchors bit-exactly (a final conditioning
-pass runs in world coordinates).
+signal, take a stochastic reverse step (`reverse_step`), optionally apply the
+map guidance in world coordinates, and re-condition. The returned
+trajectories carry the observed history and the intent anchors bit-exactly (a
+final conditioning pass runs in world coordinates).
 
 Training draws a per-sample step index, noises the clean trajectory with the
-closed-form marginal, clamps the conditioned frames to their clean values
-(matching inference), and regresses the network output onto the clean
-trajectory over future frames.
+closed-form marginal (`forward_noise`), clamps the conditioned frames to
+their clean values (matching inference), and regresses the network output
+onto the clean trajectory over future frames (`loss_and_grad`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import TrajBatch, clamp_frames_batch, loss_and_grad
+from .diffusion import TrajBatch, clamp_frames_batch, forward_noise, loss_and_grad, reverse_step
 from .denoiser import (
     AdamState,
     ArchDescriptor,
@@ -32,7 +35,7 @@ from .denoiser import (
 )
 from .mapguide import GuidanceConfig, NavEnvironment, ecfl_check, guidance_delta
 from .schedule import NoiseSchedule, build_cosine_schedule
-from .synth import IntentOracleConfig, Scene
+from .synth import IntentOracleConfig
 from .validation import as_float_array
 
 
@@ -105,12 +108,7 @@ def predict(request: PredictionRequest, params: DenoiserParams, schedule: NoiseS
         tau = clamp_frames_batch(tau, frames, values_std)
         x0_pred, _ = forward_with_cache(params, tau, i)
         noise = np.stack([rng.standard_normal((t_total, 2)) for rng in streams])
-        a = schedule.alphas[i - 1]
-        ab = schedule.alpha_bars[i - 1]
-        ab_prev = schedule.alpha_bars_prev[i - 1]
-        mean = (np.sqrt(a) * (1 - ab_prev) * tau + np.sqrt(ab_prev) * (1 - a) * x0_pred) / (1 - ab)
-        sigma = np.sqrt(schedule.posterior_vars[i - 1])
-        tau = mean if sigma == 0.0 else mean + sigma * noise
+        tau = reverse_step(tau, x0_pred, i, schedule, noise)
         if request.guidance_on:
             world = tau * scale + center
             for j in range(k):
@@ -213,9 +211,8 @@ def train(scenes: list, config: TrainConfig,
             bsz = x0.shape[0]
             i_steps = rng.integers(i_lo, config.n_steps + 1, size=bsz)
             eps = rng.standard_normal(x0.shape)
-            ab = schedule.alpha_bars[i_steps - 1][:, None, None]
-            x_i = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-            x_i[:, frames, :] = x0[:, frames, :]  # clamp to clean values, as at inference
+            x_i = forward_noise(x0, i_steps, eps, schedule)
+            x_i = clamp_frames_batch(x_i, frames, x0[:, frames, :])  # clean values, as at inference
             pred, cache = forward_with_cache(params, x_i, i_steps)
             loss, dpred = loss_and_grad(pred, x0, t_obs, i_steps, schedule, config.weighting)
             if not np.isfinite(loss):

@@ -60,14 +60,6 @@ class NoiseSchedule:
                 raise ValueError(f"{field} must have shape ({self.n_steps},), got {arr.shape}")
             arr.setflags(write=False)
 
-    @property
-    def sqrt_alpha_bars(self) -> np.ndarray:
-        return np.sqrt(self.alpha_bars)
-
-    @property
-    def sqrt_one_minus_alpha_bars(self) -> np.ndarray:
-        return np.sqrt(1.0 - self.alpha_bars)
-
 
 def from_alphas(alphas: np.ndarray) -> NoiseSchedule:
     """Assemble a NoiseSchedule from per-step retention values."""

@@ -29,7 +29,13 @@ from trajdiffuse.cli import main as cli_main
 from trajdiffuse.denoiser import DenoiserParams, init_params, save_checkpoint
 from trajdiffuse.denoiser.net import backward_from_cache, forward_with_cache
 from trajdiffuse.denoiser import ArchDescriptor
-from trajdiffuse.diffusion import TrajBatch, posterior_mean, reverse_step, training_loss
+from trajdiffuse.diffusion import (
+    TrajBatch,
+    forward_noise,
+    loss_and_grad,
+    posterior_mean,
+    reverse_step,
+)
 from trajdiffuse.mapguide import GuidanceConfig, distance_transform
 from trajdiffuse.metrics import acfl, ade_fde, ecfl, kde_nll, mve
 from trajdiffuse.pipeline import PredictionRequest, TrainConfig, predict, train
@@ -120,43 +126,44 @@ def test_a1_math_core_oracle_suite():
     n = 100_000
     i = 11
     clean_val = np.array([0.8, -1.1])
-    clean = TrajBatch(np.tile(clean_val, (n, 2, 1)), 1, 1)
+    clean = np.tile(clean_val, (n, 2, 1))
     noise = rng.standard_normal((n, 2, 2))
     ab = sched.alpha_bars[i - 1]
-    noised = np.sqrt(ab) * clean.samples + np.sqrt(1 - ab) * noise
+    noised = forward_noise(clean, i, noise, sched)
     se = math.sqrt((1 - ab) / n)
     assert np.all(np.abs(noised.mean(axis=0) - np.sqrt(ab) * clean_val) < 4 * se)
     assert np.all(np.abs(noised.var(axis=0) - (1 - ab)) < 0.05 * (1 - ab))
 
     # posterior mean: elementwise scalar recomputation
-    x0 = TrajBatch(rng.normal(size=(3, 4, 2)), 2, 2)
-    xi = TrajBatch(rng.normal(size=(3, 4, 2)), 2, 2)
+    x0 = rng.normal(size=(3, 4, 2))
+    xi = rng.normal(size=(3, 4, 2))
     i = 7
     out = posterior_mean(x0, xi, i, sched)
     a = sched.alphas[i - 1]
     abi = sched.alpha_bars[i - 1]
     abp = sched.alpha_bars[i - 2]
     expected = (
-        math.sqrt(a) * (1 - abp) * xi.samples + math.sqrt(abp) * (1 - a) * x0.samples
+        math.sqrt(a) * (1 - abp) * xi + math.sqrt(abp) * (1 - a) * x0
     ) / (1 - abi)
-    assert np.abs(out.samples - expected).max() <= 1e-10
+    assert np.abs(out - expected).max() <= 1e-10
 
     # reverse-step variance (Monte Carlo) and the deterministic final step
     i = 9
-    x0b = TrajBatch(np.zeros((n, 2, 2)), 1, 1)
-    xib = TrajBatch(np.ones((n, 2, 2)), 1, 1)
+    x0b = np.zeros((n, 2, 2))
+    xib = np.ones((n, 2, 2))
     stepped = reverse_step(xib, x0b, i, sched, rng.standard_normal((n, 2, 2)))
-    var = stepped.samples.var(axis=0)
+    var = stepped.var(axis=0)
     assert np.all(np.abs(var - sched.posterior_vars[i - 1]) < 0.05 * sched.posterior_vars[i - 1])
     final = reverse_step(xib, x0b, 1, sched, rng.standard_normal((n, 2, 2)) * 1e9)
-    assert np.abs(final.samples - x0b.samples).max() == 0.0
+    assert np.abs(final - x0b).max() == 0.0
 
     # loss weighting: paper mode = simple mode * lambda / (2 sigma^2)
-    p = TrajBatch(rng.normal(size=(4, 4, 2)), 2, 2)
-    q = TrajBatch(rng.normal(size=(4, 4, 2)), 2, 2)
+    p = rng.normal(size=(4, 4, 2))
+    q = rng.normal(size=(4, 4, 2))
     i = 10
-    simple = training_loss(p, q, i, sched, "simple")
-    paper = training_loss(p, q, i, sched, "paper")
+    steps = np.full(4, i)
+    simple, _ = loss_and_grad(p, q, 2, steps, sched, "simple")
+    paper, _ = loss_and_grad(p, q, 2, steps, sched, "paper")
     w = sched.loss_weights[i - 1] / (2 * sched.posterior_vars[i - 1])
     assert abs(paper - simple * w) <= 1e-10 * max(1.0, abs(paper))
 

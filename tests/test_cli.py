@@ -228,12 +228,6 @@ def test_eval_report_matches_metrics_module(workspace, tmp_path):
     assert run("eval", "--predictions", preds, "--data", data, "--out", out) == 0
     report = json.loads(out.read_text())
 
-    parallel = tmp_path / "metrics_jobs.json"
-    assert run(
-        "eval", "--predictions", preds, "--data", data, "--out", parallel, "--jobs", 3,
-    ) == 0
-    assert parallel.read_bytes() == out.read_bytes()
-
     from trajdiffuse.diffusion import TrajBatch
     from trajdiffuse.metrics import ade_fde as module_ade_fde
     from trajdiffuse.synth import read_dataset

@@ -3,14 +3,11 @@ import pytest
 
 from trajdiffuse.denoiser import (
     ArchDescriptor,
-    cross_channel_attention,
-    denoiser_backward,
-    denoiser_forward,
+    backward_from_cache,
     forward_with_cache,
     init_params,
 )
-from trajdiffuse.denoiser.net import backward_from_cache
-from trajdiffuse.diffusion import TrajBatch
+from trajdiffuse.denoiser.layers import attention_forward
 
 TINY = ArchDescriptor(
     widths=(4,), kernel_len=5, gn_groups=8, emb_dim=8,
@@ -23,15 +20,15 @@ THREE_LEVEL = ArchDescriptor(
 
 
 def tiny_batch(rng, desc=TINY, k=2):
-    return TrajBatch(rng.normal(size=(k, desc.traj_len, 2)), desc.t_obs, desc.t_pred)
+    return rng.normal(size=(k, desc.traj_len, 2))
 
 
 def test_zero_initialized_net_is_identity():
     rng = np.random.default_rng(0)
     params = init_params(TINY, seed=1)
     x = tiny_batch(rng)
-    y = denoiser_forward(params, x, 3)
-    np.testing.assert_array_equal(y.samples, x.samples)
+    y, _ = forward_with_cache(params, x, 3)
+    np.testing.assert_array_equal(y, x)
 
 
 def test_step_embedding_reaches_output():
@@ -40,9 +37,9 @@ def test_step_embedding_reaches_output():
     # perturb the output conv so the residual trunk contributes
     params.tensors["out.w"] += 0.05
     x = tiny_batch(rng)
-    y1 = denoiser_forward(params, x, 1)
-    yn = denoiser_forward(params, x, TINY.n_steps)
-    assert np.abs(y1.samples - yn.samples).max() > 0
+    y1, _ = forward_with_cache(params, x, 1)
+    yn, _ = forward_with_cache(params, x, TINY.n_steps)
+    assert np.abs(y1 - yn).max() > 0
 
 
 def test_internal_lengths_follow_stride_arithmetic():
@@ -62,9 +59,9 @@ def test_forward_is_deterministic():
     rng = np.random.default_rng(3)
     params = init_params(THREE_LEVEL, seed=4)
     x = tiny_batch(rng, THREE_LEVEL)
-    a = denoiser_forward(params, x, 7)
-    b = denoiser_forward(params, x, 7)
-    np.testing.assert_array_equal(a.samples, b.samples)
+    a, _ = forward_with_cache(params, x, 7)
+    b, _ = forward_with_cache(params, x, 7)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_input_validation():
@@ -84,7 +81,8 @@ def test_zero_upstream_gives_zero_gradients():
     rng = np.random.default_rng(5)
     params = init_params(TINY, seed=6)
     x = tiny_batch(rng)
-    grads = denoiser_backward(params, x, 4, np.zeros_like(x.samples))
+    _, cache = forward_with_cache(params, x, 4)
+    grads, _ = backward_from_cache(params, cache, np.zeros_like(x))
     assert set(grads) == set(params.tensors)
     for g in grads.values():
         np.testing.assert_array_equal(g, np.zeros_like(g))
@@ -161,18 +159,19 @@ def test_backward_rejects_bad_upstream_shape():
     rng = np.random.default_rng(14)
     params = init_params(TINY, seed=15)
     x = tiny_batch(rng)
-    with pytest.raises(ValueError):
-        denoiser_backward(params, x, 3, np.zeros((1, 2, 2)))
+    _, cache = forward_with_cache(params, x, 3)
+    # wrong length, another batch size, channels-first
+    for shape in [(1, 2, 2), (3, TINY.traj_len, 2), (2, 2, TINY.traj_len)]:
+        with pytest.raises(ValueError, match="upstream gradient shape"):
+            backward_from_cache(params, cache, np.zeros(shape))
 
 
 def test_cross_channel_attention_public_shape():
     params = init_params(TINY, seed=16)
     rng = np.random.default_rng(15)
     feats = rng.normal(size=(4, TINY.bottleneck_len))
-    out = cross_channel_attention(feats, params)
-    assert out.shape == feats.shape
-    with pytest.raises(ValueError):
-        cross_channel_attention(rng.normal(size=(4,)), params)
+    out, _ = attention_forward(feats[None], params.tensors, "attn")
+    assert out.shape == (1,) + feats.shape
 
 
 def test_per_sample_step_indices():

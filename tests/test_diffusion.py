@@ -5,13 +5,11 @@ from hypothesis import strategies as st
 
 from trajdiffuse.diffusion import (
     ConditionSpec,
-    TrajBatch,
-    apply_conditioning,
+    clamp_frames_batch,
     forward_noise,
     loss_and_grad,
     posterior_mean,
     reverse_step,
-    training_loss,
 )
 from trajdiffuse.schedule import build_cosine_schedule
 
@@ -20,7 +18,7 @@ T = T_OBS + T_PRED
 
 
 def make_batch(rng, k=4):
-    return TrajBatch(rng.normal(size=(k, T, 2)), T_OBS, T_PRED)
+    return rng.normal(size=(k, T, 2))
 
 
 def make_cond(rng, values=None):
@@ -35,23 +33,35 @@ def make_cond(rng, values=None):
     return ConditionSpec.from_anchors(history, wframes, wvals, goal, t_pred=T_PRED)
 
 
+def clamp(traj, cond):
+    """Clamp every sample of traj to the spec's values."""
+    values = np.broadcast_to(cond.values, (traj.shape[0],) + cond.values.shape)
+    return clamp_frames_batch(traj, cond.frames, values)
+
+
+def batch_loss(pred, target, i, sched, weighting="simple"):
+    """Batch loss at one step index shared by every sample."""
+    loss, _ = loss_and_grad(pred, target, T_OBS, np.full(pred.shape[0], i), sched, weighting)
+    return loss
+
+
 # ---------------------------------------------------------------- forward_noise
 
 def test_forward_noise_zero_noise():
     rng = np.random.default_rng(0)
     clean = make_batch(rng)
     sched = build_cosine_schedule(20)
-    out = forward_noise(clean, 7, np.zeros_like(clean.samples), sched)
-    np.testing.assert_array_equal(out.samples, np.sqrt(sched.alpha_bars[6]) * clean.samples)
+    out = forward_noise(clean, 7, np.zeros_like(clean), sched)
+    np.testing.assert_array_equal(out, np.sqrt(sched.alpha_bars[6]) * clean)
 
 
 def test_forward_noise_zero_signal_single_step():
     rng = np.random.default_rng(1)
     sched = build_cosine_schedule(1)
-    clean = TrajBatch(np.zeros((3, T, 2)), T_OBS, T_PRED)
+    clean = np.zeros((3, T, 2))
     noise = rng.normal(size=(3, T, 2))
     out = forward_noise(clean, 1, noise, sched)
-    np.testing.assert_array_equal(out.samples, np.sqrt(1 - sched.alpha_bars[0]) * noise)
+    np.testing.assert_array_equal(out, np.sqrt(1 - sched.alpha_bars[0]) * noise)
 
 
 def test_forward_noise_marginal_moments_monte_carlo():
@@ -61,12 +71,12 @@ def test_forward_noise_marginal_moments_monte_carlo():
     i = 9
     clean_val = np.array([1.5, -0.7])
     n = 100_000
-    clean = TrajBatch(np.tile(clean_val, (n, 2, 1)), 1, 1)
+    clean = np.tile(clean_val, (n, 2, 1))
     noise = rng.standard_normal((n, 2, 2))
     out = forward_noise(clean, i, noise, sched)
     ab = sched.alpha_bars[i - 1]
-    mean = out.samples.mean(axis=0)
-    var = out.samples.var(axis=0)
+    mean = out.mean(axis=0)
+    var = out.var(axis=0)
     se = np.sqrt((1 - ab) / n)
     assert np.all(np.abs(mean - np.sqrt(ab) * clean_val) < 4 * se)
     assert np.all(np.abs(var - (1 - ab)) < 0.05 * (1 - ab))
@@ -79,7 +89,25 @@ def test_forward_noise_rejects_bad_inputs():
     with pytest.raises(ValueError):
         forward_noise(clean, 3, np.zeros((2, T, 2)), sched)
     with pytest.raises(IndexError):
-        forward_noise(clean, 11, np.zeros_like(clean.samples), sched)
+        forward_noise(clean, 11, np.zeros_like(clean), sched)
+    with pytest.raises(IndexError):
+        forward_noise(clean, np.array([3, 11, 5, 1]), np.zeros_like(clean), sched)
+    with pytest.raises(IndexError):
+        forward_noise(clean, np.array([0, 2, 5, 1]), np.zeros_like(clean), sched)
+    with pytest.raises(ValueError):
+        forward_noise(clean, np.array([3, 5]), np.zeros_like(clean), sched)
+
+
+def test_forward_noise_per_sample_steps_match_scalar_calls():
+    rng = np.random.default_rng(21)
+    sched = build_cosine_schedule(10)
+    clean = make_batch(rng, k=5)
+    noise = rng.normal(size=clean.shape)
+    steps = np.array([1, 4, 10, 4, 7])
+    out = forward_noise(clean, steps, noise, sched)
+    for row, i in enumerate(steps):
+        single = forward_noise(clean[row:row + 1], int(i), noise[row:row + 1], sched)
+        np.testing.assert_array_equal(out[row:row + 1], single)
 
 
 def test_iterated_single_steps_match_marginal():
@@ -97,39 +125,39 @@ def test_iterated_single_steps_match_marginal():
     assert abs(x.var() - (1 - ab)) < 0.05 * (1 - ab)
 
 
-# ------------------------------------------------------------ apply_conditioning
+# ------------------------------------------------------------ clamp_frames_batch
 
 def test_full_clamp_overwrites_everything():
     rng = np.random.default_rng(5)
     traj = make_batch(rng)
     values = rng.normal(size=(T, 2))
     cond = ConditionSpec(np.arange(T), values, T_OBS, T_PRED)
-    out = apply_conditioning(traj, cond)
-    for k in range(traj.n_samples):
-        np.testing.assert_array_equal(out.samples[k], values)
+    out = clamp(traj, cond)
+    for k in range(traj.shape[0]):
+        np.testing.assert_array_equal(out[k], values)
 
 
 def test_idempotent_clamp_with_own_values():
     rng = np.random.default_rng(6)
-    traj = TrajBatch(rng.normal(size=(1, T, 2)), T_OBS, T_PRED)
-    cond = make_cond(rng, values=traj.samples[0])
-    out = apply_conditioning(traj, cond)
-    np.testing.assert_array_equal(out.samples, traj.samples)
+    traj = rng.normal(size=(1, T, 2))
+    cond = make_cond(rng, values=traj[0])
+    out = clamp(traj, cond)
+    np.testing.assert_array_equal(out, traj)
 
 
 def test_clamped_and_unclamped_frames():
     rng = np.random.default_rng(7)
     traj = make_batch(rng)
     cond = make_cond(rng)
-    out = apply_conditioning(traj, cond)
+    out = clamp(traj, cond)
     clamped = set(cond.frames.tolist())
     for t in range(T):
         if t in clamped:
             j = cond.frames.tolist().index(t)
-            for k in range(traj.n_samples):
-                np.testing.assert_array_equal(out.samples[k, t], cond.values[j])
+            for k in range(traj.shape[0]):
+                np.testing.assert_array_equal(out[k, t], cond.values[j])
         else:
-            np.testing.assert_array_equal(out.samples[:, t], traj.samples[:, t])
+            np.testing.assert_array_equal(out[:, t], traj[:, t])
 
 
 @settings(deadline=None, max_examples=25)
@@ -138,9 +166,9 @@ def test_conditioning_idempotence(seed):
     rng = np.random.default_rng(seed)
     traj = make_batch(rng, k=2)
     cond = make_cond(rng)
-    once = apply_conditioning(traj, cond)
-    twice = apply_conditioning(once, cond)
-    np.testing.assert_array_equal(once.samples, twice.samples)
+    once = clamp(traj, cond)
+    twice = clamp(once, cond)
+    np.testing.assert_array_equal(once, twice)
 
 
 def test_condition_spec_validation():
@@ -169,7 +197,7 @@ def test_posterior_mean_collapses_at_step_one():
     x0 = make_batch(rng)
     xi = make_batch(rng)
     out = posterior_mean(x0, xi, 1, sched)
-    np.testing.assert_allclose(out.samples, x0.samples, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(out, x0, rtol=0, atol=1e-15)
 
 
 def test_posterior_mean_matches_scalar_recomputation():
@@ -186,10 +214,10 @@ def test_posterior_mean_matches_scalar_recomputation():
         for t in range(T):
             for d in range(2):
                 expected = (
-                    np.sqrt(a) * (1 - ab_prev) * xi.samples[k, t, d]
-                    + np.sqrt(ab_prev) * (1 - a) * x0.samples[k, t, d]
+                    np.sqrt(a) * (1 - ab_prev) * xi[k, t, d]
+                    + np.sqrt(ab_prev) * (1 - a) * x0[k, t, d]
                 ) / (1 - ab)
-                assert out.samples[k, t, d] == pytest.approx(expected, abs=1e-12)
+                assert out[k, t, d] == pytest.approx(expected, abs=1e-12)
 
 
 # ------------------------------------------------------------------ reverse_step
@@ -199,16 +227,16 @@ def test_reverse_step_is_deterministic_at_step_one():
     sched = build_cosine_schedule(20)
     x0 = make_batch(rng)
     xi = make_batch(rng)
-    out = reverse_step(xi, x0, 1, sched, rng.normal(size=xi.samples.shape) * 1e6)
-    np.testing.assert_allclose(out.samples, x0.samples, rtol=0, atol=1e-15)
+    out = reverse_step(xi, x0, 1, sched, rng.normal(size=xi.shape) * 1e6)
+    np.testing.assert_allclose(out, x0, rtol=0, atol=1e-15)
 
 
 def test_reverse_step_zero_noise_gives_posterior_mean():
     rng = np.random.default_rng(12)
     sched = build_cosine_schedule(20)
     x0, xi = make_batch(rng), make_batch(rng)
-    out = reverse_step(xi, x0, 5, sched, np.zeros_like(xi.samples))
-    np.testing.assert_array_equal(out.samples, posterior_mean(x0, xi, 5, sched).samples)
+    out = reverse_step(xi, x0, 5, sched, np.zeros_like(xi))
+    np.testing.assert_array_equal(out, posterior_mean(x0, xi, 5, sched))
 
 
 def test_reverse_step_variance_monte_carlo():
@@ -216,11 +244,11 @@ def test_reverse_step_variance_monte_carlo():
     sched = build_cosine_schedule(20)
     i = 8
     n = 100_000
-    x0 = TrajBatch(np.zeros((n, 2, 2)), 1, 1)
-    xi = TrajBatch(np.ones((n, 2, 2)), 1, 1)
+    x0 = np.zeros((n, 2, 2))
+    xi = np.ones((n, 2, 2))
     noise = rng.standard_normal((n, 2, 2))
     out = reverse_step(xi, x0, i, sched, noise)
-    var = out.samples.var(axis=0)
+    var = out.var(axis=0)
     expected = sched.posterior_vars[i - 1]
     assert np.all(np.abs(var - expected) < 0.05 * expected)
 
@@ -229,19 +257,19 @@ def test_reverse_step_determinism():
     rng = np.random.default_rng(14)
     sched = build_cosine_schedule(20)
     x0, xi = make_batch(rng), make_batch(rng)
-    noise = rng.normal(size=xi.samples.shape)
+    noise = rng.normal(size=xi.shape)
     a = reverse_step(xi, x0, 9, sched, noise)
     b = reverse_step(xi, x0, 9, sched, noise)
-    np.testing.assert_array_equal(a.samples, b.samples)
+    np.testing.assert_array_equal(a, b)
 
 
-# ----------------------------------------------------------------- training_loss
+# ----------------------------------------------------------------- loss_and_grad
 
 def test_loss_zero_for_perfect_prediction():
     rng = np.random.default_rng(15)
     sched = build_cosine_schedule(20)
     x = make_batch(rng)
-    assert training_loss(x, x, 5, sched) == 0.0
+    assert batch_loss(x, x, 5, sched) == 0.0
 
 
 def test_simple_loss_constant_offset():
@@ -249,9 +277,9 @@ def test_simple_loss_constant_offset():
     sched = build_cosine_schedule(20)
     x = make_batch(rng)
     d = 0.37
-    pred = x.like(x.samples.copy())
-    pred.samples[:, T_OBS:, :] += d
-    assert training_loss(pred, x, 5, sched) == pytest.approx(d * d, rel=1e-12)
+    pred = x.copy()
+    pred[:, T_OBS:, :] += d
+    assert batch_loss(pred, x, 5, sched) == pytest.approx(d * d, rel=1e-12)
 
 
 def test_paper_loss_is_weighted_simple_loss():
@@ -259,8 +287,8 @@ def test_paper_loss_is_weighted_simple_loss():
     sched = build_cosine_schedule(20)
     x, pred = make_batch(rng), make_batch(rng)
     i = 10
-    simple = training_loss(pred, x, i, sched, "simple")
-    paper = training_loss(pred, x, i, sched, "paper")
+    simple = batch_loss(pred, x, i, sched, "simple")
+    paper = batch_loss(pred, x, i, sched, "paper")
     w = sched.loss_weights[i - 1] / (2 * sched.posterior_vars[i - 1])
     assert paper == pytest.approx(simple * w, rel=1e-12)
 
@@ -270,16 +298,16 @@ def test_paper_loss_rejects_first_step():
     sched = build_cosine_schedule(20)
     x = make_batch(rng)
     with pytest.raises(ValueError):
-        training_loss(x, x, 1, sched, "paper")
+        batch_loss(x, x, 1, sched, "paper")
 
 
 def test_loss_ignores_observed_frames():
     rng = np.random.default_rng(19)
     sched = build_cosine_schedule(20)
     x = make_batch(rng)
-    pred = x.like(x.samples.copy())
-    pred.samples[:, :T_OBS, :] += 100.0
-    assert training_loss(pred, x, 5, sched) == 0.0
+    pred = x.copy()
+    pred[:, :T_OBS, :] += 100.0
+    assert batch_loss(pred, x, 5, sched) == 0.0
 
 
 def test_loss_and_grad_matches_finite_difference():

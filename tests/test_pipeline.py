@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from trajdiffuse.denoiser import ArchDescriptor, forward_with_cache, init_params
 from trajdiffuse.diffusion import ConditionSpec
 from trajdiffuse.mapguide import GuidanceConfig, NavEnvironment
 from trajdiffuse.pipeline import (
@@ -9,6 +10,7 @@ from trajdiffuse.pipeline import (
     predict,
     train,
 )
+from trajdiffuse.schedule import build_cosine_schedule
 from trajdiffuse.synth import AgentTrack, Scene
 
 T_OBS, T_PRED = 4, 4
@@ -138,6 +140,42 @@ def test_predict_validation_errors(fitted):
     nan_params.tensors["out.w"][0, 0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         predict(make_request(scenes), nan_params, sched)
+
+
+def test_unguided_predict_matches_ddpm_oracle():
+    # the chain written out with the DDPM posterior inline, clamping as predict does
+    desc = ArchDescriptor(widths=(4,), kernel_len=3, gn_groups=2, emb_dim=8,
+                          t_obs=T_OBS, t_pred=T_PRED, n_steps=5, coord_scale=2.0)
+    rng = np.random.default_rng(23)
+    params = init_params(desc, seed=23)
+    params.tensors["out.w"] = rng.standard_normal(params.tensors["out.w"].shape) * 0.1
+    sched = build_cosine_schedule(desc.n_steps)
+    req = make_request(tiny_scenes(), seed=4, guidance=False, k=3)
+    out = predict(req, params, sched).trajectories.samples
+
+    frames = req.intents[0].frames
+    center = req.observed[-1]
+    values_world = np.stack([spec.values for spec in req.intents])
+    values = (values_world - center) / desc.coord_scale
+    streams = [np.random.default_rng(np.random.SeedSequence([4, j])) for j in range(3)]
+    tau = np.stack([r.standard_normal((T, 2)) for r in streams])
+    moved = 0.0
+    for i in range(desc.n_steps, 0, -1):
+        tau[:, frames] = values
+        x0, _ = forward_with_cache(params, tau, i)
+        moved = max(moved, np.abs(x0 - tau).max())
+        noise = np.stack([r.standard_normal((T, 2)) for r in streams])
+        a = sched.alphas[i - 1]
+        ab = sched.alpha_bars[i - 1]
+        ab_prev = sched.alpha_bars_prev[i - 1]
+        mean = (np.sqrt(a) * (1 - ab_prev) * tau + np.sqrt(ab_prev) * (1 - a) * x0) / (1 - ab)
+        sigma = np.sqrt(sched.posterior_vars[i - 1])
+        tau = mean if sigma == 0.0 else mean + sigma * noise
+    tau[:, frames] = values
+    world = tau * desc.coord_scale + center
+    world[:, frames] = values_world
+    assert moved > 0.0  # the network is not the identity
+    np.testing.assert_array_equal(out, world)
 
 
 def test_guidance_moves_offmap_samples_toward_navigable(fitted):
