@@ -10,7 +10,7 @@ metric suite (ADE/FDE, KDE-NLL, ECFL, MVE, ACFL) and a CLI.
 from .diffusion import ConditionSpec, TrajBatch
 from .estimator import NotFittedError, TrajDiffuse
 from .mapguide import GuidanceConfig, NavEnvironment
-from .pipeline import PredictionRequest, PredictionResult, TrainConfig, predict, train
+from .pipeline import PredictionResult, TrainConfig, predict, train
 from .schedule import NoiseSchedule, build_cosine_schedule
 from .synth import IntentOracleConfig, Scene
 
@@ -23,7 +23,6 @@ __all__ = [
     "NavEnvironment",
     "NoiseSchedule",
     "NotFittedError",
-    "PredictionRequest",
     "PredictionResult",
     "Scene",
     "TrainConfig",

@@ -9,7 +9,6 @@ failure), 2 (usage error). TRAJDIFFUSE_LOG sets the default log level.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import logging
 import os
@@ -18,12 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .denoiser import load_checkpoint, save_checkpoint
 from .diffusion import TrajBatch
-from .mapguide import GuidanceConfig
+from .estimator import TrajDiffuse
 from .metrics import MetricsReport, acfl, ade_fde, ecfl, kde_nll, mve
-from .pipeline import PredictionRequest, TrainConfig, predict, train
-from .schedule import build_cosine_schedule
 from .synth import ENV_KINDS, IntentOracleConfig, generate_dataset, read_dataset, write_dataset
 
 log = logging.getLogger("trajdiffuse")
@@ -95,20 +91,17 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     scenes = read_dataset(args.data)
-    config = TrainConfig(
+    model = TrajDiffuse(
         n_epochs=args.epochs, batch_size=args.batch, lr=args.lr, n_steps=args.steps,
         weighting=args.weighting, seed=args.seed, widths=args.widths,
         coord_scale=args.coord_scale,
     )
-    init = None
-    if args.resume:
-        init, _ = load_checkpoint(args.resume)
-    params, training_log = train(scenes, config, init=init)
+    model.fit(scenes, init=TrajDiffuse.load(args.resume).model_params_ if args.resume else None)
+    training_log = model.training_log_
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    schedule = build_cosine_schedule(config.n_steps, config.cosine_offset)
-    save_checkpoint(params, schedule, out / "model.ckpt")
+    model.save(out / "model.ckpt")
     with open(out / "loss.csv", "w") as fh:
         fh.write("epoch,mean_loss\n")
         for entry in training_log:
@@ -124,48 +117,36 @@ def cmd_train(args) -> int:
 
 # ------------------------------------------------------------------- predict
 
-def _predict_one(task, params, schedule, cfg):
-    scene, scene_idx, agent, args = task
-    intents = agent.intents[: args.k]
-    if len(intents) < args.k:
-        raise ValueError(
-            f"{scene.scene_id} agent {agent.agent_id} has {len(agent.intents)} intents, "
-            f"need --k {args.k}"
-        )
-    request = PredictionRequest(
-        observed=agent.trajectory[: scene.t_obs], intents=intents, env=scene.env,
-        seed=_agent_seed(args.seed, scene_idx, agent.agent_id),
-        guidance_on=(args.guidance == "on"),
-    )
-    result = predict(request, params, schedule, cfg)
-    return {
-        "scene_id": scene.scene_id,
-        "agent_id": agent.agent_id,
-        "t_obs": scene.t_obs,
-        "trajectories": result.trajectories.samples.tolist(),
-        "ecfl": [bool(v) for v in result.per_sample_ecfl],
-    }
-
-
 def cmd_predict(args) -> int:
-    params, schedule = load_checkpoint(args.checkpoint)
+    model = TrajDiffuse.load(args.checkpoint).set_params(guidance_steps=args.grad_steps)
     scenes = read_dataset(args.data)
-    cfg = GuidanceConfig(n_grad_steps=args.grad_steps)
-    tasks = [
-        (scene, scene_idx, agent, args)
-        for scene_idx, scene in enumerate(scenes)
-        for agent in scene.agents
-    ]
-    if args.jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(lambda t: _predict_one(t, params, schedule, cfg), tasks))
-    else:
-        records = [_predict_one(t, params, schedule, cfg) for t in tasks]
+    model.guidance_config()  # a bad --grad-steps fails before the first agent
+    records = []
+    for scene_idx, scene in enumerate(scenes):
+        for agent in scene.agents:
+            intents = agent.intents[: args.k]
+            if len(intents) < args.k:
+                raise ValueError(
+                    f"{scene.scene_id} agent {agent.agent_id} has {len(agent.intents)} "
+                    f"intents, need --k {args.k}"
+                )
+            result = model.predict(
+                agent.trajectory[: scene.t_obs], intents, env=scene.env,
+                seed=_agent_seed(args.seed, scene_idx, agent.agent_id),
+                guidance=(args.guidance == "on"),
+            )
+            records.append({
+                "scene_id": scene.scene_id,
+                "agent_id": agent.agent_id,
+                "t_obs": scene.t_obs,
+                "trajectories": result.trajectories.samples.tolist(),
+                "ecfl": [bool(v) for v in result.per_sample_ecfl],
+            })
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w") as fh:
-        for record in records:  # input order regardless of completion order
+        for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
     _echo_config(args, out.with_name(out.name + ".config.json"))
     log.info("wrote %d prediction records to %s", len(records), out)
@@ -409,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=20, help="samples per agent")
     p.add_argument("--guidance", choices=("on", "off"), default="on")
     p.add_argument("--grad-steps", type=int, default=10)
-    p.add_argument("--jobs", type=int, default=1, help="parallel agents")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_predict)
 

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedule import NoiseSchedule
-from .validation import as_float_array, check_batch, check_same_shape, check_step_index
+from .validation import (
+    as_float_array,
+    check_batch,
+    check_same_shape,
+    check_step_array,
+    check_step_index,
+)
 
 
 @dataclass
@@ -121,12 +127,7 @@ def forward_noise(x0: np.ndarray, i, noise: np.ndarray, schedule: NoiseSchedule)
     if np.ndim(i) == 0:
         ab = schedule.alpha_bars[check_step_index(i, schedule.n_steps) - 1]
     else:
-        steps = np.asarray(i)
-        if steps.shape != x0.shape[:1] or not np.issubdtype(steps.dtype, np.integer):
-            raise ValueError(f"per-sample steps must be a ({x0.shape[0]},) int array, "
-                             f"got {steps.dtype} {steps.shape}")
-        if np.any(steps < 1) or np.any(steps > schedule.n_steps):
-            raise IndexError(f"step index out of range 1..{schedule.n_steps}")
+        steps = check_step_array(i, x0.shape[0], schedule.n_steps)
         ab = schedule.alpha_bars[steps - 1][:, None, None]
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * noise
 
@@ -176,9 +177,14 @@ def loss_and_grad(pred: np.ndarray, target: np.ndarray, t_obs: int, i_steps: np.
 
     The gradient is zero on observed frames; per-sample losses are averaged
     over the batch. Used by the training loop, where each sample draws its
-    own step index.
+    own step index. pred and target share one (B, T, 2) shape, t_obs lies in
+    0..T-1 and i_steps is a (B,) int array of steps in 1..N.
     """
+    check_same_shape(target, pred, "target", "pred")
     k, t_total, _ = pred.shape
+    if not 0 <= t_obs < t_total:
+        raise ValueError(f"t_obs {t_obs} out of range 0..{t_total - 1}")
+    i_steps = check_step_array(i_steps, k, schedule.n_steps)
     n_future_elems = (t_total - t_obs) * 2
     if weighting == "simple":
         w = np.ones(k)

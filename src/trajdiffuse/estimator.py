@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import inspect
 
-import numpy as np
-
 from .denoiser import DenoiserParams, load_checkpoint, save_checkpoint
 from .mapguide import GuidanceConfig, NavEnvironment
-from .pipeline import PredictionRequest, PredictionResult, TrainConfig, predict, train
+from .pipeline import PredictionResult, TrainConfig, predict, train
 from .schedule import build_cosine_schedule
 
 
@@ -103,15 +101,11 @@ class TrajDiffuse:
         return GuidanceConfig(n_grad_steps=self.guidance_steps, step_scale=self.guidance_scale)
 
     def predict(self, observed, intents, env: NavEnvironment | None = None,
-                seed: int = 0, guidance: bool = True,
-                sample_seeds=None) -> PredictionResult:
+                seed: int = 0, guidance: bool = True) -> PredictionResult:
         """Sample one trajectory per intent for a single agent."""
         self._check_fitted()
-        request = PredictionRequest(
-            observed=np.asarray(observed, dtype=np.float64), intents=list(intents),
-            env=env, seed=seed, guidance_on=guidance, sample_seeds=sample_seeds,
-        )
-        return predict(request, self.model_params_, self.schedule_, self.guidance_config())
+        return predict(self.model_params_, self.schedule_, observed, list(intents), env,
+                       seed=seed, guidance_on=guidance, cfg=self.guidance_config())
 
     # ------------------------------------------------------------------ I/O
 

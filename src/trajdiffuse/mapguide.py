@@ -197,17 +197,20 @@ class NavEnvironment:
 
 
 def sample_gradient(env: NavEnvironment, pos) -> np.ndarray:
-    """Bilinear interpolation of the gradient field at a world position.
+    """Gradient of the distance-to-navigable field at a world position.
 
-    Positions outside the interpolable grid return a unit vector pointing
-    toward the grid center.
+    Inside the interpolable grid this is the bilinear interpolation of the
+    gradient field. Outside it, where the distance grows with the distance
+    from the map, it is the unit vector from the grid center to the point.
+    Either way, stepping along the negative gradient heads for navigable
+    ground.
     """
     pos = np.asarray(pos, dtype=np.float64).reshape(2)
     h, w = env.shape
     px, py = env.world_to_pixel(pos)
     if not (0.0 <= px <= w - 1 and 0.0 <= py <= h - 1):
         center = env.pixel_to_world((h - 1) / 2.0, (w - 1) / 2.0)
-        delta = center - pos
+        delta = pos - center
         return delta / np.linalg.norm(delta)
     c0 = int(np.floor(px))
     r0 = int(np.floor(py))
@@ -222,16 +225,6 @@ def sample_gradient(env: NavEnvironment, pos) -> np.ndarray:
         + (1 - fx) * fy * g[r1, c0]
         + fx * fy * g[r1, c1]
     )
-
-
-def _descent_direction(env: NavEnvironment, pos: np.ndarray) -> np.ndarray:
-    """Direction that reduces distance-to-navigable: the negative field gradient
-    inside the grid, or straight toward the grid center from outside."""
-    h, w = env.shape
-    px, py = env.world_to_pixel(pos)
-    if 0.0 <= px <= w - 1 and 0.0 <= py <= h - 1:
-        return -sample_gradient(env, pos)
-    return sample_gradient(env, pos)
 
 
 def guidance_delta(env: NavEnvironment, traj: np.ndarray, t_obs: int,
@@ -253,7 +246,7 @@ def guidance_delta(env: NavEnvironment, traj: np.ndarray, t_obs: int,
         for _ in range(cfg.n_grad_steps):
             if env.is_navigable_point(work[f]):
                 break  # this frame's remaining steps are all zero
-            work[f:] += step * _descent_direction(env, work[f])
+            work[f:] -= step * sample_gradient(env, work[f])
     return work - traj
 
 
@@ -291,14 +284,22 @@ def read_pgm(path) -> np.ndarray:
         token = match.group(1)
         pos += match.end()
         if not token.startswith(b"#"):
-            header_tokens.append(int(token))
+            try:
+                header_tokens.append(int(token))
+            except ValueError as exc:
+                raise ValueError(f"{path}: PGM header token {token!r} is not an integer") from exc
     w, h, maxval = header_tokens
+    if w < 1 or h < 1:
+        raise ValueError(f"{path}: PGM dimensions must be positive, got {w}x{h}")
     if maxval != 255:
         raise ValueError(f"{path}: expected maxval 255, got {maxval}")
     if binary:
         pixels = np.frombuffer(data[pos + 1:pos + 1 + w * h], dtype=np.uint8)
     else:
-        pixels = np.array(data[pos:].split(), dtype=np.int64)
+        try:
+            pixels = np.array(data[pos:].split(), dtype=np.int64)
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: P2 pixel values must be integers: {exc}") from exc
     if pixels.size != w * h:
         raise ValueError(f"{path}: expected {w * h} pixels, got {pixels.size}")
     values = np.unique(pixels)
@@ -320,10 +321,12 @@ def save_environment(env: NavEnvironment, pgm_path, json_path) -> None:
 def load_environment(pgm_path, json_path) -> NavEnvironment:
     if not Path(json_path).exists():
         raise FileNotFoundError(f"missing map metadata: {json_path}")
-    meta = json.loads(Path(json_path).read_text())
-    grid = read_pgm(pgm_path)
-    return NavEnvironment.from_grid(
-        grid,
-        resolution=meta["resolution_m_per_px"],
-        origin=(meta["origin_x_m"], meta["origin_y_m"]),
-    )
+    try:
+        meta = json.loads(Path(json_path).read_text())
+        resolution = check_positive(meta["resolution_m_per_px"], "resolution_m_per_px")
+        origin = as_float_array([meta["origin_x_m"], meta["origin_y_m"]], "origin")
+    except KeyError as exc:
+        raise ValueError(f"{json_path}: map metadata lacks {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{json_path}: bad map metadata: {exc}") from exc
+    return NavEnvironment.from_grid(read_pgm(pgm_path), resolution=resolution, origin=origin)

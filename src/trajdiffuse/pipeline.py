@@ -40,79 +40,65 @@ from .validation import as_float_array
 
 
 @dataclass
-class PredictionRequest:
-    """One agent's prediction task: history, K intents, environment, seed."""
-
-    observed: np.ndarray  # (t_obs, 2) world meters
-    intents: list  # K ConditionSpec, shared frame layout
-    env: NavEnvironment | None
-    seed: int = 0
-    guidance_on: bool = True
-    sample_seeds: list | None = None  # optional per-sample stream seeds
-
-
-@dataclass
 class PredictionResult:
     trajectories: TrajBatch  # (K, T, 2), world meters
     per_sample_ecfl: np.ndarray | None  # (K,) booleans, None without an env
 
 
-def _sample_streams(request: PredictionRequest, k: int) -> list:
-    if request.sample_seeds is not None:
-        if len(request.sample_seeds) != k:
-            raise ValueError("sample_seeds must have one entry per intent")
-        seeds = [np.random.SeedSequence([int(s)]) for s in request.sample_seeds]
-    else:
-        seeds = [np.random.SeedSequence([int(request.seed), i]) for i in range(k)]
-    return [np.random.default_rng(s) for s in seeds]
-
-
-def _validate_request(request: PredictionRequest, desc: ArchDescriptor) -> np.ndarray:
-    observed = as_float_array(request.observed, "observed", shape=(desc.t_obs, 2))
-    if not request.intents:
+def _validate_request(observed, intents: list, env: NavEnvironment | None,
+                      guidance_on: bool, desc: ArchDescriptor) -> np.ndarray:
+    observed = as_float_array(observed, "observed", shape=(desc.t_obs, 2))
+    if not intents:
         raise ValueError("request carries no intents")
-    frames = request.intents[0].frames
-    for spec in request.intents:
+    frames = intents[0].frames
+    for spec in intents:
         if spec.t_obs != desc.t_obs or spec.t_pred != desc.t_pred:
             raise ValueError("intent frame split does not match the model")
         if not np.array_equal(spec.frames, frames):
             raise ValueError("all intents must share one clamp-frame layout")
         if not np.array_equal(spec.values[: desc.t_obs], observed):
             raise ValueError("intent history does not match the observed trajectory")
-    if request.guidance_on and request.env is None:
+    if guidance_on and env is None:
         raise ValueError("guidance requires an environment")
     return observed
 
 
-def predict(request: PredictionRequest, params: DenoiserParams, schedule: NoiseSchedule,
+def predict(params: DenoiserParams, schedule: NoiseSchedule, observed, intents: list,
+            env: NavEnvironment | None = None, *, seed: int = 0, guidance_on: bool = True,
             cfg: GuidanceConfig = GuidanceConfig()) -> PredictionResult:
-    """Sample one trajectory per intent through the guided denoising chain."""
+    """Sample one trajectory per intent through the guided denoising chain.
+
+    `observed` is the agent's (t_obs, 2) history in world meters and
+    `intents` its K ConditionSpec, all with one clamp-frame layout. Sample j
+    draws its noise from SeedSequence([seed, j]). Guidance needs `env`;
+    without one, the returned per-sample ECFL flags are None.
+    """
     desc = params.arch
     if not params.all_finite():
         raise ValueError("model parameters contain non-finite values (untrained or corrupt)")
     if schedule.n_steps != desc.n_steps:
         raise ValueError("schedule does not match the model descriptor")
-    observed = _validate_request(request, desc)
+    observed = _validate_request(observed, intents, env, guidance_on, desc)
 
     t_obs, t_total = desc.t_obs, desc.traj_len
-    k = len(request.intents)
-    frames = request.intents[0].frames
-    values_world = np.stack([spec.values for spec in request.intents])
+    k = len(intents)
+    frames = intents[0].frames
+    values_world = np.stack([spec.values for spec in intents])
     center = observed[-1]
     scale = desc.coord_scale
     values_std = (values_world - center) / scale
 
-    streams = _sample_streams(request, k)
+    streams = [np.random.default_rng(np.random.SeedSequence([int(seed), j])) for j in range(k)]
     tau = np.stack([rng.standard_normal((t_total, 2)) for rng in streams])
+    tau = clamp_frames_batch(tau, frames, values_std)
     for i in range(schedule.n_steps, 0, -1):
-        tau = clamp_frames_batch(tau, frames, values_std)
         x0_pred, _ = forward_with_cache(params, tau, i)
         noise = np.stack([rng.standard_normal((t_total, 2)) for rng in streams])
         tau = reverse_step(tau, x0_pred, i, schedule, noise)
-        if request.guidance_on:
+        if guidance_on:
             world = tau * scale + center
             for j in range(k):
-                world[j] += guidance_delta(request.env, world[j], t_obs, cfg)
+                world[j] += guidance_delta(env, world[j], t_obs, cfg)
             tau = (world - center) / scale
         tau = clamp_frames_batch(tau, frames, values_std)
 
@@ -120,8 +106,8 @@ def predict(request: PredictionRequest, params: DenoiserParams, schedule: NoiseS
     world = clamp_frames_batch(world, frames, values_world)  # exactness contract
     batch = TrajBatch(world, t_obs, desc.t_pred)
     flags = None
-    if request.env is not None:
-        flags = np.array([ecfl_check(request.env, world[j], t_obs) for j in range(k)])
+    if env is not None:
+        flags = np.array([ecfl_check(env, world[j], t_obs) for j in range(k)])
     return PredictionResult(trajectories=batch, per_sample_ecfl=flags)
 
 

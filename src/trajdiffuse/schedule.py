@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .validation import check_positive, check_step_index
+from .validation import check_positive
 
 # Per-step retention is clipped away from 0 and 1 so posterior denominators
 # (1 - alpha_bar_i) never vanish at the ends of the schedule.
@@ -102,14 +102,3 @@ def build_cosine_schedule(n_steps: int, offset: float = DEFAULT_COSINE_OFFSET) -
     alphas = np.clip(alphas, ALPHA_MIN, ALPHA_MAX)
     return from_alphas(alphas)
 
-
-def coefficients_at(schedule: NoiseSchedule, i: int) -> tuple[float, float, float, float]:
-    """Return (sqrt(alpha_bar_i), sqrt(1 - alpha_bar_i), sigma_q^2(i), lambda(alpha_i))."""
-    i = check_step_index(i, schedule.n_steps)
-    ab = schedule.alpha_bars[i - 1]
-    return (
-        float(np.sqrt(ab)),
-        float(np.sqrt(1.0 - ab)),
-        float(schedule.posterior_vars[i - 1]),
-        float(schedule.loss_weights[i - 1]),
-    )

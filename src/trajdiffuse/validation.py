@@ -51,6 +51,17 @@ def check_step_index(i: int, n_steps: int) -> int:
     return i
 
 
+def check_step_array(steps, batch: int, n_steps: int) -> np.ndarray:
+    """Validate a (batch,) int array of per-sample step indices in 1..n_steps."""
+    steps = np.asarray(steps)
+    if steps.shape != (batch,) or not np.issubdtype(steps.dtype, np.integer):
+        raise ValueError(f"per-sample steps must be a ({batch},) int array, "
+                         f"got {steps.dtype} {steps.shape}")
+    if np.any(steps < 1) or np.any(steps > n_steps):
+        raise IndexError(f"step index out of range 1..{n_steps}")
+    return steps
+
+
 def check_same_shape(a: np.ndarray, b: np.ndarray, name_a: str, name_b: str) -> None:
     if a.shape != b.shape:
         raise ValueError(f"{name_a} shape {a.shape} does not match {name_b} shape {b.shape}")
@@ -58,6 +69,6 @@ def check_same_shape(a: np.ndarray, b: np.ndarray, name_a: str, name_b: str) -> 
 
 def check_positive(value: float, name: str) -> float:
     value = float(value)
-    if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value}")
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
     return value

@@ -38,8 +38,8 @@ from trajdiffuse.diffusion import (
 )
 from trajdiffuse.mapguide import GuidanceConfig, distance_transform
 from trajdiffuse.metrics import acfl, ade_fde, ecfl, kde_nll, mve
-from trajdiffuse.pipeline import PredictionRequest, TrainConfig, predict, train
-from trajdiffuse.schedule import build_cosine_schedule, coefficients_at
+from trajdiffuse.pipeline import TrainConfig, predict, train
+from trajdiffuse.schedule import build_cosine_schedule
 from trajdiffuse.synth import IntentOracleConfig, generate_dataset, write_dataset
 
 T_OBS, T_PRED = 8, 12
@@ -76,18 +76,10 @@ def toy_run():
     unguided = []
     for si, scene in enumerate(test_scenes):
         for agent in scene.agents:
-            kw = dict(
-                observed=agent.trajectory[:T_OBS], intents=agent.intents,
-                env=scene.env, seed=1000 + si * 31 + agent.agent_id,
-            )
-            guided.append(
-                (scene, agent, predict(PredictionRequest(guidance_on=True, **kw),
-                                       params, schedule))
-            )
-            unguided.append(
-                (scene, agent, predict(PredictionRequest(guidance_on=False, **kw),
-                                       params, schedule))
-            )
+            args = (params, schedule, agent.trajectory[:T_OBS], agent.intents, scene.env)
+            seed = 1000 + si * 31 + agent.agent_id
+            guided.append((scene, agent, predict(*args, seed=seed, guidance_on=True)))
+            unguided.append((scene, agent, predict(*args, seed=seed, guidance_on=False)))
     wall = time.perf_counter() - wall_start
     return {
         "params": params,
@@ -113,7 +105,10 @@ def test_a1_math_core_oracle_suite():
     for i in range(1, 21):
         prod_prev = prod
         prod *= sched.alphas[i - 1]
-        sab, s1m, var, w = coefficients_at(sched, i)
+        sab = np.sqrt(sched.alpha_bars[i - 1])
+        s1m = np.sqrt(1.0 - sched.alpha_bars[i - 1])
+        var = sched.posterior_vars[i - 1]
+        w = sched.loss_weights[i - 1]
         assert abs(sab - math.sqrt(prod)) <= 1e-10
         assert abs(s1m - math.sqrt(1 - prod)) <= 1e-10
         expected_var = (1 - sched.alphas[i - 1]) * (1 - prod_prev) / (1 - prod)
@@ -396,11 +391,8 @@ def test_a8_step_count_sanity_and_linear_cost(toy_run):
         start = time.perf_counter()
         for si, scene in enumerate(scenes):
             for agent in scene.agents:
-                request = PredictionRequest(
-                    observed=agent.trajectory[:T_OBS], intents=agent.intents,
-                    env=scene.env, seed=si, guidance_on=True,
-                )
-                predict(request, params, schedule)
+                predict(params, schedule, agent.trajectory[:T_OBS], agent.intents, scene.env,
+                        seed=si, guidance_on=True)
         return time.perf_counter() - start
 
     run_once(20)  # warm caches before timing

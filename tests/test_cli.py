@@ -187,14 +187,42 @@ def test_predict_rejects_k_beyond_stored_intents(workspace, tmp_path, capsys):
     assert "intents" in capsys.readouterr().err
 
 
-def test_predict_jobs_parallel_output_order(workspace, tmp_path):
+def test_predict_records_equal_estimator_predictions(workspace):
+    # the CLI writes exactly what TrajDiffuse.predict returns, agent by agent
     _, data, model, preds = workspace
-    par = tmp_path / "par.jsonl"
-    assert run(
+    from trajdiffuse import TrajDiffuse
+    from trajdiffuse.cli import _agent_seed
+    from trajdiffuse.synth import read_dataset
+
+    estimator = TrajDiffuse.load(model / "model.ckpt")
+    expected = ""
+    for scene_idx, scene in enumerate(read_dataset(data)):
+        for agent in scene.agents:
+            result = estimator.predict(
+                agent.trajectory[: scene.t_obs], agent.intents[:3], env=scene.env,
+                seed=_agent_seed(5, scene_idx, agent.agent_id), guidance=True,
+            )
+            record = {
+                "scene_id": scene.scene_id,
+                "agent_id": agent.agent_id,
+                "t_obs": scene.t_obs,
+                "trajectories": result.trajectories.samples.tolist(),
+                "ecfl": [bool(v) for v in result.per_sample_ecfl],
+            }
+            expected += json.dumps(record, sort_keys=True) + "\n"
+    assert Path(preds).read_bytes() == expected.encode()
+
+
+def test_predict_rejects_bad_grad_steps_before_sampling(workspace, tmp_path, capsys):
+    _, data, model, _ = workspace
+    out = tmp_path / "bad.jsonl"
+    code = run(
         "predict", "--checkpoint", model / "model.ckpt", "--data", data,
-        "--out", par, "--k", 3, "--guidance", "on", "--seed", 5, "--jobs", 3,
-    ) == 0
-    assert par.read_bytes() == Path(preds).read_bytes()
+        "--out", out, "--k", 3, "--grad-steps", 0,
+    )
+    assert code == 1
+    assert "n_grad_steps must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------------- eval

@@ -327,3 +327,26 @@ def test_loss_and_grad_matches_finite_difference():
         fd = (lp - lm) / (2 * h)
         assert grad[idx] == pytest.approx(fd, rel=1e-6, abs=1e-9)
     assert np.all(grad[:, :T_OBS, :] == 0.0)
+
+
+
+LOSS_INPUT_ERRORS = {
+    "target-shape": ({"target": np.zeros((1, T, 2))}, ValueError, "does not match"),
+    "t_obs-negative": ({"t_obs": -1}, ValueError, "t_obs -1 out of range"),
+    "t_obs-past-end": ({"t_obs": T}, ValueError, f"t_obs {T} out of range"),
+    "step-above-n": ({"i_steps": np.array([9, 2, 3, 4])}, IndexError, "out of range 1..5"),
+    "step-zero": ({"i_steps": np.array([0, 2, 3, 4])}, IndexError, "out of range 1..5"),
+    "steps-length": ({"i_steps": np.array([1, 2])}, ValueError, r"\(4,\) int array"),
+    "steps-float": ({"i_steps": np.array([1.0, 2.0, 3.0, 4.0])}, ValueError,
+                    r"\(4,\) int array"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOSS_INPUT_ERRORS))
+def test_loss_and_grad_rejects_bad_inputs(case):
+    override, error, match = LOSS_INPUT_ERRORS[case]
+    pred = make_batch(np.random.default_rng(21))
+    args = {"pred": pred, "target": pred.copy(), "t_obs": T_OBS,
+            "i_steps": np.array([1, 2, 3, 4]), "schedule": build_cosine_schedule(5)}
+    with pytest.raises(error, match=match):
+        loss_and_grad(**{**args, **override})

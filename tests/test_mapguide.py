@@ -186,13 +186,13 @@ def test_sample_gradient_matches_four_corner_oracle():
         np.testing.assert_allclose(sample_gradient(env, pos), expected, atol=1e-12)
 
 
-def test_sample_gradient_out_of_bounds_points_inward():
+def test_sample_gradient_out_of_bounds_points_outward():
     env = half_plane_env()
     center = env.pixel_to_world((env.shape[0] - 1) / 2, (env.shape[1] - 1) / 2)
     for pos in ([50.0, 0.0], [-50.0, 3.0], [0.0, 40.0]):
         g = sample_gradient(env, pos)
         assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-12)
-        assert g @ (center - np.asarray(pos)) > 0
+        assert g @ (np.asarray(pos) - center) > 0
 
 
 # ------------------------------------------------------------- guidance_delta
@@ -263,16 +263,40 @@ def test_suffix_shift_structure_replay():
         for _ in range(cfg.n_grad_steps):
             if env.is_navigable_point(work[f]):
                 break
-            h, w = env.shape
-            px, py = env.world_to_pixel(work[f])
-            if 0 <= px <= w - 1 and 0 <= py <= h - 1:
-                d = -sample_gradient(env, work[f])
-            else:
-                d = sample_gradient(env, work[f])
+            d = -sample_gradient(env, work[f])
             own[f] += cfg.step_scale * d
             work[f:] += cfg.step_scale * d
     np.testing.assert_allclose(delta, np.cumsum(own, axis=0), atol=1e-12)
     np.testing.assert_array_equal(delta[:t_obs], np.zeros((t_obs, 2)))
+
+
+def test_offgrid_descent_matches_center_rule_byte_for_byte():
+    # a frame far outside the grid walks toward the grid center until it is
+    # inside, then down the interpolated field; replay that rule with the
+    # off-grid direction written out, and require the same bits
+    env = half_plane_env()
+    cfg = GuidanceConfig(n_grad_steps=40, step_scale=0.5)
+    traj = np.array([[-3.0, 0.0], [14.0, 6.5], [15.0, 7.0]])
+    delta = guidance_delta(env, traj, t_obs=1, cfg=cfg)
+
+    h, w = env.shape
+    center = env.pixel_to_world((h - 1) / 2.0, (w - 1) / 2.0)
+    work = traj.copy()
+    outside = 0
+    for f in range(1, traj.shape[0]):
+        for _ in range(cfg.n_grad_steps):
+            if env.is_navigable_point(work[f]):
+                break
+            px, py = env.world_to_pixel(work[f])
+            if 0.0 <= px <= w - 1 and 0.0 <= py <= h - 1:
+                work[f:] += cfg.step_scale * -sample_gradient(env, work[f])
+            else:
+                toward = center - work[f]
+                work[f:] += cfg.step_scale * (toward / np.linalg.norm(toward))
+                outside += 1
+    assert outside >= 3  # the frame started well outside the grid
+    assert env.is_navigable_point(traj[1] + delta[1])
+    assert np.array_equal(delta, work - traj)
 
 
 def test_monotone_improvement_on_half_plane():
@@ -341,6 +365,40 @@ def test_pgm_rejects_other_values(tmp_path):
     path.write_text("P2\n2 1\n255\n255 128\n")
     with pytest.raises(ValueError, match="0 or 255"):
         read_pgm(path)
+
+
+@pytest.mark.parametrize("content, problem", [
+    (b"P5\nxx 4\n255\n" + b"\xff" * 16, "header token b'xx' is not an integer"),
+    (b"P2\n2 1\n255\n255 zz\n", "P2 pixel values must be integers"),
+    (b"P5\n-4 -4\n255\n" + b"\xff" * 16, "dimensions must be positive, got -4x-4"),
+], ids=["header-token", "p2-pixel", "negative-size"])
+def test_pgm_format_errors_name_the_file(tmp_path, content, problem):
+    path = tmp_path / "map.pgm"
+    path.write_bytes(content)
+    with pytest.raises(ValueError) as info:
+        read_pgm(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert problem in str(info.value)
+
+
+@pytest.mark.parametrize("meta, problem", [
+    ("{not json", "bad map metadata"),
+    ('{"origin_x_m": 0.0, "origin_y_m": 0.0}', "lacks 'resolution_m_per_px'"),
+    ('{"resolution_m_per_px": -0.5, "origin_x_m": 0.0, "origin_y_m": 0.0}',
+     "resolution_m_per_px must be positive"),
+    ('{"resolution_m_per_px": 1e999, "origin_x_m": 0.0, "origin_y_m": 0.0}',
+     "resolution_m_per_px must be positive and finite, got inf"),
+    ('{"resolution_m_per_px": 0.5, "origin_x_m": 1e999, "origin_y_m": 0.0}',
+     "origin contains non-finite values"),
+], ids=["not-json", "no-resolution", "negative-resolution", "infinite-resolution",
+        "infinite-origin"])
+def test_map_metadata_errors_name_the_file(tmp_path, meta, problem):
+    save_environment(half_plane_env(), tmp_path / "m.pgm", tmp_path / "m.json")
+    (tmp_path / "m.json").write_text(meta)
+    with pytest.raises(ValueError) as info:
+        load_environment(tmp_path / "m.pgm", tmp_path / "m.json")
+    assert str(info.value).startswith(f"{tmp_path / 'm.json'}: ")
+    assert problem in str(info.value)
 
 
 def test_environment_round_trip_and_missing_sidecar(tmp_path):

@@ -4,12 +4,7 @@ import pytest
 from trajdiffuse.denoiser import ArchDescriptor, forward_with_cache, init_params
 from trajdiffuse.diffusion import ConditionSpec
 from trajdiffuse.mapguide import GuidanceConfig, NavEnvironment
-from trajdiffuse.pipeline import (
-    PredictionRequest,
-    TrainConfig,
-    predict,
-    train,
-)
+from trajdiffuse.pipeline import TrainConfig, predict, train
 from trajdiffuse.schedule import build_cosine_schedule
 from trajdiffuse.synth import AgentTrack, Scene
 
@@ -57,12 +52,13 @@ def fitted():
     return scenes, params, build_cosine_schedule(5)
 
 
-def make_request(scenes, seed=0, guidance=True, k=3, sample_seeds=None):
+def make_request(scenes, seed=0, guidance=True, k=3):
+    """Keyword arguments of `predict` for the first agent, K copies of its intent."""
     agent = scenes[0].agents[0]
     intents = agent.intents * k if len(agent.intents) == 1 else agent.intents[:k]
-    return PredictionRequest(
+    return dict(
         observed=agent.trajectory[:T_OBS], intents=list(intents),
-        env=scenes[0].env, seed=seed, guidance_on=guidance, sample_seeds=sample_seeds,
+        env=scenes[0].env, seed=seed, guidance_on=guidance,
     )
 
 
@@ -72,24 +68,16 @@ def test_predict_is_bit_reproducible(fitted):
     scenes, params, sched = fitted
     for guidance in (False, True):
         req = make_request(scenes, guidance=guidance)
-        a = predict(req, params, sched)
-        b = predict(req, params, sched)
+        a = predict(params, sched, **req)
+        b = predict(params, sched, **req)
         np.testing.assert_array_equal(a.trajectories.samples, b.trajectories.samples)
         np.testing.assert_array_equal(a.per_sample_ecfl, b.per_sample_ecfl)
-
-
-def test_identical_intents_and_sample_seeds_give_identical_samples(fitted):
-    scenes, params, sched = fitted
-    req = make_request(scenes, k=4, sample_seeds=[7, 7, 7, 7])
-    out = predict(req, params, sched).trajectories.samples
-    for j in range(1, 4):
-        np.testing.assert_array_equal(out[j], out[0])
 
 
 def test_default_streams_differ_per_sample(fitted):
     scenes, params, sched = fitted
     req = make_request(scenes, k=3)
-    out = predict(req, params, sched).trajectories.samples
+    out = predict(params, sched, **req).trajectories.samples
     assert np.abs(out[0] - out[1]).max() > 0
 
 
@@ -97,7 +85,7 @@ def test_observed_history_and_goal_are_bit_exact(fitted):
     scenes, params, sched = fitted
     agent = scenes[0].agents[0]
     req = make_request(scenes, k=3)
-    out = predict(req, params, sched).trajectories.samples
+    out = predict(params, sched, **req).trajectories.samples
     spec = agent.intents[0]
     for j in range(3):
         np.testing.assert_array_equal(out[j, :T_OBS], agent.trajectory[:T_OBS])
@@ -108,8 +96,8 @@ def test_observed_history_and_goal_are_bit_exact(fitted):
 
 def test_seed_isolation_changes_only_unclamped_frames(fitted):
     scenes, params, sched = fitted
-    a = predict(make_request(scenes, seed=0), params, sched).trajectories.samples
-    b = predict(make_request(scenes, seed=1), params, sched).trajectories.samples
+    a = predict(params, sched, **make_request(scenes, seed=0)).trajectories.samples
+    b = predict(params, sched, **make_request(scenes, seed=1)).trajectories.samples
     clamped = scenes[0].agents[0].intents[0].frames
     np.testing.assert_array_equal(a[:, clamped], b[:, clamped])
     free = [t for t in range(T) if t not in set(clamped.tolist())]
@@ -118,8 +106,8 @@ def test_seed_isolation_changes_only_unclamped_frames(fitted):
 
 def test_guidance_flag_changes_only_unclamped_frames(fitted):
     scenes, params, sched = fitted
-    on = predict(make_request(scenes, guidance=True), params, sched).trajectories.samples
-    off = predict(make_request(scenes, guidance=False), params, sched).trajectories.samples
+    on = predict(params, sched, **make_request(scenes, guidance=True)).trajectories.samples
+    off = predict(params, sched, **make_request(scenes, guidance=False)).trajectories.samples
     clamped = scenes[0].agents[0].intents[0].frames
     np.testing.assert_array_equal(on[:, clamped], off[:, clamped])
 
@@ -127,19 +115,19 @@ def test_guidance_flag_changes_only_unclamped_frames(fitted):
 def test_predict_validation_errors(fitted):
     scenes, params, sched = fitted
     req = make_request(scenes)
-    req.env = None
+    req["env"] = None
     with pytest.raises(ValueError, match="guidance requires an environment"):
-        predict(req, params, sched)
+        predict(params, sched, **req)
     bad = make_request(scenes)
-    bad.observed = bad.observed + 1.0
+    bad["observed"] = bad["observed"] + 1.0
     with pytest.raises(ValueError, match="history does not match"):
-        predict(bad, params, sched)
+        predict(params, sched, **bad)
     nan_params = type(params)(
         {k: v.copy() for k, v in params.tensors.items()}, params.arch
     )
     nan_params.tensors["out.w"][0, 0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        predict(make_request(scenes), nan_params, sched)
+        predict(nan_params, sched, **make_request(scenes))
 
 
 def test_unguided_predict_matches_ddpm_oracle():
@@ -151,11 +139,11 @@ def test_unguided_predict_matches_ddpm_oracle():
     params.tensors["out.w"] = rng.standard_normal(params.tensors["out.w"].shape) * 0.1
     sched = build_cosine_schedule(desc.n_steps)
     req = make_request(tiny_scenes(), seed=4, guidance=False, k=3)
-    out = predict(req, params, sched).trajectories.samples
+    out = predict(params, sched, **req).trajectories.samples
 
-    frames = req.intents[0].frames
-    center = req.observed[-1]
-    values_world = np.stack([spec.values for spec in req.intents])
+    frames = req["intents"][0].frames
+    center = req["observed"][-1]
+    values_world = np.stack([spec.values for spec in req["intents"]])
     values = (values_world - center) / desc.coord_scale
     streams = [np.random.default_rng(np.random.SeedSequence([4, j])) for j in range(3)]
     tau = np.stack([r.standard_normal((T, 2)) for r in streams])
@@ -182,8 +170,8 @@ def test_guidance_moves_offmap_samples_toward_navigable(fitted):
     scenes, params, sched = fitted
     req_on = make_request(scenes, guidance=True, k=6)
     req_off = make_request(scenes, guidance=False, k=6)
-    on = predict(req_on, params, sched)
-    off = predict(req_off, params, sched)
+    on = predict(params, sched, **req_on)
+    off = predict(params, sched, **req_off)
     assert on.per_sample_ecfl.mean() >= off.per_sample_ecfl.mean()
 
 

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trajdiffuse.diffusion import posterior_mean
 from trajdiffuse.schedule import (
     ALPHA_MAX,
     ALPHA_MIN,
     build_cosine_schedule,
-    coefficients_at,
     from_alphas,
 )
 
@@ -62,12 +62,13 @@ def test_posterior_var_first_step_is_exactly_zero():
         assert build_cosine_schedule(n).posterior_vars[0] == 0.0
 
 
-def test_coefficients_at_identity_and_midpoint():
+def test_schedule_vectors_identity_and_midpoint():
     s = build_cosine_schedule(20)
-    sab, s1m, var, w = coefficients_at(s, 20)
+    sab, s1m = np.sqrt(s.alpha_bars[19]), np.sqrt(1.0 - s.alpha_bars[19])
     assert abs(sab**2 + s1m**2 - 1.0) < 1e-12
 
-    sab, s1m, var, w = coefficients_at(s, 10)
+    sab, s1m = np.sqrt(s.alpha_bars[9]), np.sqrt(1.0 - s.alpha_bars[9])
+    var = s.posterior_vars[9]
     # brute-force cumulative product oracle
     prod = 1.0
     for j in range(10):
@@ -77,16 +78,16 @@ def test_coefficients_at_identity_and_midpoint():
     assert s1m == pytest.approx(math.sqrt(1 - prod), abs=1e-12)
     assert var == pytest.approx((1 - s.alphas[9]) * (1 - prod_prev) / (1 - prod), abs=1e-15)
 
-    _, _, var1, _ = coefficients_at(s, 1)
-    assert var1 == 0.0
+    assert s.posterior_vars[0] == 0.0
 
 
 def test_index_and_argument_rejection():
     s = build_cosine_schedule(5)
+    x = np.zeros((1, 2, 2))
     with pytest.raises(IndexError):
-        coefficients_at(s, 0)
+        posterior_mean(x, x, 0, s)
     with pytest.raises(IndexError):
-        coefficients_at(s, 6)
+        posterior_mean(x, x, 6, s)
     with pytest.raises(ValueError):
         build_cosine_schedule(0)
     with pytest.raises(ValueError):
