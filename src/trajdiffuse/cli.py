@@ -21,6 +21,7 @@ from .diffusion import TrajBatch
 from .estimator import TrajDiffuse
 from .metrics import MetricsReport, acfl, ade_fde, ecfl, kde_nll, mve
 from .synth import ENV_KINDS, IntentOracleConfig, generate_dataset, read_dataset, write_dataset
+from .validation import check_positive
 
 log = logging.getLogger("trajdiffuse")
 
@@ -216,6 +217,7 @@ def _eval_one(where, record, scenes, mve_bins):
     a, f = ade_fde(batch, agent.trajectory)
     nll = kde_nll(batch, agent.trajectory) if batch.n_samples >= 2 else None
     return {
+        "where": where,
         "scene_id": record["scene_id"],
         "batch": batch,
         "ade": a,
@@ -227,6 +229,9 @@ def _eval_one(where, record, scenes, mve_bins):
 
 
 def cmd_eval(args) -> int:
+    check_positive(args.acfl_threshold, "--acfl-threshold")
+    if args.mve_bins < 1:
+        raise ValueError(f"--mve-bins must be >= 1, got {args.mve_bins}")
     scenes = {s.scene_id: s for s in read_dataset(args.data)}
     records = _load_predictions(args.predictions)
 
@@ -237,14 +242,22 @@ def cmd_eval(args) -> int:
     nlls = [r["nll"] for r in rows if r["nll"] is not None]
     ecfls = [r["ecfl"] for r in rows]
     mves = [r["mve"] for r in rows]
-    per_scene_batches: dict = {}
+    per_scene: dict = {}
     for row in rows:
-        per_scene_batches.setdefault(row["scene_id"], []).append(row["batch"])
+        scene_rows = per_scene.setdefault(row["scene_id"], [])
+        if scene_rows and row["batch"].n_samples != scene_rows[0]["batch"].n_samples:
+            first = scene_rows[0]
+            raise ValueError(
+                f"{row['where']}: scene {row['scene_id']!r} has K={row['batch'].n_samples} "
+                f"samples, but {first['where']} has K={first['batch'].n_samples}; "
+                f"ACFL needs the same K for every agent of a scene"
+            )
+        scene_rows.append(row)
 
     acfl_values = [
-        acfl(batches, threshold=args.acfl_threshold)
-        for batches in per_scene_batches.values()
-        if len(batches) >= 2
+        acfl([row["batch"] for row in scene_rows], threshold=args.acfl_threshold)
+        for scene_rows in per_scene.values()
+        if len(scene_rows) >= 2
     ]
     report = MetricsReport(
         ade=float(np.mean(ades)),

@@ -71,18 +71,20 @@ class ConditionSpec:
     t_pred: int
 
     def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=np.intp)
-        values = as_float_array(self.values, "clamp values", shape=(None, 2))
+        # Copies, so that freezing them below leaves the caller's arrays writeable.
+        frames = np.array(self.frames, dtype=np.intp)
+        values = as_float_array(self.values, "clamp values", shape=(None, 2)).copy()
         if frames.ndim != 1 or frames.size != values.shape[0]:
             raise ValueError("frames and values must align one-to-one")
-        if np.any(np.diff(frames) <= 0):
+        fl = frames.tolist()  # the checks below are cheaper on a short list
+        if any(b <= a for a, b in zip(fl, fl[1:])):
             raise ValueError("clamp frames must be sorted and distinct")
         t_total = self.t_obs + self.t_pred
-        if frames.size and (frames[0] < 0 or frames[-1] >= t_total):
+        if fl and (fl[0] < 0 or fl[-1] >= t_total):
             raise IndexError(f"clamp frame out of range 0..{t_total - 1}")
-        if not np.array_equal(frames[: self.t_obs], np.arange(self.t_obs)):
+        if fl[: self.t_obs] != list(range(self.t_obs)):
             raise ValueError("every observed frame 0..t_obs-1 must be clamped")
-        if t_total - 1 not in frames:
+        if t_total - 1 not in fl:
             raise ValueError("the goal frame (last frame) must be clamped")
         frames.setflags(write=False)
         values.setflags(write=False)

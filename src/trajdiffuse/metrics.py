@@ -5,6 +5,11 @@ kernel density of the samples evaluated at the ground truth), ECFL
 (environment collision-free likelihood), MVE (entropy of the per-sample
 average headings, in bits), and ACFL (agent-agent collision-free likelihood
 across all modes of all other agents).
+
+Each metric is computed as array operations over all future frames and
+samples at once; ACFL loops over agents only, so its memory per step is
+O(A * K^2 * T_pred). tests/test_metrics.py checks each against a loop
+oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from .diffusion import TrajBatch
 from .mapguide import NavEnvironment
-from .validation import as_float_array
+from .validation import as_float_array, check_positive
 
 KDE_DENSITY_FLOOR = 1e-12
 KDE_BANDWIDTH_FLOOR = 1e-3  # meters; also the fallback for degenerate samples
@@ -72,26 +77,22 @@ def kde_nll(predictions: TrajBatch, ground_truth) -> float:
         raise ValueError("ground truth length does not match predictions")
     t_obs = predictions.t_obs
     k = predictions.n_samples
-    nlls = []
-    for t in range(t_obs, predictions.n_frames):
-        pts = predictions.samples[:, t, :]  # (K, 2)
-        h = np.std(pts, axis=0, ddof=1) * k ** (-1.0 / 6.0)
-        h = np.maximum(h, KDE_BANDWIDTH_FLOOR)
-        z = (gt[t][None, :] - pts) / h
-        kernels = np.exp(-0.5 * np.sum(z * z, axis=1)) / (2 * math.pi * h[0] * h[1])
-        density = max(float(kernels.mean()), KDE_DENSITY_FLOOR)
-        nlls.append(-math.log(density))
-    return float(np.mean(nlls))
+    # C order keeps K innermost, so each frame's kernel mean is summed in the
+    # same (pairwise) order as a 1-D mean over that frame's K kernels.
+    pts = np.ascontiguousarray(predictions.samples[:, t_obs:, :].transpose(1, 0, 2))
+    h = np.std(pts, axis=1, ddof=1, keepdims=True) * k ** (-1.0 / 6.0)
+    h = np.maximum(h, KDE_BANDWIDTH_FLOOR)  # (T_pred, 1, 2)
+    z = (gt[t_obs:, None, :] - pts) / h
+    kernels = np.exp(-0.5 * np.sum(z * z, axis=2)) / (2 * math.pi * h[..., 0] * h[..., 1])
+    density = np.maximum(kernels.mean(axis=1), KDE_DENSITY_FLOOR)  # (T_pred,)
+    return float(np.mean(-np.log(density)))
 
 
 def ecfl(predictions: TrajBatch, env: NavEnvironment) -> float:
     """Fraction of samples whose every future frame lands on a navigable pixel."""
-    t_obs = predictions.t_obs
-    free = []
-    for k in range(predictions.n_samples):
-        mask = env.navigable_mask_for(predictions.samples[k, t_obs:, :])
-        free.append(mask.all())
-    return float(np.mean(free))
+    futures = predictions.samples[:, predictions.t_obs:, :]
+    mask = env.navigable_mask_for(futures).reshape(futures.shape[:2])  # (K, T_pred)
+    return float(np.mean(mask.all(axis=1)))
 
 
 def sample_headings(predictions: TrajBatch) -> np.ndarray:
@@ -104,15 +105,12 @@ def sample_headings(predictions: TrajBatch) -> np.ndarray:
     steps = np.diff(predictions.samples[:, t_obs:, :], axis=1)  # (K, T_pred-1, 2)
     lengths = np.linalg.norm(steps, axis=2)
     angles = np.arctan2(steps[..., 1], steps[..., 0])
-    headings = np.zeros(predictions.n_samples)
-    for k in range(predictions.n_samples):
-        valid = lengths[k] >= HEADING_EPS
-        if not valid.any():
-            continue
-        s = np.sin(angles[k][valid]).sum()
-        c = np.cos(angles[k][valid]).sum()
-        headings[k] = math.atan2(s, c)
-    return headings
+    valid = lengths >= HEADING_EPS
+    s = np.where(valid, np.sin(angles), 0.0).sum(axis=1).tolist()
+    c = np.where(valid, np.cos(angles), 0.0).sum(axis=1).tolist()
+    # libm's atan2 (np.arctan2 can differ from it in the last bit);
+    # atan2(0, 0) = 0 gives a sample with no usable step heading 0.
+    return np.array([math.atan2(sk, ck) for sk, ck in zip(s, c)])
 
 
 def mve(predictions: TrajBatch, n_bins: int = 36) -> float:
@@ -132,8 +130,10 @@ def acfl(scene_predictions: list[TrajBatch], threshold: float) -> float:
     """Fraction of (agent, mode) pairs clear of every mode of every other agent.
 
     A mode is collision-free iff its distance to all other agents' modes
-    stays >= threshold at every future timestep.
+    stays >= threshold at every future timestep. The threshold (meters) must
+    be positive and finite.
     """
+    threshold = check_positive(threshold, "acfl threshold")
     if len(scene_predictions) < 2:
         raise ValueError("acfl needs at least 2 agents")
     t_obs = scene_predictions[0].t_obs
@@ -146,14 +146,7 @@ def acfl(scene_predictions: list[TrajBatch], threshold: float) -> float:
     n_agents = futures.shape[0]
     free = 0
     for a in range(n_agents):
-        for mode in range(k):
-            clear = True
-            for b in range(n_agents):
-                if b == a:
-                    continue
-                d = np.linalg.norm(futures[a, mode][None, :, :] - futures[b], axis=2)
-                if d.min() < threshold:
-                    clear = False
-                    break
-            free += clear
+        others = np.delete(futures, a, axis=0)  # (A-1, K, Tp, 2)
+        d = np.linalg.norm(futures[a][:, None, None] - others[None], axis=-1)  # (K,A-1,K,Tp)
+        free += int(np.count_nonzero(d.min(axis=(1, 2, 3)) >= threshold))
     return free / (n_agents * k)

@@ -464,12 +464,7 @@ def read_dataset(data_dir) -> list:
                         raise ValueError("cannot infer t_obs without intents or dataset.json")
                     t_pred = traj.shape[0] - t_obs
                     intents = [
-                        ConditionSpec(
-                            np.asarray(spec["frames"], dtype=np.intp),
-                            np.asarray(spec["values"], dtype=np.float64),
-                            t_obs=t_obs,
-                            t_pred=t_pred,
-                        )
+                        ConditionSpec(spec["frames"], spec["values"], t_obs=t_obs, t_pred=t_pred)
                         for spec in record["intents"]
                     ]
                     agents.append(

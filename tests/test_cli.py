@@ -341,6 +341,28 @@ def test_eval_record_bad_trajectories_are_rejected(workspace, tmp_path, capsys, 
     _assert_rejected(argv, f"{bad}:2: trajectories {problem}", capsys)
 
 
+def test_eval_mixed_k_in_a_scene_names_file_and_scene(workspace, tmp_path, capsys):
+    _, data, _, preds = workspace
+    argv, bad = _eval_bad_record(data, preds, tmp_path, lambda r: r["trajectories"].pop())
+    _assert_rejected(
+        argv, f"{bad}:2: scene 'scene_0000' has K=2 samples, but {bad}:1 has K=3", capsys,
+    )
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--acfl-threshold", "nan", "--acfl-threshold must be positive and finite, got nan"),
+    ("--acfl-threshold", "-1", "--acfl-threshold must be positive and finite, got -1.0"),
+    ("--acfl-threshold", "inf", "--acfl-threshold must be positive and finite, got inf"),
+    ("--mve-bins", "0", "--mve-bins must be >= 1, got 0"),
+])
+def test_eval_rejects_bad_settings_before_reading(tmp_path, capsys, flag, value, message):
+    missing = tmp_path / "missing"
+    argv = ["eval", "--predictions", missing / "p.jsonl", "--data", missing,
+            "--out", tmp_path / "m.json", flag, value]
+    _assert_rejected(argv, message, capsys)
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_render_checks_records_like_eval(workspace, tmp_path, capsys):
     _, data, _, preds = workspace
     _, bad = _eval_bad_record(data, preds, tmp_path, lambda r: r.pop("trajectories"))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,6 +189,38 @@ def test_condition_spec_validation():
             np.concatenate([np.arange(T_OBS), [T + 3]]),
             rng.normal(size=(T_OBS + 1, 2)), T_OBS, T_PRED,
         )
+
+
+HISTORY = list(range(T_OBS))
+
+
+@pytest.mark.parametrize("frames, n_values, error, message", [
+    (HISTORY + [9, 9, 19], 11, ValueError, "clamp frames must be sorted and distinct"),
+    (HISTORY + [10, 9, 19], 11, ValueError, "clamp frames must be sorted and distinct"),
+    ([-1] + HISTORY + [19], 10, IndexError, "clamp frame out of range 0..19"),
+    (HISTORY + [20], 9, IndexError, "clamp frame out of range 0..19"),
+    (HISTORY[:-1] + [8, 19], 9, ValueError, "every observed frame 0..t_obs-1 must be clamped"),
+    (HISTORY[:-1], 7, ValueError, "every observed frame 0..t_obs-1 must be clamped"),
+    (HISTORY + [18], 9, ValueError, "the goal frame (last frame) must be clamped"),
+    (HISTORY + [19], 8, ValueError, "frames and values must align one-to-one"),
+])
+def test_condition_spec_frame_errors(frames, n_values, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        ConditionSpec(np.array(frames, dtype=np.intp), np.zeros((n_values, 2)), T_OBS, T_PRED)
+
+
+def test_condition_spec_copies_the_callers_arrays():
+    rng = np.random.default_rng(12)
+    frames = np.concatenate([np.arange(T_OBS), [12, T - 1]]).astype(np.intp)
+    values = rng.normal(size=(frames.size, 2))
+    cond = ConditionSpec(frames, values, T_OBS, T_PRED)
+    assert frames.flags.writeable and values.flags.writeable
+    assert not cond.frames.flags.writeable and not cond.values.flags.writeable
+    kept_frames, kept_values = cond.frames.copy(), cond.values.copy()
+    frames[-2] = 13
+    values[:] = 0.0
+    np.testing.assert_array_equal(cond.frames, kept_frames)
+    np.testing.assert_array_equal(cond.values, kept_values)
 
 
 # ---------------------------------------------------------------- posterior_mean

@@ -1,16 +1,92 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trajdiffuse import metrics
 from trajdiffuse.diffusion import TrajBatch
 from trajdiffuse.mapguide import NavEnvironment
-from trajdiffuse.metrics import acfl, ade_fde, ecfl, kde_nll, mve, sample_headings
+from trajdiffuse.metrics import (
+    HEADING_EPS,
+    KDE_BANDWIDTH_FLOOR,
+    KDE_DENSITY_FLOOR,
+    acfl,
+    ade_fde,
+    ecfl,
+    kde_nll,
+    mve,
+    sample_headings,
+)
 
 T_OBS, T_PRED = 4, 6
 T = T_OBS + T_PRED
+
+
+# ------------------------------------------------------------------ loop oracles
+# Per-frame, per-sample and per-agent loop forms of the metrics, the reference
+# that the array implementations are held to.
+
+def kde_nll_loop(predictions, gt):
+    t_obs = predictions.t_obs
+    k = predictions.n_samples
+    nlls = []
+    for t in range(t_obs, predictions.n_frames):
+        pts = predictions.samples[:, t, :]  # (K, 2)
+        h = np.std(pts, axis=0, ddof=1) * k ** (-1.0 / 6.0)
+        h = np.maximum(h, KDE_BANDWIDTH_FLOOR)
+        z = (gt[t][None, :] - pts) / h
+        kernels = np.exp(-0.5 * np.sum(z * z, axis=1)) / (2 * math.pi * h[0] * h[1])
+        density = max(float(kernels.mean()), KDE_DENSITY_FLOOR)
+        nlls.append(-math.log(density))
+    return float(np.mean(nlls))
+
+
+def ecfl_loop(predictions, env):
+    t_obs = predictions.t_obs
+    free = []
+    for k in range(predictions.n_samples):
+        mask = env.navigable_mask_for(predictions.samples[k, t_obs:, :])
+        free.append(mask.all())
+    return float(np.mean(free))
+
+
+def sample_headings_loop(predictions):
+    t_obs = predictions.t_obs
+    steps = np.diff(predictions.samples[:, t_obs:, :], axis=1)  # (K, T_pred-1, 2)
+    lengths = np.linalg.norm(steps, axis=2)
+    angles = np.arctan2(steps[..., 1], steps[..., 0])
+    headings = np.zeros(predictions.n_samples)
+    for k in range(predictions.n_samples):
+        valid = lengths[k] >= HEADING_EPS
+        if not valid.any():
+            continue
+        s = np.sin(angles[k][valid]).sum()
+        c = np.cos(angles[k][valid]).sum()
+        headings[k] = math.atan2(s, c)
+    return headings
+
+
+def acfl_loop(scene_predictions, threshold):
+    t_obs = scene_predictions[0].t_obs
+    k = scene_predictions[0].n_samples
+    futures = np.stack([b.samples[:, t_obs:, :] for b in scene_predictions])  # (A,K,Tp,2)
+    n_agents = futures.shape[0]
+    free = 0
+    for a in range(n_agents):
+        for mode in range(k):
+            clear = True
+            for b in range(n_agents):
+                if b == a:
+                    continue
+                d = np.linalg.norm(futures[a, mode][None, :, :] - futures[b], axis=2)
+                if d.min() < threshold:
+                    clear = False
+                    break
+            free += clear
+    return free / (n_agents * k)
 
 
 def batch(samples):
@@ -325,3 +401,100 @@ def test_acfl_shape_validation():
         acfl([a, b], threshold=0.5)
     with pytest.raises(ValueError):
         acfl([a], threshold=0.5)
+
+
+def test_acfl_distance_equal_to_threshold_stays_clear():
+    a = stationary_agent([0.0, 0.0])
+    b = stationary_agent([3.0, 4.0])
+    assert acfl([a, b], threshold=5.0) == 1.0
+    assert acfl([a, b], threshold=math.nextafter(5.0, math.inf)) == 0.0
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), -1.0, 0.0, float("inf")])
+def test_acfl_rejects_threshold_that_is_not_positive_and_finite(threshold):
+    a = stationary_agent([0.0, 0.0])
+    b = stationary_agent([10.0, 0.0])
+    with pytest.raises(ValueError, match="acfl threshold must be positive and finite"):
+        acfl([a, b], threshold=threshold)
+
+
+# ------------------------------------------------------------ loop-oracle fuzzing
+
+def fuzz_samples(rng, k, t_obs, t_pred):
+    """(K, T, 2) samples with stationary samples and sub-HEADING_EPS steps mixed in."""
+    x = rng.normal(size=(k, t_obs + t_pred, 2)) * 10.0 ** rng.uniform(-3, 2)
+    n_still = int(rng.integers(0, k))
+    x[:n_still] = x[:n_still, :1]
+    for t in range(t_obs + 1, t_obs + t_pred):
+        short = rng.random(k) < 0.25
+        x[short, t] = x[short, t - 1] + rng.normal(size=(short.sum(), 2)) * 1e-11
+    return x
+
+
+FUZZ_SIZES = dict(
+    seed=st.integers(0, 2**32 - 1), k=st.integers(2, 24),
+    t_obs=st.integers(1, 8), t_pred=st.integers(1, 12),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(**FUZZ_SIZES)
+def test_kde_nll_matches_loop_oracle(seed, k, t_obs, t_pred):
+    # One ulp of numpy's vectorised log (or reduction order on another platform)
+    # per frame term; the terms lie within [-12, 28], hence the absolute floor.
+    rng = np.random.default_rng(seed)
+    b = TrajBatch(fuzz_samples(rng, k, t_obs, t_pred), t_obs, t_pred)
+    gt = rng.normal(size=(t_obs + t_pred, 2)) * 10.0 ** rng.uniform(-3, 2)
+    want = kde_nll_loop(b, gt)
+    assert kde_nll(b, gt) == pytest.approx(want, rel=1e-14, abs=1e-14)
+
+
+@settings(deadline=None, max_examples=200)
+@given(**FUZZ_SIZES)
+def test_ecfl_equals_loop_oracle(seed, k, t_obs, t_pred):
+    rng = np.random.default_rng(seed)
+    grid = rng.random((12, 9)) < rng.uniform(0.5, 1.0)
+    env = NavEnvironment.from_grid(grid, 0.5, origin=tuple(rng.uniform(-1, 1, size=2)))
+    x = rng.uniform(-1.5, 5.5, size=(k, t_obs + t_pred, 2))
+    x[: k // 2, t_obs:] = x[: k // 2, t_obs:t_obs + 1]  # some samples sit still
+    b = TrajBatch(x, t_obs, t_pred)
+    assert ecfl(b, env) == ecfl_loop(b, env)
+
+
+@settings(deadline=None, max_examples=200)
+@given(n_bins=st.integers(1, 64), **FUZZ_SIZES)
+def test_headings_and_mve_match_loop_oracle(seed, k, t_obs, t_pred, n_bins):
+    rng = np.random.default_rng(seed)
+    b = TrajBatch(fuzz_samples(rng, k, t_obs, t_pred), t_obs, t_pred)
+    got, want = sample_headings(b), sample_headings_loop(b)
+    steps = np.diff(b.samples[:, t_obs:], axis=1)
+    all_long = (np.linalg.norm(steps, axis=2) >= HEADING_EPS).all(axis=1)
+    assert got[all_long].tolist() == want[all_long].tolist()
+    wrapped = np.angle(np.exp(1j * (got - want)))  # +pi and -pi are one heading
+    assert np.abs(wrapped).max() <= 1e-12
+    with mock.patch.object(metrics, "sample_headings", sample_headings_loop):
+        want_mve = mve(b, n_bins=n_bins)
+    assert mve(b, n_bins=n_bins) == want_mve
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    seed=st.integers(0, 2**32 - 1), n_agents=st.integers(2, 6), k=st.integers(2, 6),
+    t_obs=st.integers(1, 4), t_pred=st.integers(1, 6),
+    threshold=st.sampled_from([1.0, math.sqrt(2.0), 2.5, 5.0, math.sqrt(41.0)]),
+)
+def test_acfl_equals_loop_oracle(seed, n_agents, k, t_obs, t_pred, threshold):
+    # On integer positions every distance is the rounded square root of an
+    # integer, as are most thresholds here, so distances equal to the
+    # threshold occur; offsets like (3, 4) give exactly 5.
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, 7, size=(k, t_obs + t_pred, 2)).astype(float)
+    offsets = [(3, 4), (4, -3), (0, 5), (-5, 0), (4, 5)]
+    agents = []
+    for _ in range(n_agents):
+        if rng.random() < 0.5:
+            x = base + offsets[rng.integers(len(offsets))]
+        else:
+            x = rng.integers(0, 7, size=base.shape).astype(float)
+        agents.append(TrajBatch(x, t_obs, t_pred))
+    assert acfl(agents, threshold) == acfl_loop(agents, threshold)
