@@ -160,8 +160,10 @@ _RECORD_KEYS = ("scene_id", "agent_id", "trajectories")
 
 
 def _load_predictions(path) -> list:
-    """Prediction records as ("<path>:<line>", record) pairs, in file order."""
+    """Prediction records as ("<path>:<line>", record) pairs, in file order;
+    each (scene_id, agent_id) may appear once."""
     records = []
+    first_seen = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -178,6 +180,17 @@ def _load_predictions(path) -> list:
                 raise ValueError(
                     f"{where}: prediction record lacks {', '.join(map(repr, missing))}"
                 )
+            ids = (record["scene_id"], record["agent_id"])
+            if not isinstance(ids[0], str):
+                raise ValueError(f"{where}: scene_id {ids[0]!r} is not a string")
+            if isinstance(ids[1], bool) or not isinstance(ids[1], int):
+                raise ValueError(f"{where}: agent_id {ids[1]!r} is not an integer")
+            if ids in first_seen:
+                raise ValueError(
+                    f"{where}: scene_id {ids[0]!r} agent_id {ids[1]!r} repeats the record "
+                    f"at {first_seen[ids]}"
+                )
+            first_seen[ids] = where
             records.append((where, record))
     return records
 

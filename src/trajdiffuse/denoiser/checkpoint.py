@@ -91,7 +91,8 @@ def _read_record(fh, end: int) -> tuple[str, np.ndarray]:
     dims = [struct.unpack("<Q", _read_exact(fh, 8, end))[0] for _ in range(rank)]
     count = math.prod(dims)  # exact Python int: declared dims are not trusted
     raw = _read_exact(fh, 4 * count, end, f"record {name!r} with dims {dims}")
-    values = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signalling NaN; non-finite values are rejected later
+        values = np.frombuffer(raw, dtype="<f4").astype(np.float64)
     try:
         return name, values.reshape(dims)
     except ValueError as exc:  # e.g. a zero dim next to one numpy cannot index
@@ -171,6 +172,14 @@ def _check_derived_vectors(path, stored: NoiseSchedule) -> None:
             )
 
 
+def _integral(path, name: str, value: float) -> int:
+    if not float(value).is_integer():
+        raise DescriptorMismatchError(
+            f"{path}: descriptor field {name!r} holds {value!r}, not an integer"
+        )
+    return int(value)
+
+
 def load_checkpoint(path) -> tuple[DenoiserParams, NoiseSchedule]:
     """Read a checkpoint; the descriptor comes back inside DenoiserParams.arch."""
     path = Path(path)
@@ -191,15 +200,15 @@ def load_checkpoint(path) -> tuple[DenoiserParams, NoiseSchedule]:
             )
 
     try:
-        widths = tuple(int(w) for w in np.atleast_1d(desc_fields["widths"]))
+        widths = tuple(_integral(path, "widths", w) for w in desc_fields["widths"].tolist())
         kwargs = {name: desc_fields[name].item() for name in _DESC_SCALARS}
         for name in _DESC_SCALARS:
             if name != "coord_scale":
-                kwargs[name] = int(kwargs[name])
+                kwargs[name] = _integral(path, name, kwargs[name])
         desc = ArchDescriptor(widths=widths, **kwargs)
     except KeyError as exc:
         raise DescriptorMismatchError(f"{path}: descriptor field missing: {exc}") from exc
-    except (ValueError, OverflowError) as exc:  # non-integral, non-scalar or invalid fields
+    except (TypeError, ValueError) as exc:  # widths not a vector, other fields not scalars
         raise DescriptorMismatchError(f"{path}: invalid descriptor: {exc}") from exc
 
     expected = {name: shape for name, shape, _ in param_specs(desc)}
@@ -222,29 +231,26 @@ def load_checkpoint(path) -> tuple[DenoiserParams, NoiseSchedule]:
     for field in _SCHEDULE_FIELDS:
         if field not in sched_vectors:
             raise DescriptorMismatchError(f"{path}: schedule vector {field!r} missing")
+        if sched_vectors[field].shape != (desc.n_steps,):
+            raise DescriptorMismatchError(
+                f"{path}: schedule vector {field!r} has shape {sched_vectors[field].shape}, "
+                f"descriptor n_steps {desc.n_steps} implies ({desc.n_steps},)"
+            )
         if not np.all(np.isfinite(sched_vectors[field])):
             raise DescriptorMismatchError(
                 f"{path}: schedule vector {field!r} holds non-finite values"
             )
     alphas = sched_vectors["alphas"]
-    if alphas.size != desc.n_steps:
-        raise DescriptorMismatchError(
-            f"{path}: schedule length {alphas.size} does not match "
-            f"descriptor n_steps {desc.n_steps}"
-        )
     if np.any(alphas <= 0) or np.any(alphas >= 1):
         raise DescriptorMismatchError(f"{path}: schedule vector 'alphas' leaves (0, 1)")
     alpha_bars = sched_vectors["alpha_bars"]
-    try:
-        schedule = NoiseSchedule(
-            n_steps=int(alphas.size),
-            alphas=alphas,
-            alpha_bars=alpha_bars,
-            alpha_bars_prev=np.concatenate(([1.0], alpha_bars[:-1])),
-            posterior_vars=sched_vectors["posterior_vars"],
-            loss_weights=sched_vectors["loss_weights"],
-        )
-    except ValueError as exc:
-        raise DescriptorMismatchError(f"{path}: invalid schedule: {exc}") from exc
+    schedule = NoiseSchedule(
+        n_steps=int(alphas.size),
+        alphas=alphas,
+        alpha_bars=alpha_bars,
+        alpha_bars_prev=np.concatenate(([1.0], alpha_bars[:-1])),
+        posterior_vars=sched_vectors["posterior_vars"],
+        loss_weights=sched_vectors["loss_weights"],
+    )
     _check_derived_vectors(path, schedule)
     return DenoiserParams(tensors=tensors, arch=desc), schedule

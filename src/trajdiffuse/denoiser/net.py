@@ -33,6 +33,7 @@ from .layers import (
     upsample2_backward,
     upsample2_forward,
 )
+from ..validation import check_positive
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,7 @@ class ArchDescriptor:
             raise ValueError("kernel_len must be odd")
         if self.emb_dim % 2 != 0 or self.emb_dim < 2:
             raise ValueError("emb_dim must be a positive even integer")
+        check_positive(self.coord_scale, "coord_scale")
         if self.traj_len % self.downsample_factor != 0:
             raise ValueError(
                 f"trajectory length {self.traj_len} not divisible by the "

@@ -36,15 +36,17 @@ class TrajDiffuse:
     coord_scale : float
         Standardization scale in meters; trajectories are centered on the
         last observed position and divided by this before the network.
-    guidance_steps, guidance_scale
-        Gradient-descent step count and step size (meters; None means one
-        pixel) for the map guidance at sampling time.
+    guidance_steps : int
+        Gradient-descent steps per frame for the map guidance at sampling
+        time; each step is one map pixel long.
+
+    The noise schedule is the squared-cosine one with the fixed offset
+    `schedule.DEFAULT_COSINE_OFFSET`.
     """
 
     def __init__(self, n_steps=25, widths=(32, 64, 128), kernel_len=5, gn_groups=8,
                  emb_dim=32, coord_scale=5.0, lr=1e-3, batch_size=32, n_epochs=200,
-                 weighting="simple", cosine_offset=0.008, guidance_steps=10,
-                 guidance_scale=None, seed=0):
+                 weighting="simple", guidance_steps=10, seed=0):
         self.n_steps = n_steps
         self.widths = widths
         self.kernel_len = kernel_len
@@ -55,9 +57,7 @@ class TrajDiffuse:
         self.batch_size = batch_size
         self.n_epochs = n_epochs
         self.weighting = weighting
-        self.cosine_offset = cosine_offset
         self.guidance_steps = guidance_steps
-        self.guidance_scale = guidance_scale
         self.seed = seed
 
     @classmethod
@@ -85,10 +85,10 @@ class TrajDiffuse:
             n_steps=self.n_steps, weighting=self.weighting, seed=self.seed,
             widths=tuple(self.widths), kernel_len=self.kernel_len,
             gn_groups=self.gn_groups, emb_dim=self.emb_dim,
-            coord_scale=self.coord_scale, cosine_offset=self.cosine_offset,
+            coord_scale=self.coord_scale,
         )
         self.model_params_, self.training_log_ = train(scenes, config, init=init)
-        self.schedule_ = build_cosine_schedule(self.n_steps, self.cosine_offset)
+        self.schedule_ = build_cosine_schedule(self.n_steps)
         return self
 
     def _check_fitted(self):
@@ -98,7 +98,7 @@ class TrajDiffuse:
     # -------------------------------------------------------------- predict
 
     def guidance_config(self) -> GuidanceConfig:
-        return GuidanceConfig(n_grad_steps=self.guidance_steps, step_scale=self.guidance_scale)
+        return GuidanceConfig(n_grad_steps=self.guidance_steps)
 
     def predict(self, observed, intents, env: NavEnvironment | None = None,
                 seed: int = 0, guidance: bool = True) -> PredictionResult:

@@ -250,10 +250,15 @@ def guidance_delta(env: NavEnvironment, traj: np.ndarray, t_obs: int,
     return work - traj
 
 
-def ecfl_check(env: NavEnvironment, traj: np.ndarray, t_obs: int = 0) -> bool:
-    """True iff every frame from t_obs on maps to a navigable pixel."""
-    traj = check_trajectory(traj)
-    return bool(env.navigable_mask_for(traj[t_obs:]).all())
+def ecfl_check(env: NavEnvironment, trajs, t_obs: int = 0) -> np.ndarray:
+    """One flag per trajectory of a (..., T, 2) array: True iff every frame
+    from t_obs on maps to a navigable pixel. A (T, 2) trajectory gives a 0-d
+    bool."""
+    trajs = as_float_array(trajs, "trajectories")
+    if trajs.ndim < 2 or trajs.shape[-1] != 2 or trajs.shape[-2] < 1:
+        raise ValueError(f"trajectories must have shape (..., T >= 1, 2), got {trajs.shape}")
+    future = trajs[..., t_obs:, :]
+    return env.navigable_mask_for(future).reshape(future.shape[:-1]).all(axis=-1)
 
 
 # ------------------------------------------------------------------ map files

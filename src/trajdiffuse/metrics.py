@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .diffusion import TrajBatch
-from .mapguide import NavEnvironment
+from .mapguide import NavEnvironment, ecfl_check
 from .validation import as_float_array, check_positive
 
 KDE_DENSITY_FLOOR = 1e-12
@@ -90,9 +90,7 @@ def kde_nll(predictions: TrajBatch, ground_truth) -> float:
 
 def ecfl(predictions: TrajBatch, env: NavEnvironment) -> float:
     """Fraction of samples whose every future frame lands on a navigable pixel."""
-    futures = predictions.samples[:, predictions.t_obs:, :]
-    mask = env.navigable_mask_for(futures).reshape(futures.shape[:2])  # (K, T_pred)
-    return float(np.mean(mask.all(axis=1)))
+    return float(np.mean(ecfl_check(env, predictions.samples, predictions.t_obs)))
 
 
 def sample_headings(predictions: TrajBatch) -> np.ndarray:

@@ -34,8 +34,7 @@ from .denoiser import (
     init_params,
 )
 from .mapguide import GuidanceConfig, NavEnvironment, ecfl_check, guidance_delta
-from .schedule import NoiseSchedule, build_cosine_schedule
-from .synth import IntentOracleConfig
+from .schedule import DEFAULT_COSINE_OFFSET, NoiseSchedule, build_cosine_schedule
 from .validation import as_float_array
 
 
@@ -105,9 +104,7 @@ def predict(params: DenoiserParams, schedule: NoiseSchedule, observed, intents: 
     world = tau * scale + center
     world = clamp_frames_batch(world, frames, values_world)  # exactness contract
     batch = TrajBatch(world, t_obs, desc.t_pred)
-    flags = None
-    if env is not None:
-        flags = np.array([ecfl_check(env, world[j], t_obs) for j in range(k)])
+    flags = ecfl_check(env, world, t_obs) if env is not None else None
     return PredictionResult(trajectories=batch, per_sample_ecfl=flags)
 
 
@@ -126,11 +123,12 @@ class TrainConfig:
     gn_groups: int = 8
     emb_dim: int = 32
     coord_scale: float = 5.0
-    cosine_offset: float = 0.008
+    cosine_offset: float = DEFAULT_COSINE_OFFSET
 
 
 def _collect_training_arrays(scenes: list, coord_scale: float):
-    """Standardized clean trajectories plus the shared clamp-frame layout."""
+    """Standardized clean trajectories plus the clamp-frame layout of the
+    dataset's intents, which agents without intents train under too."""
     t_obs = scenes[0].t_obs
     t_pred = scenes[0].t_pred
     frames = None
@@ -140,20 +138,16 @@ def _collect_training_arrays(scenes: list, coord_scale: float):
             raise ValueError("all scenes must share the same frame split")
         for agent in scene.agents:
             if agent.intents:
-                agent_frames = agent.intents[0].frames
-            else:
-                layout = IntentOracleConfig().resolved_frames(t_obs, t_pred)
-                agent_frames = np.concatenate(
-                    [np.arange(t_obs), layout, [t_obs + t_pred - 1]]
-                ).astype(np.intp)
-            if frames is None:
-                frames = agent_frames
-            elif not np.array_equal(frames, agent_frames):
-                raise ValueError("agents disagree on the clamp-frame layout")
+                if frames is None:
+                    frames = agent.intents[0].frames
+                elif not np.array_equal(frames, agent.intents[0].frames):
+                    raise ValueError("agents disagree on the clamp-frame layout")
             center = agent.trajectory[t_obs - 1]
             x0.append((agent.trajectory - center) / coord_scale)
     if not x0:
         raise ValueError("dataset contains no agents")
+    if frames is None:
+        raise ValueError("dataset holds no intents to take the clamp-frame layout from")
     return np.stack(x0), frames, t_obs, t_pred
 
 

@@ -18,19 +18,19 @@ from __future__ import annotations
 
 import heapq
 import json
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .diffusion import ConditionSpec
 from .mapguide import NavEnvironment, ecfl_check, load_environment, save_environment
-from .validation import check_trajectory
+from .validation import as_float_array, check_positive, check_trajectory
 
 ENV_KINDS = ("corridor", "rooms", "maze")
 MIN_COVERAGE = 0.20
 PROJECTION_RADIUS_CELLS = 10
+TRAJECTORY_RETRIES = 50
 
 
 @dataclass
@@ -54,50 +54,26 @@ class Scene:
 class IntentOracleConfig:
     """How ground truth is turned into conditioning anchors.
 
-    n_waypoints counts interior waypoints; the goal anchor at the final
-    frame is always present on top of them. waypoint_frames None means
-    evenly spaced over the prediction horizon.
+    n_waypoints counts interior waypoints, evenly spaced over the prediction
+    horizon; the goal anchor at the final frame is always present on top of
+    them.
     """
 
     n_waypoints: int = 2
-    waypoint_frames: tuple | None = None
     goal_noise_sigma: float = 0.5
     diversify: bool = False
 
     def resolved_frames(self, t_obs: int, t_pred: int) -> list[int]:
-        if self.waypoint_frames is not None:
-            frames = [int(f) for f in self.waypoint_frames]
-        else:
-            n = self.n_waypoints
-            frames = [t_obs + round((s + 1) * t_pred / (n + 1)) for s in range(n)]
+        n = self.n_waypoints
+        frames = [t_obs + round((s + 1) * t_pred / (n + 1)) for s in range(n)]
         goal = t_obs + t_pred - 1
         for f in frames:
             if not t_obs <= f < goal:
                 raise ValueError(f"waypoint frame {f} outside ({t_obs - 1}, {goal})")
-        if len(set(frames)) != len(frames):
-            raise ValueError("waypoint frames must be distinct")
-        return sorted(frames)
+        return frames
 
 
 # ------------------------------------------------------------- environments
-
-def _flood_fill_connected(grid: np.ndarray) -> bool:
-    rows, cols = np.nonzero(grid)
-    if rows.size == 0:
-        return False
-    seen = np.zeros_like(grid, dtype=bool)
-    queue = deque([(int(rows[0]), int(cols[0]))])
-    seen[rows[0], cols[0]] = True
-    h, w = grid.shape
-    while queue:
-        r, c = queue.popleft()
-        for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            rr, cc = r + dr, c + dc
-            if 0 <= rr < h and 0 <= cc < w and grid[rr, cc] and not seen[rr, cc]:
-                seen[rr, cc] = True
-                queue.append((rr, cc))
-    return bool(seen.sum() == grid.sum())
-
 
 def _corridor_grid(h, w, rng):
     # arm thickness and placement bounds keep coverage above MIN_COVERAGE
@@ -197,7 +173,10 @@ def generate_environment(kind: str, size: tuple, resolution: float, seed: int) -
         raise ValueError(f"unknown environment kind {kind!r}; pick one of {ENV_KINDS}")
     rng = np.random.default_rng(np.random.SeedSequence([ENV_KINDS.index(kind), seed]))
     grid = {"corridor": _corridor_grid, "rooms": _rooms_grid, "maze": _maze_grid}[kind](h, w, rng)
-    if not _flood_fill_connected(grid):
+    # a diagonal step needs both orthogonal neighbours, so Dijkstra reaches
+    # exactly the 4-connected component of its start
+    reach, _ = _dijkstra(grid, tuple(np.argwhere(grid)[0]), 1.0)
+    if not np.isfinite(reach[grid]).all():
         raise RuntimeError(f"{kind} layout came out disconnected (seed {seed})")
     coverage = grid.mean()
     if coverage < MIN_COVERAGE:
@@ -261,13 +240,13 @@ def _moving_average3(traj: np.ndarray) -> np.ndarray:
 
 
 def generate_trajectory(env: NavEnvironment, t_total: int, frame_dt: float,
-                        speed_range: tuple, seed: int, max_retries: int = 50) -> np.ndarray:
+                        speed_range: tuple, seed: int) -> np.ndarray:
     """Navigable (T, 2) trajectory along a shortest path at a sampled speed."""
     rng = np.random.default_rng(np.random.SeedSequence([2617, seed]))
     nav_cells = np.argwhere(env.nav_grid)
     sigma = 0.05 * env.resolution
     failures = 0
-    while failures <= max_retries:
+    while failures <= TRAJECTORY_RETRIES:
         start = tuple(nav_cells[rng.integers(len(nav_cells))])
         speed = float(rng.uniform(*speed_range))
         needed = (t_total - 1) * frame_dt * speed
@@ -291,9 +270,9 @@ def generate_trajectory(env: NavEnvironment, t_total: int, frame_dt: float,
             if ecfl_check(env, traj, t_obs=0):
                 return traj
             failures += 1
-            if failures > max_retries:
+            if failures > TRAJECTORY_RETRIES:
                 break
-    raise RuntimeError(f"could not generate a navigable trajectory after {max_retries} retries")
+    raise RuntimeError(f"no navigable trajectory after {TRAJECTORY_RETRIES} retries")
 
 
 # ------------------------------------------------------------- intent oracle
@@ -317,8 +296,7 @@ def _project_to_navigable(env: NavEnvironment, pos: np.ndarray) -> np.ndarray | 
 
 
 def intent_oracle(trajectory: np.ndarray, t_obs: int, cfg: IntentOracleConfig,
-                  env: NavEnvironment, k_samples: int, seed: int,
-                  frame_dt: float = 0.4) -> list:
+                  env: NavEnvironment, k_samples: int, seed: int, frame_dt: float) -> list:
     """K conditioning sets for one ground-truth trajectory.
 
     Anchors are the ground-truth positions at the configured frames plus the
@@ -425,29 +403,38 @@ def write_dataset(scenes: list, out_dir) -> None:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _infer_t_obs(intent_frames: list) -> int:
-    t_obs = 0
-    for f in intent_frames:
-        if f == t_obs:
-            t_obs += 1
-        else:
-            break
-    return t_obs
+def _read_split(meta_path: Path) -> tuple:
+    """(t_obs, t_pred, frame_dt) from a dataset's dataset.json."""
+    try:
+        meta = json.loads(meta_path.read_text())
+        t_obs, t_pred = meta["t_obs"], meta["t_pred"]
+        frame_dt = check_positive(meta["frame_dt"], "frame_dt")
+        for key, value in (("t_obs", t_obs), ("t_pred", t_pred)):
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
+    except KeyError as exc:
+        raise ValueError(f"{meta_path}: lacks {exc}") from exc
+    except (TypeError, ValueError) as exc:  # not JSON, not an object, or a bad value
+        raise ValueError(f"{meta_path}: {exc}") from exc
+    return t_obs, t_pred, frame_dt
 
 
 def read_dataset(data_dir) -> list:
-    """Read scenes back; raises with file/line context on malformed records."""
+    """Read scenes back; raises with file/line context on malformed records.
+
+    The frame split comes from dataset.json, or, without one, from the first
+    agent record; every record's frames must span it.
+    """
     data_dir = Path(data_dir)
     meta_path = data_dir / "dataset.json"
-    meta = json.loads(meta_path.read_text()) if meta_path.exists() else None
+    split = _read_split(meta_path) if meta_path.exists() else None
     scene_dirs = sorted(p for p in data_dir.iterdir() if p.is_dir())
     if not scene_dirs:
         raise FileNotFoundError(f"no scene directories in {data_dir}")
-    scenes = []
+    read = []
     for sdir in scene_dirs:
         env = load_environment(sdir / "map.pgm", sdir / "map.json")
         agents = []
-        t_obs = t_pred = None
         jsonl = sdir / "agents.jsonl"
         with open(jsonl) as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -455,14 +442,14 @@ def read_dataset(data_dir) -> list:
                     continue
                 try:
                     record = json.loads(line)
-                    traj = np.asarray(record["frames"], dtype=np.float64)
-                    if meta is not None:
-                        t_obs = int(meta["t_obs"])
-                    elif record["intents"]:
-                        t_obs = _infer_t_obs(record["intents"][0]["frames"])
-                    else:
-                        raise ValueError("cannot infer t_obs without intents or dataset.json")
-                    t_pred = traj.shape[0] - t_obs
+                    if split is None:  # no dataset.json: t_obs is the clamped prefix
+                        if not record["intents"]:
+                            raise ValueError("cannot infer t_obs without intents or dataset.json")
+                        frames = record["intents"][0]["frames"]
+                        t_obs = next((i for i, f in enumerate(frames) if f != i), len(frames))
+                        split = (t_obs, len(record["frames"]) - t_obs, 0.4)
+                    t_obs, t_pred, _ = split
+                    traj = as_float_array(record["frames"], "frames", shape=(t_obs + t_pred, 2))
                     intents = [
                         ConditionSpec(spec["frames"], spec["values"], t_obs=t_obs, t_pred=t_pred)
                         for spec in record["intents"]
@@ -472,14 +459,6 @@ def read_dataset(data_dir) -> list:
                     )
                 except (KeyError, ValueError, TypeError) as exc:
                     raise ValueError(f"{jsonl}:{lineno}: malformed agent record: {exc}") from exc
-        scenes.append(
-            Scene(
-                scene_id=sdir.name,
-                env=env,
-                agents=agents,
-                t_obs=t_obs if t_obs is not None else 0,
-                t_pred=t_pred if t_pred is not None else 0,
-                frame_dt=float(meta["frame_dt"]) if meta else 0.4,
-            )
-        )
-    return scenes
+        read.append((sdir.name, env, agents))
+    t_obs, t_pred, frame_dt = split if split is not None else (0, 0, 0.4)
+    return [Scene(sid, env, agents, t_obs, t_pred, frame_dt) for sid, env, agents in read]

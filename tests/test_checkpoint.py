@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajdiffuse.denoiser import (
     ArchDescriptor,
@@ -188,6 +190,76 @@ def test_shape_descriptor_inconsistency_is_reported(saved, tmp_path):
     save_checkpoint(params, schedule, bad)
     with pytest.raises(DescriptorMismatchError):
         load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("field, index, value", [
+    ("t_obs", 0, 4.4), ("kernel_len", 0, 3.3), ("widths", 1, 6.5),
+])
+def test_non_integral_descriptor_field_is_rejected(saved, field, index, value):
+    _, _, path = saved
+    data = bytearray(path.read_bytes())
+    name = field.encode()
+    header = struct.pack("<I", len(name)) + name
+    rank = struct.unpack_from("<I", data, data.index(header) + len(header))[0]
+    at = data.index(header) + len(header) + 4 + 8 * rank + 4 * index
+    struct.pack_into("<f", data, at, value)
+    path.write_bytes(bytes(data))
+    with pytest.raises(DescriptorMismatchError, match=f"descriptor field '{field}' holds") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
+def test_zero_dim_schedule_vector_is_rejected(saved):
+    _, _, path = saved
+    data = path.read_bytes()
+    header = struct.pack("<I", len(b"alpha_bars")) + b"alpha_bars"
+    at = data.index(header) + len(header)
+    rank0 = struct.pack("<I", 0) + struct.pack("<f", 0.5)  # one value, no dims
+    path.write_bytes(data[:at] + rank0 + data[at + 4 + 8 + 4 * DESC.n_steps:])
+    with pytest.raises(DescriptorMismatchError, match=r"'alpha_bars' has shape \(\)") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
+def test_signalling_nan_is_rejected_without_a_warning(saved):
+    _, _, path = saved
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<I", data, _entry_offset(data, "alphas", 3), 0x7F800001)  # float32 sNaN
+    path.write_bytes(bytes(data))
+    with pytest.raises(DescriptorMismatchError, match="'alphas' holds non-finite values"):
+        load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
+    save_checkpoint(init_params(DESC, seed=0), build_cosine_schedule(DESC.n_steps), path)
+    return path, path.read_bytes()
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_corrupt_checkpoint_loads_or_raises_a_checkpoint_error(pristine, data):
+    # headers sit in the first bytes (magic, version, first tensor record)
+    # and in the last few hundred (schedule and descriptor sections)
+    path, good = pristine
+    n = len(good)
+    if data.draw(st.booleans(), label="truncate"):
+        corrupt = good[: data.draw(st.integers(0, n - 1), label="length")]
+    else:
+        offsets = st.one_of(st.integers(0, 200), st.integers(n - 600, n - 1),
+                            st.integers(0, n - 1))
+        edits = data.draw(st.lists(st.tuples(offsets, st.integers(0, 255)), min_size=1,
+                                   max_size=8), label="edits")
+        buf = bytearray(good)
+        for at, value in edits:
+            buf[at] = value
+        corrupt = bytes(buf)
+    path.write_bytes(corrupt)
+    try:
+        load_checkpoint(path)
+    except CheckpointError as exc:
+        assert str(path) in str(exc)
 
 
 @pytest.mark.parametrize("value", [4.0, float("nan"), float("inf")])

@@ -271,7 +271,9 @@ def test_eval_report_matches_metrics_module(workspace, tmp_path):
     assert report["acfl"] is not None  # two agents per scene
 
 
-@pytest.mark.parametrize("field, value", [("agent_id", 9999), ("scene_id", "nope")])
+@pytest.mark.parametrize("field, value", [
+    ("agent_id", 9999), ("scene_id", "nope"), ("agent_id", 1.5), ("scene_id", ["scene_0000"]),
+])
 def test_eval_unknown_id_names_file_line_and_id(workspace, tmp_path, capsys, field, value):
     _, data, _, preds = workspace
     records = read_jsonl(preds)
@@ -347,6 +349,19 @@ def test_eval_mixed_k_in_a_scene_names_file_and_scene(workspace, tmp_path, capsy
     _assert_rejected(
         argv, f"{bad}:2: scene 'scene_0000' has K=2 samples, but {bad}:1 has K=3", capsys,
     )
+
+
+def test_repeated_record_is_rejected_by_eval_and_render(workspace, tmp_path, capsys):
+    _, data, _, preds = workspace
+    lines = Path(preds).read_text().splitlines()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines + lines[:1]) + "\n")
+    first = read_jsonl(preds)[0]
+    message = (f"{bad}:{len(lines) + 1}: scene_id {first['scene_id']!r} agent_id "
+               f"{first['agent_id']!r} repeats the record at {bad}:1")
+    for command in ("eval", "render"):
+        argv = [command, "--predictions", bad, "--data", data, "--out", tmp_path / command]
+        _assert_rejected(argv, message, capsys)
 
 
 @pytest.mark.parametrize("flag, value, message", [

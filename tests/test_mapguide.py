@@ -340,6 +340,26 @@ def test_ecfl_boundary_rounding_rule():
     assert not ecfl_check(env, np.array([[-3.0, 0.0]]))
 
 
+def test_batched_ecfl_check_equals_per_trajectory_calls():
+    rng = np.random.default_rng(3)
+    grid = rng.random((10, 12)) < 0.85
+    env = NavEnvironment.from_grid(grid, 0.5, origin=(-0.3, 0.2))
+    trajs = rng.uniform(-0.6, 5.6, size=(3, 5, 6, 2))
+    for t_obs in (0, 3, 6):
+        flags = ecfl_check(env, trajs, t_obs)
+        assert flags.shape == (3, 5) and flags.dtype == bool
+        for a in range(3):
+            for k in range(5):
+                one = ecfl_check(env, trajs[a, k], t_obs)
+                assert one.shape == () and flags[a, k] == one
+                assert one == all(env.is_navigable_point(p) for p in trajs[a, k, t_obs:])
+    flags = ecfl_check(env, trajs, 3)
+    assert flags.any() and not flags.all()
+    for bad in (np.zeros(2), np.zeros((0, 2)), np.zeros((4, 3)), np.full((2, 2), np.nan)):
+        with pytest.raises(ValueError, match="trajectories"):
+            ecfl_check(env, bad)
+
+
 # -------------------------------------------------------------------- map I/O
 
 def test_pgm_round_trip(tmp_path):

@@ -212,6 +212,23 @@ def test_paper_weighting_trains():
     assert np.isfinite(log[0]["mean_loss"])
 
 
+def test_agents_without_intents_train_under_the_dataset_layout():
+    # the intents clamp one waypoint; an agent without intents must not
+    # bring a layout of its own
+    scenes = tiny_scenes()
+    scenes[1].agents[2].intents = []
+    _, log = train(scenes, TrainConfig(**{**TINY_TRAIN, "n_epochs": 1}))
+    assert np.isfinite(log[0]["mean_loss"])
+
+
+def test_dataset_without_intents_is_rejected():
+    scenes = tiny_scenes()
+    for agent in (a for scene in scenes for a in scene.agents):
+        agent.intents = []
+    with pytest.raises(ValueError, match="no intents"):
+        train(scenes, TrainConfig(**TINY_TRAIN))
+
+
 def test_empty_dataset_rejected():
     with pytest.raises(ValueError):
         train([], TrainConfig(**TINY_TRAIN))

@@ -1,4 +1,8 @@
+import json
+import re
+import shutil
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,10 +152,8 @@ def test_oracle_history_is_bit_exact():
 def test_default_waypoint_frames_are_thirds_of_horizon():
     cfg = IntentOracleConfig()
     assert cfg.resolved_frames(8, 12) == [12, 16]
-    with pytest.raises(ValueError):
-        IntentOracleConfig(waypoint_frames=(7,)).resolved_frames(8, 12)
-    with pytest.raises(ValueError):
-        IntentOracleConfig(waypoint_frames=(19,)).resolved_frames(8, 12)
+    with pytest.raises(ValueError, match="waypoint frame 19 outside"):
+        IntentOracleConfig(n_waypoints=12).resolved_frames(8, 12)  # the last one hits the goal
 
 
 # ------------------------------------------------------------------ datasets
@@ -198,6 +200,65 @@ def test_malformed_record_reports_file_and_line(tmp_path):
     jsonl.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=r"agents\.jsonl:2"):
         read_dataset(tmp_path)
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    root = tmp_path_factory.mktemp("dataset")
+    write_dataset(small_dataset(), root)
+    return root
+
+
+def copy_of(written, tmp_path):
+    return Path(shutil.copytree(written, tmp_path / "data"))
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("{not json", "Expecting property name"),
+    ('{"t_pred": 12, "frame_dt": 0.4}', "lacks 't_obs'"),
+    ('[8, 12, 0.4]', "list indices must be integers"),
+    ('{"t_obs": 0, "t_pred": 12, "frame_dt": 0.4}', "t_obs must be an integer >= 1, got 0"),
+    ('{"t_obs": 8, "t_pred": 0, "frame_dt": 0.4}', "t_pred must be an integer >= 1, got 0"),
+    ('{"t_obs": 8.5, "t_pred": 12, "frame_dt": 0.4}', "t_obs must be an integer >= 1, got 8.5"),
+    ('{"t_obs": 8, "t_pred": 12, "frame_dt": -0.4}', "frame_dt must be positive and finite"),
+    ('{"t_obs": 8, "t_pred": 12, "frame_dt": NaN}', "frame_dt must be positive and finite"),
+])
+def test_bad_dataset_json_is_named(written, tmp_path, text, problem):
+    data = copy_of(written, tmp_path)
+    (data / "dataset.json").write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{data / 'dataset.json'}: {problem}")):
+        read_dataset(data)
+
+
+@pytest.mark.parametrize("edit, problem", [
+    pytest.param(lambda r: r.update(frames=r["frames"][:-4], intents=[]),
+                 "frames has shape (16, 2), expected (20, 2)", id="short-no-intents"),
+    pytest.param(lambda r: r["frames"][3].__setitem__(0, float("nan")),
+                 "frames contains non-finite values", id="nan"),
+])
+def test_agent_frames_must_span_the_split(written, tmp_path, edit, problem):
+    data = copy_of(written, tmp_path)
+    jsonl = data / "scene_0001" / "agents.jsonl"
+    records = [json.loads(line) for line in jsonl.read_text().splitlines()]
+    edit(records[1])
+    jsonl.write_text("".join(json.dumps(r) + "\n" for r in records))
+    message = f"{jsonl}:2: malformed agent record: {problem}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_dataset(data)
+
+
+def test_split_without_dataset_json_comes_from_the_first_record(written, tmp_path):
+    data = copy_of(written, tmp_path)
+    (data / "dataset.json").unlink()
+    scenes = read_dataset(data)
+    assert {(s.t_obs, s.t_pred) for s in scenes} == {(T_OBS, T_PRED)}
+    jsonl = data / "scene_0000" / "agents.jsonl"
+    records = [json.loads(line) for line in jsonl.read_text().splitlines()]
+    records[0]["intents"] = []
+    jsonl.write_text("".join(json.dumps(r) + "\n" for r in records))
+    with pytest.raises(ValueError, match=re.escape(f"{jsonl}:1: malformed agent record: "
+                                                   "cannot infer t_obs")):
+        read_dataset(data)
 
 
 def test_handwritten_two_agent_fixture(tmp_path):
