@@ -54,6 +54,9 @@ class ArchDescriptor:
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
         if len(self.widths) < 1 or any(w < 1 for w in self.widths):
             raise ValueError("widths must be a non-empty tuple of positive ints")
+        for name in ("kernel_len", "gn_groups", "in_channels", "t_obs", "t_pred", "n_steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.kernel_len % 2 != 1:
             raise ValueError("kernel_len must be odd")
         if self.emb_dim % 2 != 0 or self.emb_dim < 2:

@@ -19,6 +19,7 @@ onto the clean trajectory over future frames (`loss_and_grad`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -123,7 +124,7 @@ class TrainConfig:
     gn_groups: int = 8
     emb_dim: int = 32
     coord_scale: float = 5.0
-    cosine_offset: float = DEFAULT_COSINE_OFFSET
+    cosine_offset: ClassVar[float] = DEFAULT_COSINE_OFFSET  # fixed, as in Improved DDPM
 
 
 def _collect_training_arrays(scenes: list, coord_scale: float):
@@ -174,7 +175,7 @@ def train(scenes: list, config: TrainConfig,
         params = DenoiserParams({k: v.copy() for k, v in init.tensors.items()}, desc)
     else:
         params = init_params(desc, seed=config.seed)
-    schedule = build_cosine_schedule(config.n_steps, config.cosine_offset)
+    schedule = build_cosine_schedule(config.n_steps)
     state = AdamState.for_params(params.tensors)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 555]))
 

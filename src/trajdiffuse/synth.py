@@ -192,28 +192,33 @@ def _dijkstra(grid: np.ndarray, start: tuple, resolution: float):
     8-connected; diagonal moves require both orthogonal neighbors navigable
     so paths cannot cut through blocked corners.
     """
-    h, w = grid.shape
-    dist = np.full((h, w), np.inf)
-    pred = np.full((h, w, 2), -1, dtype=np.intp)
-    dist[start] = 0.0
-    heap = [(0.0, start)]
-    diag = resolution * np.sqrt(2.0)
+    # flat indices into the grid padded with a blocked border: no move needs
+    # a bounds check, and heap ties still break in (row, col) order
+    h, stride = grid.shape[0] + 2, grid.shape[1] + 2
+    free = np.pad(grid.astype(bool), 1).ravel().tolist()
+    dist, pred = [np.inf] * len(free), [-1] * len(free)
+    src = (int(start[0]) + 1) * stride + int(start[1]) + 1
+    dist[src] = 0.0
+    heap = [(0.0, src)]
+    step, diag = float(resolution), float(resolution * np.sqrt(2.0))
+    moves = [(dr * stride + dc, dr * stride, dc)
+             for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))]
     while heap:
-        d, (r, c) = heapq.heappop(heap)
-        if d > dist[r, c]:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
             continue
-        for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)):
-            rr, cc = r + dr, c + dc
-            if not (0 <= rr < h and 0 <= cc < w and grid[rr, cc]):
+        for move, vert, horiz in moves:
+            v = u + move
+            if not free[v] or (vert and horiz and not (free[u + vert] and free[u + horiz])):
                 continue
-            if dr and dc and not (grid[r + dr, c] and grid[r, c + dc]):
-                continue
-            nd = d + (diag if dr and dc else resolution)
-            if nd < dist[rr, cc]:
-                dist[rr, cc] = nd
-                pred[rr, cc] = (r, c)
-                heapq.heappush(heap, (nd, (rr, cc)))
-    return dist, pred
+            nd = d + (diag if vert and horiz else step)
+            if nd < dist[v]:
+                dist[v], pred[v] = nd, u
+                heapq.heappush(heap, (nd, v))
+    pred = np.array(pred).reshape(h, stride)[1:-1, 1:-1]
+    cells = np.stack(np.divmod(pred, stride), axis=-1) - 1
+    cells[pred < 0] = -1
+    return np.array(dist).reshape(h, stride)[1:-1, 1:-1], cells
 
 
 def _walk_back(pred, start, goal):

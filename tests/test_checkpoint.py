@@ -18,6 +18,7 @@ from trajdiffuse.denoiser import (
     load_checkpoint,
     save_checkpoint,
 )
+from trajdiffuse.denoiser.checkpoint import MAGIC, VERSION, _write_section
 from trajdiffuse.schedule import build_cosine_schedule
 
 DESC = ArchDescriptor(
@@ -271,6 +272,33 @@ def test_invalid_descriptor_field_is_reported_with_path(saved, value):
     path.write_bytes(bytes(data))
     with pytest.raises(DescriptorMismatchError, match=re.escape(str(path))):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field, value", [("n_steps", 0), ("t_obs", 0), ("t_obs", -4)])
+def test_non_positive_descriptor_count_is_reported_with_path(tmp_path, field, value):
+    params = init_params(DESC, seed=0)
+    fields = {name: getattr(DESC, name) for name in ("kernel_len", "gn_groups", "emb_dim",
+                                                     "in_channels", "t_obs", "t_pred",
+                                                     "n_steps", "coord_scale")}
+    if field == "t_obs":  # keep the trajectory length, and so every tensor shape
+        fields["t_pred"] += DESC.t_obs - value
+    fields[field] = value
+    vectors = ("alphas", "alpha_bars", "posterior_vars", "loss_weights")
+    if fields["n_steps"]:
+        schedule = build_cosine_schedule(fields["n_steps"])
+        records = [(name, getattr(schedule, name)) for name in vectors]
+    else:
+        records = [(name, np.empty(0)) for name in vectors]
+    path = tmp_path / "bad.ckpt"
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<I", VERSION))
+        _write_section(fh, sorted(params.tensors.items()))
+        _write_section(fh, records)
+        _write_section(fh, [("widths", np.asarray(DESC.widths, dtype=np.float64))]
+                       + [(name, np.asarray(float(v))) for name, v in fields.items()])
+    with pytest.raises(DescriptorMismatchError, match=f"{field} must be at least 1") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
 
 
 def test_schedule_descriptor_step_mismatch_rejected(tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from trajdiffuse.mapguide import ecfl_check
 from trajdiffuse.synth import (
     IntentOracleConfig,
+    _dijkstra,
     generate_dataset,
     generate_environment,
     generate_trajectory,
@@ -66,6 +67,19 @@ def test_connectivity_and_coverage_over_seeds(kind):
         grid = env.nav_grid
         assert flood_fill_count(grid) == grid.sum(), f"{kind} seed {seed} disconnected"
         assert grid.mean() >= 0.20, f"{kind} seed {seed} under-covered"
+
+
+def test_dijkstra_steps_diagonally_only_past_free_corners():
+    grid = np.array([[1, 1, 0, 0],
+                     [1, 1, 0, 1],
+                     [0, 0, 1, 0]], dtype=bool)
+    dist, pred = _dijkstra(grid, (0, 0), 0.5)
+    assert dist[0, 0] == 0.0 and dist[0, 1] == dist[1, 0] == 0.5
+    assert dist[1, 1] == 0.5 * np.sqrt(2.0) and tuple(pred[1, 1]) == (0, 0)
+    # (2, 2) touches (1, 1) only through a blocked corner; (1, 3) is cut off
+    assert np.isinf(dist[2, 2]) and np.isinf(dist[1, 3])
+    assert tuple(pred[2, 2]) == tuple(pred[1, 3]) == (-1, -1)
+    assert pred.shape == (3, 4, 2) and tuple(pred[0, 1]) == (0, 0)
 
 
 def test_environment_size_and_kind_validation():
