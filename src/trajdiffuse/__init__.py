@@ -9,7 +9,7 @@ metric suite (ADE/FDE, KDE-NLL, ECFL, MVE, ACFL) and a CLI.
 
 from .diffusion import ConditionSpec, TrajBatch
 from .estimator import NotFittedError, TrajDiffuse
-from .mapguide import GuidanceConfig, NavEnvironment
+from .mapguide import NavEnvironment
 from .pipeline import PredictionResult, TrainConfig, predict, train
 from .schedule import NoiseSchedule, build_cosine_schedule
 from .synth import IntentOracleConfig, Scene
@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConditionSpec",
-    "GuidanceConfig",
     "IntentOracleConfig",
     "NavEnvironment",
     "NoiseSchedule",

@@ -63,6 +63,14 @@ def _echo_config(args: argparse.Namespace, target: Path) -> None:
     target.write_text(json.dumps(resolved, sort_keys=True, default=str) + "\n")
 
 
+def _check_counts(args: argparse.Namespace, *flags: str) -> None:
+    """Reject a count flag below 1, by name, before any file is touched."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
+
+
 def _agent_seed(base: int, scene_idx: int, agent_id: int) -> int:
     return base * 1_000_003 + scene_idx * 1009 + agent_id
 
@@ -70,6 +78,7 @@ def _agent_seed(base: int, scene_idx: int, agent_id: int) -> int:
 # ------------------------------------------------------------------ gen-data
 
 def cmd_gen_data(args) -> int:
+    _check_counts(args, "--n-scenes", "--agents-per-scene", "--t-obs", "--t-pred", "--k-intents")
     intent_cfg = IntentOracleConfig(
         n_waypoints=args.waypoints, goal_noise_sigma=args.goal_noise,
         diversify=args.diversify,
@@ -91,6 +100,7 @@ def cmd_gen_data(args) -> int:
 # --------------------------------------------------------------------- train
 
 def cmd_train(args) -> int:
+    _check_counts(args, "--epochs", "--batch", "--steps")
     scenes = read_dataset(args.data)
     model = TrajDiffuse(
         n_epochs=args.epochs, batch_size=args.batch, lr=args.lr, n_steps=args.steps,
@@ -119,9 +129,9 @@ def cmd_train(args) -> int:
 # ------------------------------------------------------------------- predict
 
 def cmd_predict(args) -> int:
+    _check_counts(args, "--k", "--grad-steps")
     model = TrajDiffuse.load(args.checkpoint).set_params(guidance_steps=args.grad_steps)
     scenes = read_dataset(args.data)
-    model.guidance_config()  # a bad --grad-steps fails before the first agent
     records = []
     for scene_idx, scene in enumerate(scenes):
         for agent in scene.agents:
@@ -243,8 +253,7 @@ def _eval_one(where, record, scenes, mve_bins):
 
 def cmd_eval(args) -> int:
     check_positive(args.acfl_threshold, "--acfl-threshold")
-    if args.mve_bins < 1:
-        raise ValueError(f"--mve-bins must be >= 1, got {args.mve_bins}")
+    _check_counts(args, "--mve-bins")
     scenes = {s.scene_id: s for s in read_dataset(args.data)}
     records = _load_predictions(args.predictions)
 

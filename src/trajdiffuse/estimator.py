@@ -12,7 +12,7 @@ from __future__ import annotations
 import inspect
 
 from .denoiser import DenoiserParams, load_checkpoint, save_checkpoint
-from .mapguide import GuidanceConfig, NavEnvironment
+from .mapguide import NavEnvironment
 from .pipeline import PredictionResult, TrainConfig, predict, train
 from .schedule import build_cosine_schedule
 
@@ -97,15 +97,14 @@ class TrajDiffuse:
 
     # -------------------------------------------------------------- predict
 
-    def guidance_config(self) -> GuidanceConfig:
-        return GuidanceConfig(n_grad_steps=self.guidance_steps)
-
     def predict(self, observed, intents, env: NavEnvironment | None = None,
                 seed: int = 0, guidance: bool = True) -> PredictionResult:
         """Sample one trajectory per intent for a single agent."""
         self._check_fitted()
+        if guidance and self.guidance_steps < 1:
+            raise ValueError(f"guidance_steps must be >= 1, got {self.guidance_steps}")
         return predict(self.model_params_, self.schedule_, observed, list(intents), env,
-                       seed=seed, guidance_on=guidance, cfg=self.guidance_config())
+                       seed=seed, guidance_steps=self.guidance_steps if guidance else 0)
 
     # ------------------------------------------------------------------ I/O
 

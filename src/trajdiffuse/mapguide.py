@@ -27,23 +27,6 @@ from .validation import as_float_array, check_positive, check_trajectory
 _BIG = 1e15  # finite sentinel; cell distances stay far below, stays exact in f64
 
 
-@dataclass(frozen=True)
-class GuidanceConfig:
-    """Gradient-descent settings for the map guidance."""
-
-    n_grad_steps: int = 10
-    step_scale: float | None = None  # None: one pixel in world units
-
-    def __post_init__(self):
-        if self.n_grad_steps < 1:
-            raise ValueError("n_grad_steps must be >= 1")
-        if self.step_scale is not None:
-            check_positive(self.step_scale, "step_scale")
-
-    def resolved_step(self, resolution: float) -> float:
-        return self.step_scale if self.step_scale is not None else resolution
-
-
 def _envelope_rows(f: np.ndarray) -> np.ndarray:
     """Felzenszwalb-Huttenlocher 1-D squared distance transform of every row of `f`.
 
@@ -163,12 +146,12 @@ class NavEnvironment:
         return self.nav_grid.shape
 
     def world_to_pixel(self, pos) -> np.ndarray:
-        """Continuous pixel coordinates (px, py) = ((x, y) - origin) / resolution."""
-        pos = np.asarray(pos, dtype=np.float64)
-        return (pos - self.origin) / self.resolution
+        """Continuous pixel coordinates (px, py) of a point or a (..., 2) array of points."""
+        return (np.asarray(pos, dtype=np.float64) - self.origin) / self.resolution
 
-    def pixel_to_world(self, row: float, col: float) -> np.ndarray:
-        return self.origin + self.resolution * np.array([col, row], dtype=np.float64)
+    def pixel_to_world(self, row, col) -> np.ndarray:
+        """World (x, y) of pixel centers; row and col may be equal-shape arrays."""
+        return self.origin + self.resolution * np.stack([col, row], axis=-1, dtype=np.float64)
 
     def nearest_pixel(self, pos) -> tuple[int, int]:
         """(row, col) of the nearest pixel center, halves rounded away from zero."""
@@ -186,9 +169,7 @@ class NavEnvironment:
     def navigable_mask_for(self, positions: np.ndarray) -> np.ndarray:
         """Vectorized nearest-pixel navigability; out of bounds counts as blocked."""
         positions = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
-        pix = _round_half_away((positions - self.origin) / self.resolution)
-        cols = pix[:, 0].astype(np.intp)
-        rows = pix[:, 1].astype(np.intp)
+        cols, rows = _round_half_away(self.world_to_pixel(positions)).astype(np.intp).T
         h, w = self.nav_grid.shape
         ok = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
         out = np.zeros(positions.shape[0], dtype=bool)
@@ -228,22 +209,25 @@ def sample_gradient(env: NavEnvironment, pos) -> np.ndarray:
 
 
 def guidance_delta(env: NavEnvironment, traj: np.ndarray, t_obs: int,
-                   cfg: GuidanceConfig = GuidanceConfig()) -> np.ndarray:
+                   n_grad_steps: int) -> np.ndarray:
     """Correction that drags colliding future frames onto navigable ground.
 
-    Frames are processed in time order; each gradient-descent step applied at
-    frame f also shifts every later frame by the same amount (suffix shift),
-    so downstream trajectory shape is preserved. Frames whose nearest cell is
-    already navigable contribute zero steps. Observed frames are untouched.
+    Frames are processed in time order; each takes up to n_grad_steps steps of
+    one pixel (env.resolution) times the negative distance gradient. A step at
+    frame f also shifts every later frame by the same amount (suffix shift), so
+    downstream shape is preserved. Frames whose nearest cell is already
+    navigable take no step; observed frames are untouched.
     """
+    if n_grad_steps < 1:
+        raise ValueError("n_grad_steps must be >= 1")
     traj = check_trajectory(traj)
     t_total = traj.shape[0]
     if not 0 <= t_obs <= t_total:
         raise ValueError(f"t_obs {t_obs} out of range for {t_total} frames")
-    step = cfg.resolved_step(env.resolution)
+    step = env.resolution
     work = traj.copy()
     for f in range(t_obs, t_total):
-        for _ in range(cfg.n_grad_steps):
+        for _ in range(n_grad_steps):
             if env.is_navigable_point(work[f]):
                 break  # this frame's remaining steps are all zero
             work[f:] -= step * sample_gradient(env, work[f])

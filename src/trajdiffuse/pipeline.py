@@ -34,7 +34,7 @@ from .denoiser import (
     forward_with_cache,
     init_params,
 )
-from .mapguide import GuidanceConfig, NavEnvironment, ecfl_check, guidance_delta
+from .mapguide import NavEnvironment, ecfl_check, guidance_delta
 from .schedule import DEFAULT_COSINE_OFFSET, NoiseSchedule, build_cosine_schedule
 from .validation import as_float_array
 
@@ -46,7 +46,7 @@ class PredictionResult:
 
 
 def _validate_request(observed, intents: list, env: NavEnvironment | None,
-                      guidance_on: bool, desc: ArchDescriptor) -> np.ndarray:
+                      guidance_steps: int, desc: ArchDescriptor) -> np.ndarray:
     observed = as_float_array(observed, "observed", shape=(desc.t_obs, 2))
     if not intents:
         raise ValueError("request carries no intents")
@@ -58,19 +58,22 @@ def _validate_request(observed, intents: list, env: NavEnvironment | None,
             raise ValueError("all intents must share one clamp-frame layout")
         if not np.array_equal(spec.values[: desc.t_obs], observed):
             raise ValueError("intent history does not match the observed trajectory")
-    if guidance_on and env is None:
+    if guidance_steps < 0:
+        raise ValueError(f"guidance_steps must be >= 0, got {guidance_steps}")
+    if guidance_steps and env is None:
         raise ValueError("guidance requires an environment")
     return observed
 
 
 def predict(params: DenoiserParams, schedule: NoiseSchedule, observed, intents: list,
-            env: NavEnvironment | None = None, *, seed: int = 0, guidance_on: bool = True,
-            cfg: GuidanceConfig = GuidanceConfig()) -> PredictionResult:
+            env: NavEnvironment | None = None, *, seed: int = 0,
+            guidance_steps: int) -> PredictionResult:
     """Sample one trajectory per intent through the guided denoising chain.
 
     `observed` is the agent's (t_obs, 2) history in world meters and
     `intents` its K ConditionSpec, all with one clamp-frame layout. Sample j
-    draws its noise from SeedSequence([seed, j]). Guidance needs `env`;
+    draws its noise from SeedSequence([seed, j]). Guidance takes
+    `guidance_steps` one-pixel steps per frame (0: none) and needs `env`;
     without one, the returned per-sample ECFL flags are None.
     """
     desc = params.arch
@@ -78,7 +81,7 @@ def predict(params: DenoiserParams, schedule: NoiseSchedule, observed, intents: 
         raise ValueError("model parameters contain non-finite values (untrained or corrupt)")
     if schedule.n_steps != desc.n_steps:
         raise ValueError("schedule does not match the model descriptor")
-    observed = _validate_request(observed, intents, env, guidance_on, desc)
+    observed = _validate_request(observed, intents, env, guidance_steps, desc)
 
     t_obs, t_total = desc.t_obs, desc.traj_len
     k = len(intents)
@@ -95,10 +98,10 @@ def predict(params: DenoiserParams, schedule: NoiseSchedule, observed, intents: 
         x0_pred, _ = forward_with_cache(params, tau, i)
         noise = np.stack([rng.standard_normal((t_total, 2)) for rng in streams])
         tau = reverse_step(tau, x0_pred, i, schedule, noise)
-        if guidance_on:
+        if guidance_steps > 0:
             world = tau * scale + center
             for j in range(k):
-                world[j] += guidance_delta(env, world[j], t_obs, cfg)
+                world[j] += guidance_delta(env, world[j], t_obs, guidance_steps)
             tau = (world - center) / scale
         tau = clamp_frames_batch(tau, frames, values_std)
 

@@ -264,8 +264,8 @@ def generate_trajectory(env: NavEnvironment, t_total: int, frame_dt: float,
             failures += 1
             continue
         goal = tuple(candidates[rng.integers(len(candidates))])
-        cells = _walk_back(pred, start, goal)
-        points = np.array([env.pixel_to_world(r, c) for r, c in cells])
+        cells = np.array(_walk_back(pred, start, goal))
+        points = env.pixel_to_world(cells[:, 0], cells[:, 1])
         base = _moving_average3(
             _resample_by_arclength(points, np.arange(t_total) * frame_dt * speed)
         )
@@ -293,9 +293,7 @@ def _project_to_navigable(env: NavEnvironment, pos: np.ndarray) -> np.ndarray | 
     cells = np.argwhere(window)
     if cells.size == 0:
         return None
-    centers = env.origin + env.resolution * np.column_stack(
-        [cells[:, 1] + c_lo, cells[:, 0] + r_lo]
-    )
+    centers = env.pixel_to_world(cells[:, 0] + r_lo, cells[:, 1] + c_lo)
     j = int(np.argmin(np.linalg.norm(centers - pos, axis=1)))
     return centers[j]
 
@@ -440,6 +438,7 @@ def read_dataset(data_dir) -> list:
     for sdir in scene_dirs:
         env = load_environment(sdir / "map.pgm", sdir / "map.json")
         agents = []
+        first_line = {}  # agent_id -> line of its record
         jsonl = sdir / "agents.jsonl"
         with open(jsonl) as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -459,9 +458,13 @@ def read_dataset(data_dir) -> list:
                         ConditionSpec(spec["frames"], spec["values"], t_obs=t_obs, t_pred=t_pred)
                         for spec in record["intents"]
                     ]
-                    agents.append(
-                        AgentTrack(int(record["agent_id"]), traj, intents)
-                    )
+                    agent_id = record["agent_id"]
+                    if isinstance(agent_id, bool) or not isinstance(agent_id, int):
+                        raise ValueError(f"agent_id {agent_id!r} is not an integer")
+                    first = first_line.setdefault(agent_id, lineno)
+                    if first != lineno:
+                        raise ValueError(f"agent_id {agent_id} repeats the record on line {first}")
+                    agents.append(AgentTrack(agent_id, traj, intents))
                 except (KeyError, ValueError, TypeError) as exc:
                     raise ValueError(f"{jsonl}:{lineno}: malformed agent record: {exc}") from exc
         read.append((sdir.name, env, agents))

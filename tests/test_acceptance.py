@@ -36,7 +36,7 @@ from trajdiffuse.diffusion import (
     posterior_mean,
     reverse_step,
 )
-from trajdiffuse.mapguide import GuidanceConfig, distance_transform
+from trajdiffuse.mapguide import distance_transform
 from trajdiffuse.metrics import acfl, ade_fde, ecfl, kde_nll, mve
 from trajdiffuse.pipeline import TrainConfig, predict, train
 from trajdiffuse.schedule import build_cosine_schedule
@@ -78,8 +78,8 @@ def toy_run():
         for agent in scene.agents:
             args = (params, schedule, agent.trajectory[:T_OBS], agent.intents, scene.env)
             seed = 1000 + si * 31 + agent.agent_id
-            guided.append((scene, agent, predict(*args, seed=seed, guidance_on=True)))
-            unguided.append((scene, agent, predict(*args, seed=seed, guidance_on=False)))
+            guided.append((scene, agent, predict(*args, seed=seed, guidance_steps=10)))
+            unguided.append((scene, agent, predict(*args, seed=seed, guidance_steps=0)))
     wall = time.perf_counter() - wall_start
     return {
         "params": params,
@@ -392,7 +392,7 @@ def test_a8_step_count_sanity_and_linear_cost(toy_run):
         for si, scene in enumerate(scenes):
             for agent in scene.agents:
                 predict(params, schedule, agent.trajectory[:T_OBS], agent.intents, scene.env,
-                        seed=si, guidance_on=True)
+                        seed=si, guidance_steps=10)
         return time.perf_counter() - start
 
     run_once(20)  # warm caches before timing

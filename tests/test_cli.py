@@ -221,7 +221,7 @@ def test_predict_rejects_bad_grad_steps_before_sampling(workspace, tmp_path, cap
         "--out", out, "--k", 3, "--grad-steps", 0,
     )
     assert code == 1
-    assert "n_grad_steps must be >= 1" in capsys.readouterr().err
+    assert "--grad-steps must be >= 1, got 0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -376,6 +376,28 @@ def test_eval_rejects_bad_settings_before_reading(tmp_path, capsys, flag, value,
             "--out", tmp_path / "m.json", flag, value]
     _assert_rejected(argv, message, capsys)
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("predict", "--k", -1),
+    ("predict", "--k", 0),
+    ("train", "--epochs", 0),
+    ("train", "--batch", 0),
+    ("train", "--steps", 0),
+    ("gen-data", "--n-scenes", 0),
+    ("gen-data", "--t-obs", 0),
+])
+def test_count_flags_below_one_are_rejected_before_reading(tmp_path, capsys, command, flag,
+                                                           value):
+    missing, out = tmp_path / "missing", tmp_path / "out"
+    inputs = {
+        "predict": ["--checkpoint", missing / "model.ckpt", "--data", missing],
+        "train": ["--data", missing],
+        "gen-data": [],
+    }[command]
+    argv = [command, *inputs, "--out", out, flag, value]
+    _assert_rejected(argv, f"{flag} must be >= 1, got {value}", capsys)
+    assert not out.exists()
 
 
 def test_render_checks_records_like_eval(workspace, tmp_path, capsys):

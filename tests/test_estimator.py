@@ -49,6 +49,19 @@ def test_fit_predict_cycle():
     )
 
 
+def test_guided_predict_needs_a_descent_step():
+    scenes = tiny_scenes()
+    model = tiny_model(guidance_steps=0).fit(scenes)
+    agent = scenes[0].agents[0]
+    args = (agent.trajectory[:T_OBS], agent.intents)
+    with pytest.raises(ValueError, match="guidance_steps must be >= 1, got 0"):
+        model.predict(*args, env=scenes[0].env, seed=3)
+    unguided = model.predict(*args, env=scenes[0].env, seed=3, guidance=False)
+    expected = model.set_params(guidance_steps=10).predict(
+        *args, env=scenes[0].env, seed=3, guidance=False)
+    np.testing.assert_array_equal(unguided.trajectories.samples, expected.trajectories.samples)
+
+
 def test_save_load_round_trip(tmp_path):
     scenes = tiny_scenes()
     model = tiny_model().fit(scenes)

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajdiffuse.mapguide import (
-    GuidanceConfig,
     NavEnvironment,
     distance_transform,
     ecfl_check,
@@ -31,7 +30,7 @@ def half_plane_env(width=20, height=5, res=1.0):
     """Navigable where x < 0; cell boundary exactly at x = 0."""
     grid = np.zeros((height, width), dtype=bool)
     grid[:, : width // 2] = True
-    origin = (-(width // 2) + 0.5, -(height // 2) * res)
+    origin = ((-(width // 2) + 0.5) * res, -(height // 2) * res)
     return NavEnvironment.from_grid(grid, res, origin)
 
 
@@ -148,6 +147,19 @@ def test_gradient_zero_strictly_inside_navigable():
     np.testing.assert_array_equal(env.grad_field[5:7, 5:7], np.zeros((2, 2, 2)))
 
 
+# ------------------------------------------------------------ grid convention
+
+def test_pixel_world_transforms_take_arrays_of_points():
+    env = NavEnvironment.from_grid(np.ones((4, 5), dtype=bool), 0.5, origin=(-1.0, 2.0))
+    rows, cols = np.array([0, 3, 2]), np.array([4, 0, 1])
+    points = env.pixel_to_world(rows, cols)
+    assert points.shape == (3, 2)
+    for point, row, col in zip(points, rows, cols):
+        np.testing.assert_array_equal(point, env.pixel_to_world(row, col))
+        np.testing.assert_array_equal(point, env.origin + 0.5 * np.array([col, row]))
+    np.testing.assert_array_equal(env.world_to_pixel(points), np.column_stack([cols, rows]))
+
+
 # ------------------------------------------------------------ sample_gradient
 
 def test_sample_gradient_at_pixel_center():
@@ -200,17 +212,24 @@ def test_sample_gradient_out_of_bounds_points_outward():
 def test_guidance_noop_on_navigable_trajectory():
     env = half_plane_env()
     traj = np.column_stack([np.linspace(-8, -1, 10), np.zeros(10)])
-    delta = guidance_delta(env, traj, t_obs=3)
+    delta = guidance_delta(env, traj, t_obs=3, n_grad_steps=10)
     np.testing.assert_array_equal(delta, np.zeros_like(traj))
 
 
-def test_half_plane_descent_matches_scalar_oracle():
+@pytest.mark.parametrize("n_grad_steps", [0, -1])
+def test_guidance_rejects_fewer_than_one_step(n_grad_steps):
     env = half_plane_env()
+    traj = np.array([[-2.0, 0.0], [3.0, 0.0]])
+    with pytest.raises(ValueError, match="n_grad_steps must be >= 1"):
+        guidance_delta(env, traj, 1, n_grad_steps)
+
+
+def test_half_plane_descent_matches_scalar_oracle():
     kg, s = 10, 0.1
-    cfg = GuidanceConfig(n_grad_steps=kg, step_scale=s)
+    env = half_plane_env(res=s)  # one descent step is one pixel
     x0 = 0.6 * kg * s
     traj = np.array([[-2.0, 0.0], [x0, 0.0]])
-    delta = guidance_delta(env, traj, t_obs=1, cfg=cfg)
+    delta = guidance_delta(env, traj, t_obs=1, n_grad_steps=kg)
 
     # closed-form 1-D descent on the ramp: grad is 0.5..1 across the boundary
     # cell, 1 beyond it (in pixel coordinates the navigable half ends at 9.5)
@@ -223,7 +242,7 @@ def test_half_plane_descent_matches_scalar_oracle():
 
     x = x0
     for _ in range(kg):
-        px = x + 9.5
+        px = x / s + 9.5
         if round(px) <= 9:  # nearest cell navigable: descent stops
             break
         x -= s * ramp_grad(px)
@@ -235,10 +254,9 @@ def test_half_plane_descent_matches_scalar_oracle():
 
 
 def test_suffix_shift_two_future_frames():
-    env = half_plane_env()
-    cfg = GuidanceConfig(n_grad_steps=10, step_scale=0.1)
+    env = half_plane_env(width=200, res=0.1)  # spans x in [-10, 10], as at res 1
     traj = np.array([[-3.0, 0.0], [0.8, 0.0], [-5.0, 0.0]])
-    delta = guidance_delta(env, traj, t_obs=1, cfg=cfg)
+    delta = guidance_delta(env, traj, t_obs=1, n_grad_steps=10)
     assert delta[1, 0] < 0  # first future frame was off-map and got corrected
     # second frame receives exactly the shift (equal up to addition rounding)
     np.testing.assert_allclose(delta[1], delta[2], rtol=0, atol=1e-12)
@@ -251,21 +269,21 @@ def test_suffix_shift_structure_replay():
     rng = np.random.default_rng(4)
     grid = rng.random((16, 16)) < 0.55
     grid[6:10, 6:10] = True
-    env = NavEnvironment.from_grid(grid, 0.5, origin=(0.0, 0.0))
-    cfg = GuidanceConfig(n_grad_steps=5, step_scale=0.2)
-    traj = rng.uniform(0.0, 7.5, size=(8, 2))
+    kg, s = 5, 0.2
+    env = NavEnvironment.from_grid(grid, s, origin=(0.0, 0.0))
+    traj = rng.uniform(0.0, 15 * s, size=(8, 2))
     t_obs = 2
-    delta = guidance_delta(env, traj, t_obs, cfg)
+    delta = guidance_delta(env, traj, t_obs, kg)
 
     work = traj.copy()
     own = np.zeros_like(traj)
     for f in range(t_obs, traj.shape[0]):
-        for _ in range(cfg.n_grad_steps):
+        for _ in range(kg):
             if env.is_navigable_point(work[f]):
                 break
             d = -sample_gradient(env, work[f])
-            own[f] += cfg.step_scale * d
-            work[f:] += cfg.step_scale * d
+            own[f] += s * d
+            work[f:] += s * d
     np.testing.assert_allclose(delta, np.cumsum(own, axis=0), atol=1e-12)
     np.testing.assert_array_equal(delta[:t_obs], np.zeros((t_obs, 2)))
 
@@ -274,25 +292,25 @@ def test_offgrid_descent_matches_center_rule_byte_for_byte():
     # a frame far outside the grid walks toward the grid center until it is
     # inside, then down the interpolated field; replay that rule with the
     # off-grid direction written out, and require the same bits
-    env = half_plane_env()
-    cfg = GuidanceConfig(n_grad_steps=40, step_scale=0.5)
+    kg, s = 40, 0.5
+    env = half_plane_env(res=s)
     traj = np.array([[-3.0, 0.0], [14.0, 6.5], [15.0, 7.0]])
-    delta = guidance_delta(env, traj, t_obs=1, cfg=cfg)
+    delta = guidance_delta(env, traj, t_obs=1, n_grad_steps=kg)
 
     h, w = env.shape
     center = env.pixel_to_world((h - 1) / 2.0, (w - 1) / 2.0)
     work = traj.copy()
     outside = 0
     for f in range(1, traj.shape[0]):
-        for _ in range(cfg.n_grad_steps):
+        for _ in range(kg):
             if env.is_navigable_point(work[f]):
                 break
             px, py = env.world_to_pixel(work[f])
             if 0.0 <= px <= w - 1 and 0.0 <= py <= h - 1:
-                work[f:] += cfg.step_scale * -sample_gradient(env, work[f])
+                work[f:] += s * -sample_gradient(env, work[f])
             else:
                 toward = center - work[f]
-                work[f:] += cfg.step_scale * (toward / np.linalg.norm(toward))
+                work[f:] += s * (toward / np.linalg.norm(toward))
                 outside += 1
     assert outside >= 3  # the frame started well outside the grid
     assert env.is_navigable_point(traj[1] + delta[1])
@@ -300,10 +318,10 @@ def test_offgrid_descent_matches_center_rule_byte_for_byte():
 
 
 def test_monotone_improvement_on_half_plane():
-    env = half_plane_env()
+    env = half_plane_env(width=100, height=25, res=0.2)  # the res-1 extent
     rng = np.random.default_rng(5)
     traj = np.column_stack([rng.uniform(-4, 6, size=12), rng.uniform(-1.5, 1.5, size=12)])
-    delta = guidance_delta(env, traj, t_obs=0, cfg=GuidanceConfig(n_grad_steps=10, step_scale=0.2))
+    delta = guidance_delta(env, traj, t_obs=0, n_grad_steps=10)
     after = traj + delta
 
     def dist_at(pos):

@@ -3,7 +3,7 @@ import pytest
 
 from trajdiffuse.denoiser import ArchDescriptor, forward_with_cache, init_params
 from trajdiffuse.diffusion import ConditionSpec
-from trajdiffuse.mapguide import GuidanceConfig, NavEnvironment
+from trajdiffuse.mapguide import NavEnvironment, ecfl_check
 from trajdiffuse.pipeline import TrainConfig, predict, train
 from trajdiffuse.schedule import build_cosine_schedule
 from trajdiffuse.synth import AgentTrack, Scene
@@ -58,7 +58,7 @@ def make_request(scenes, seed=0, guidance=True, k=3):
     intents = agent.intents * k if len(agent.intents) == 1 else agent.intents[:k]
     return dict(
         observed=agent.trajectory[:T_OBS], intents=list(intents),
-        env=scenes[0].env, seed=seed, guidance_on=guidance,
+        env=scenes[0].env, seed=seed, guidance_steps=10 if guidance else 0,
     )
 
 
@@ -122,12 +122,27 @@ def test_predict_validation_errors(fitted):
     bad["observed"] = bad["observed"] + 1.0
     with pytest.raises(ValueError, match="history does not match"):
         predict(params, sched, **bad)
+    bad = make_request(scenes)
+    bad["guidance_steps"] = -1
+    with pytest.raises(ValueError, match="guidance_steps must be >= 0, got -1"):
+        predict(params, sched, **bad)
     nan_params = type(params)(
         {k: v.copy() for k, v in params.tensors.items()}, params.arch
     )
     nan_params.tensors["out.w"][0, 0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         predict(nan_params, sched, **make_request(scenes))
+
+
+def test_unguided_predict_flags_samples_and_needs_no_environment(fitted):
+    scenes, params, sched = fitted
+    req = make_request(scenes, guidance=False, k=3)
+    with_env = predict(params, sched, **req)
+    flags = ecfl_check(req["env"], with_env.trajectories.samples, T_OBS)
+    np.testing.assert_array_equal(with_env.per_sample_ecfl, flags)
+    without = predict(params, sched, **{**req, "env": None})
+    assert without.per_sample_ecfl is None
+    np.testing.assert_array_equal(without.trajectories.samples, with_env.trajectories.samples)
 
 
 def test_unguided_predict_matches_ddpm_oracle():

@@ -261,6 +261,24 @@ def test_agent_frames_must_span_the_split(written, tmp_path, edit, problem):
         read_dataset(data)
 
 
+@pytest.mark.parametrize("agent_id, problem", [
+    pytest.param(0, "agent_id 0 repeats the record on line 1", id="repeated"),
+    pytest.param(1.7, "agent_id 1.7 is not an integer", id="float"),
+    pytest.param("1", "agent_id '1' is not an integer", id="string"),
+    pytest.param(True, "agent_id True is not an integer", id="bool"),
+])
+def test_agent_id_is_a_unique_integer(written, tmp_path, agent_id, problem):
+    data = copy_of(written, tmp_path)
+    jsonl = data / "scene_0001" / "agents.jsonl"
+    records = [json.loads(line) for line in jsonl.read_text().splitlines()]
+    assert records[0]["agent_id"] == 0
+    records[1]["agent_id"] = agent_id
+    jsonl.write_text("".join(json.dumps(r) + "\n" for r in records))
+    message = f"{jsonl}:2: malformed agent record: {problem}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_dataset(data)
+
+
 def test_split_without_dataset_json_comes_from_the_first_record(written, tmp_path):
     data = copy_of(written, tmp_path)
     (data / "dataset.json").unlink()
