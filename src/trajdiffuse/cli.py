@@ -71,6 +71,18 @@ def _check_counts(args: argparse.Namespace, *flags: str) -> None:
             raise ValueError(f"{flag} must be >= 1, got {value}")
 
 
+def _check_gen_data_floats(args: argparse.Namespace) -> None:
+    """Reject gen-data's float flags outside their ranges, by name, before any file is touched."""
+    for flag in ("--dt", "--resolution", "--speed-min", "--speed-max"):
+        check_positive(getattr(args, flag[2:].replace("-", "_")), flag)
+    if args.speed_min > args.speed_max:
+        raise ValueError(
+            f"--speed-min must be <= --speed-max, got {args.speed_min} > {args.speed_max}"
+        )
+    if not 0 <= args.goal_noise < np.inf:
+        raise ValueError(f"--goal-noise must be >= 0 and finite, got {args.goal_noise}")
+
+
 def _agent_seed(base: int, scene_idx: int, agent_id: int) -> int:
     return base * 1_000_003 + scene_idx * 1009 + agent_id
 
@@ -79,6 +91,7 @@ def _agent_seed(base: int, scene_idx: int, agent_id: int) -> int:
 
 def cmd_gen_data(args) -> int:
     _check_counts(args, "--n-scenes", "--agents-per-scene", "--t-obs", "--t-pred", "--k-intents")
+    _check_gen_data_floats(args)
     intent_cfg = IntentOracleConfig(
         n_waypoints=args.waypoints, goal_noise_sigma=args.goal_noise,
         diversify=args.diversify,
@@ -174,14 +187,15 @@ def _load_predictions(path) -> list:
     each (scene_id, agent_id) may appear once."""
     records = []
     first_seen = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             where = f"{path}:{lineno}"
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # not UTF-8 or not JSON
                 raise ValueError(f"{where}: malformed prediction record: {exc}") from exc
             if not isinstance(record, dict):
                 raise ValueError(f"{where}: prediction record is not a JSON object")
@@ -222,7 +236,7 @@ def _resolve_record(scene, where, record):
     expected = f"(K >= 1, {t_len}, 2)"
     try:
         samples = np.asarray(record["trajectories"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{where}: trajectories is not a {expected} array: {exc}") from exc
     if samples.ndim != 3 or len(samples) < 1 or samples.shape[1:] != (t_len, 2):
         raise ValueError(f"{where}: trajectories has shape {samples.shape}, expected {expected}")

@@ -164,8 +164,9 @@ def param_specs(desc: ArchDescriptor):
 def init_params(desc: ArchDescriptor, seed: int = 0) -> DenoiserParams:
     """Seeded parameter initialization.
 
-    Values are rounded through float32 so a freshly initialized model
-    round-trips bit-exactly through the float32 checkpoint format.
+    Values are rounded through float32. Version-1 checkpoints stored float32,
+    and the rounding keeps every seed's initial values, and so every model
+    trained from them, what they were then.
     """
     rng = np.random.default_rng(seed)
     tensors = {}

@@ -88,7 +88,6 @@ class TrajDiffuse:
             coord_scale=self.coord_scale,
         )
         self.model_params_, self.training_log_ = train(scenes, config, init=init)
-        self.schedule_ = build_cosine_schedule(self.n_steps)
         return self
 
     def _check_fitted(self):
@@ -103,24 +102,24 @@ class TrajDiffuse:
         self._check_fitted()
         if guidance and self.guidance_steps < 1:
             raise ValueError(f"guidance_steps must be >= 1, got {self.guidance_steps}")
-        return predict(self.model_params_, self.schedule_, observed, list(intents), env,
+        return predict(self.model_params_, observed, list(intents), env,
                        seed=seed, guidance_steps=self.guidance_steps if guidance else 0)
 
     # ------------------------------------------------------------------ I/O
 
     def save(self, path) -> None:
         self._check_fitted()
-        save_checkpoint(self.model_params_, self.schedule_, path)
+        params = self.model_params_
+        save_checkpoint(params, build_cosine_schedule(params.arch.n_steps), path)
 
     @classmethod
     def load(cls, path) -> "TrajDiffuse":
-        params, schedule = load_checkpoint(path)
+        params = load_checkpoint(path)
         desc = params.arch
         model = cls(
             n_steps=desc.n_steps, widths=desc.widths, kernel_len=desc.kernel_len,
             gn_groups=desc.gn_groups, emb_dim=desc.emb_dim, coord_scale=desc.coord_scale,
         )
         model.model_params_ = params
-        model.schedule_ = schedule
         model.training_log_ = []
         return model

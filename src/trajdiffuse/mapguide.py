@@ -316,6 +316,10 @@ def load_environment(pgm_path, json_path) -> NavEnvironment:
         origin = as_float_array([meta["origin_x_m"], meta["origin_y_m"]], "origin")
     except KeyError as exc:
         raise ValueError(f"{json_path}: map metadata lacks {exc}") from exc
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ValueError(f"{json_path}: bad map metadata: {exc}") from exc
-    return NavEnvironment.from_grid(read_pgm(pgm_path), resolution=resolution, origin=origin)
+    nav_grid = read_pgm(pgm_path)
+    try:
+        return NavEnvironment.from_grid(nav_grid, resolution=resolution, origin=origin)
+    except ValueError as exc:  # e.g. no navigable pixel
+        raise ValueError(f"{pgm_path}: {exc}") from exc

@@ -35,7 +35,7 @@ from .denoiser import (
     init_params,
 )
 from .mapguide import NavEnvironment, ecfl_check, guidance_delta
-from .schedule import DEFAULT_COSINE_OFFSET, NoiseSchedule, build_cosine_schedule
+from .schedule import DEFAULT_COSINE_OFFSET, build_cosine_schedule
 from .validation import as_float_array
 
 
@@ -65,23 +65,23 @@ def _validate_request(observed, intents: list, env: NavEnvironment | None,
     return observed
 
 
-def predict(params: DenoiserParams, schedule: NoiseSchedule, observed, intents: list,
+def predict(params: DenoiserParams, observed, intents: list,
             env: NavEnvironment | None = None, *, seed: int = 0,
             guidance_steps: int) -> PredictionResult:
     """Sample one trajectory per intent through the guided denoising chain.
 
     `observed` is the agent's (t_obs, 2) history in world meters and
-    `intents` its K ConditionSpec, all with one clamp-frame layout. Sample j
-    draws its noise from SeedSequence([seed, j]). Guidance takes
-    `guidance_steps` one-pixel steps per frame (0: none) and needs `env`;
-    without one, the returned per-sample ECFL flags are None.
+    `intents` its K ConditionSpec, all with one clamp-frame layout. The chain
+    runs the cosine schedule of the model's n_steps. Sample j draws its noise
+    from SeedSequence([seed, j]). Guidance takes `guidance_steps` one-pixel
+    steps per frame (0: none) and needs `env`; without one, the returned
+    per-sample ECFL flags are None.
     """
     desc = params.arch
     if not params.all_finite():
         raise ValueError("model parameters contain non-finite values (untrained or corrupt)")
-    if schedule.n_steps != desc.n_steps:
-        raise ValueError("schedule does not match the model descriptor")
     observed = _validate_request(observed, intents, env, guidance_steps, desc)
+    schedule = build_cosine_schedule(desc.n_steps)
 
     t_obs, t_total = desc.t_obs, desc.traj_len
     k = len(intents)

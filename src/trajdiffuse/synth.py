@@ -417,7 +417,7 @@ def _read_split(meta_path: Path) -> tuple:
                 raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
     except KeyError as exc:
         raise ValueError(f"{meta_path}: lacks {exc}") from exc
-    except (TypeError, ValueError) as exc:  # not JSON, not an object, or a bad value
+    except (TypeError, ValueError, OverflowError) as exc:  # not JSON, not an object, or a bad value
         raise ValueError(f"{meta_path}: {exc}") from exc
     return t_obs, t_pred, frame_dt
 
@@ -440,11 +440,12 @@ def read_dataset(data_dir) -> list:
         agents = []
         first_line = {}  # agent_id -> line of its record
         jsonl = sdir / "agents.jsonl"
-        with open(jsonl) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
+        with open(jsonl, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
                 try:
+                    line = raw.decode("utf-8")
+                    if not line.strip():
+                        continue
                     record = json.loads(line)
                     if split is None:  # no dataset.json: t_obs is the clamped prefix
                         if not record["intents"]:
@@ -465,7 +466,7 @@ def read_dataset(data_dir) -> list:
                     if first != lineno:
                         raise ValueError(f"agent_id {agent_id} repeats the record on line {first}")
                     agents.append(AgentTrack(agent_id, traj, intents))
-                except (KeyError, ValueError, TypeError) as exc:
+                except (LookupError, ValueError, TypeError, OverflowError, RecursionError) as exc:
                     raise ValueError(f"{jsonl}:{lineno}: malformed agent record: {exc}") from exc
         read.append((sdir.name, env, agents))
     t_obs, t_pred, frame_dt = split if split is not None else (0, 0, 0.4)

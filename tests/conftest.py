@@ -1,5 +1,12 @@
 import sys
 
+from hypothesis import settings
+
+# CI runs with --hypothesis-profile=ci: a fixed example sequence, and the
+# blob that replays a failure locally (@reproduce_failure). Local runs keep
+# hypothesis's default, randomized profile.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+
 
 def pytest_runtest_logreport(report):
     """One visible pass/fail line per acceptance criterion."""

@@ -76,7 +76,7 @@ def toy_run():
     unguided = []
     for si, scene in enumerate(test_scenes):
         for agent in scene.agents:
-            args = (params, schedule, agent.trajectory[:T_OBS], agent.intents, scene.env)
+            args = (params, agent.trajectory[:T_OBS], agent.intents, scene.env)
             seed = 1000 + si * 31 + agent.agent_id
             guided.append((scene, agent, predict(*args, seed=seed, guidance_steps=10)))
             unguided.append((scene, agent, predict(*args, seed=seed, guidance_steps=0)))
@@ -387,11 +387,10 @@ def test_a8_step_count_sanity_and_linear_cost(toy_run):
     def run_once(n_steps):
         desc = replace(toy_run["params"].arch, n_steps=n_steps)
         params = DenoiserParams(tensors, desc)
-        schedule = build_cosine_schedule(n_steps)
         start = time.perf_counter()
         for si, scene in enumerate(scenes):
             for agent in scene.agents:
-                predict(params, schedule, agent.trajectory[:T_OBS], agent.intents, scene.env,
+                predict(params, agent.trajectory[:T_OBS], agent.intents, scene.env,
                         seed=si, guidance_steps=10)
         return time.perf_counter() - start
 

@@ -1,6 +1,8 @@
 import math
 import re
+import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,10 @@ DESC = ArchDescriptor(
     widths=(4, 6), kernel_len=3, gn_groups=2, emb_dim=4,
     t_obs=4, t_pred=4, n_steps=8, coord_scale=2.5,
 )
+# A version-1 file (float32 values, with a schedule section) of
+# init_params(DESC, seed=0) with every tensor divided by 3, as the
+# version-1 writer saved it.
+V1_FIXTURE = Path(__file__).parent / "data" / "v1-tiny.ckpt"
 
 
 def f32(x):
@@ -40,25 +46,81 @@ def saved(tmp_path):
     return params, schedule, path
 
 
+@pytest.fixture()
+def v1(tmp_path):
+    path = tmp_path / "v1.ckpt"
+    shutil.copy(V1_FIXTURE, path)
+    return path
+
+
+def thirds():
+    params = init_params(DESC, seed=0)
+    params.tensors = {name: t / 3.0 for name, t in params.tensors.items()}
+    return params
+
+
 def test_round_trip_is_bit_exact_for_representable_tensors(saved):
     params, schedule, path = saved
-    loaded, loaded_sched = load_checkpoint(path)
+    loaded = load_checkpoint(path)
     assert set(loaded.tensors) == set(params.tensors)
     for name, t in params.tensors.items():
         np.testing.assert_array_equal(loaded.tensors[name], t)
     assert loaded.arch == params.arch
-    # schedule vectors come back at f32 precision
-    np.testing.assert_array_equal(loaded_sched.alphas, f32(schedule.alphas))
-    np.testing.assert_array_equal(loaded_sched.alpha_bars, f32(schedule.alpha_bars))
-    assert loaded_sched.posterior_vars[0] == 0.0
 
 
 def test_save_load_save_is_byte_stable(saved, tmp_path):
     params, schedule, path = saved
-    loaded, loaded_sched = load_checkpoint(path)
+    loaded = load_checkpoint(path)
     path2 = tmp_path / "again.ckpt"
-    save_checkpoint(loaded, loaded_sched, path2)
+    save_checkpoint(loaded, schedule, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_float64_tensors_round_trip_exactly_and_byte_stably(tmp_path):
+    # tensors off the float32 grid, as training leaves them
+    params = thirds()
+    assert any(not np.array_equal(f32(t), t) for t in params.tensors.values())
+    schedule = build_cosine_schedule(DESC.n_steps)
+    first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    save_checkpoint(params, schedule, first)
+    loaded = load_checkpoint(first)
+    for name, t in params.tensors.items():
+        np.testing.assert_array_equal(loaded.tensors[name], t)
+    save_checkpoint(loaded, schedule, second)
+    assert first.read_bytes() == second.read_bytes()
+    assert first.read_bytes()[4:8] == struct.pack("<I", VERSION) == struct.pack("<I", 2)
+
+
+def test_version1_file_loads_to_its_float32_values(v1, tmp_path):
+    loaded = load_checkpoint(v1)
+    assert loaded.arch == DESC
+    want = thirds().tensors
+    assert set(loaded.tensors) == set(want)
+    for name, t in want.items():
+        np.testing.assert_array_equal(loaded.tensors[name], f32(t))
+    # saved again it becomes version 2, with the same values
+    again = tmp_path / "again.ckpt"
+    save_checkpoint(loaded, build_cosine_schedule(DESC.n_steps), again)
+    for name, t in load_checkpoint(again).tensors.items():
+        np.testing.assert_array_equal(t, loaded.tensors[name])
+
+
+def test_version1_file_of_another_schedule_is_rejected(v1):
+    # a file trained under a different cosine offset: only its alphas tell
+    for i, alpha in enumerate(build_cosine_schedule(DESC.n_steps, 0.02).alphas):
+        _patch_vector(v1, "alphas", i, alpha)
+    with pytest.raises(DescriptorMismatchError,
+                       match="stored schedule alphas are not build_cosine_schedule") as info:
+        load_checkpoint(v1)
+    assert str(v1) in str(info.value)
+
+
+def test_version1_derived_schedule_vectors_are_dropped(v1):
+    before = load_checkpoint(v1)
+    _patch_vector(v1, "loss_weights", 4, float("nan"))
+    after = load_checkpoint(v1)
+    for name, t in before.tensors.items():
+        np.testing.assert_array_equal(after.tensors[name], t)
 
 
 def test_truncated_file_reports_truncation(saved):
@@ -70,7 +132,7 @@ def test_truncated_file_reports_truncation(saved):
 
 
 def _entry_offset(data, field, index):
-    """Byte offset of entry `index` of the rank-1 record `field`."""
+    """Byte offset of entry `index` of the rank-1 float32 record `field` (version 1)."""
     name = field.encode()
     header = struct.pack("<I", len(name)) + name
     return data.index(header) + len(header) + 4 + 8 + 4 * index  # after rank and dim
@@ -98,43 +160,32 @@ def test_non_finite_tensor_is_rejected(saved, tmp_path, value):
     assert str(bad) in str(info.value)
 
 
-@pytest.mark.parametrize("field", ["alphas", "alpha_bars", "posterior_vars", "loss_weights"])
+@pytest.mark.parametrize("field", ["alphas"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-def test_non_finite_schedule_vector_is_rejected(saved, field, value):
-    _, _, path = saved
-    _patch_vector(path, field, 3, value)
-    with pytest.raises(DescriptorMismatchError, match=f"{field}' holds non-finite") as info:
-        load_checkpoint(path)
-    assert str(path) in str(info.value)
+def test_non_finite_schedule_vector_is_rejected(v1, field, value):
+    _patch_vector(v1, field, 3, value)
+    with pytest.raises(DescriptorMismatchError, match="stored schedule alphas are not") as info:
+        load_checkpoint(v1)
+    assert str(v1) in str(info.value)
 
 
 @pytest.mark.parametrize("value", [0.0, 1.0, -0.5, 1.5])
-def test_alphas_outside_unit_interval_are_rejected(saved, value):
-    _, _, path = saved
-    _patch_vector(path, "alphas", 2, value)
-    with pytest.raises(DescriptorMismatchError, match=r"'alphas' leaves \(0, 1\)") as info:
-        load_checkpoint(path)
-    assert str(path) in str(info.value)
+def test_alphas_outside_unit_interval_are_rejected(v1, value):
+    _patch_vector(v1, "alphas", 2, value)
+    with pytest.raises(DescriptorMismatchError, match="stored schedule alphas are not") as info:
+        load_checkpoint(v1)
+    assert str(v1) in str(info.value)
 
 
-@pytest.mark.parametrize("field", ["alpha_bars", "posterior_vars", "loss_weights"])
-def test_derived_schedule_vector_must_match_alphas(saved, field):
-    _, _, path = saved
-    _patch_vector(path, field, 4, _stored(path, field, 4) * 1.001)
-    with pytest.raises(DescriptorMismatchError, match=f"{field}' disagrees with its alphas at "
-                                                      "step 5") as info:
-        load_checkpoint(path)
-    assert str(path) in str(info.value)
-
-
-def test_one_float32_step_in_a_derived_vector_is_accepted(saved):
-    # a neighbouring float32 is within storage precision: the loader keeps
-    # returning exactly what the file holds
-    _, _, path = saved
-    value = np.nextafter(np.float32(_stored(path, "loss_weights", 4)), np.float32(np.inf))
-    _patch_vector(path, "loss_weights", 4, float(value))
-    _, schedule = load_checkpoint(path)
-    assert schedule.loss_weights[4] == float(value)
+def test_version1_alphas_within_float32_precision_are_accepted(v1):
+    # one float32 step off the stored value is still the schedule, to float32 precision
+    _patch_vector(v1, "alphas", 4, float(np.nextafter(np.float32(_stored(v1, "alphas", 4)),
+                                                      np.float32(0))))
+    load_checkpoint(v1)
+    # a relative 1e-6 is not
+    _patch_vector(v1, "alphas", 4, build_cosine_schedule(DESC.n_steps).alphas[4] * (1 - 1e-6))
+    with pytest.raises(DescriptorMismatchError, match=re.escape(str(v1))):
+        load_checkpoint(v1)
 
 
 def test_huge_declared_dims_are_rejected_before_reading(saved):
@@ -202,32 +253,39 @@ def test_non_integral_descriptor_field_is_rejected(saved, field, index, value):
     name = field.encode()
     header = struct.pack("<I", len(name)) + name
     rank = struct.unpack_from("<I", data, data.index(header) + len(header))[0]
-    at = data.index(header) + len(header) + 4 + 8 * rank + 4 * index
-    struct.pack_into("<f", data, at, value)
+    at = data.index(header) + len(header) + 4 + 8 * rank + 8 * index
+    struct.pack_into("<d", data, at, value)
     path.write_bytes(bytes(data))
     with pytest.raises(DescriptorMismatchError, match=f"descriptor field '{field}' holds") as info:
         load_checkpoint(path)
     assert str(path) in str(info.value)
 
 
-def test_zero_dim_schedule_vector_is_rejected(saved):
-    _, _, path = saved
-    data = path.read_bytes()
-    header = struct.pack("<I", len(b"alpha_bars")) + b"alpha_bars"
+def test_zero_dim_schedule_vector_is_rejected(v1):
+    data = v1.read_bytes()
+    header = struct.pack("<I", len(b"alphas")) + b"alphas"
     at = data.index(header) + len(header)
     rank0 = struct.pack("<I", 0) + struct.pack("<f", 0.5)  # one value, no dims
-    path.write_bytes(data[:at] + rank0 + data[at + 4 + 8 + 4 * DESC.n_steps:])
-    with pytest.raises(DescriptorMismatchError, match=r"'alpha_bars' has shape \(\)") as info:
-        load_checkpoint(path)
-    assert str(path) in str(info.value)
+    v1.write_bytes(data[:at] + rank0 + data[at + 4 + 8 + 4 * DESC.n_steps:])
+    with pytest.raises(DescriptorMismatchError, match="stored schedule alphas are not") as info:
+        load_checkpoint(v1)
+    assert str(v1) in str(info.value)
 
 
-def test_signalling_nan_is_rejected_without_a_warning(saved):
+def test_signalling_nan_is_rejected_without_a_warning(v1, saved):
+    data = bytearray(v1.read_bytes())
+    struct.pack_into("<I", data, _entry_offset(data, "alphas", 3), 0x7F800001)  # float32 sNaN
+    v1.write_bytes(bytes(data))
+    with pytest.raises(DescriptorMismatchError, match="stored schedule alphas are not"):
+        load_checkpoint(v1)
+    # a float64 sNaN in a version-2 tensor
     _, _, path = saved
     data = bytearray(path.read_bytes())
-    struct.pack_into("<I", data, _entry_offset(data, "alphas", 3), 0x7F800001)  # float32 sNaN
+    (name_len,) = struct.unpack_from("<I", data, 12)
+    first_value = 12 + 4 + name_len + 4 + 8 * struct.unpack_from("<I", data, 16 + name_len)[0]
+    struct.pack_into("<Q", data, first_value, 0x7FF0000000000001)
     path.write_bytes(bytes(data))
-    with pytest.raises(DescriptorMismatchError, match="'alphas' holds non-finite values"):
+    with pytest.raises(DescriptorMismatchError, match="holds non-finite values"):
         load_checkpoint(path)
 
 
@@ -238,12 +296,16 @@ def pristine(tmp_path_factory):
     return path, path.read_bytes()
 
 
-@settings(deadline=None, max_examples=300)
-@given(data=st.data())
-def test_corrupt_checkpoint_loads_or_raises_a_checkpoint_error(pristine, data):
+@pytest.fixture(scope="module")
+def pristine_v1(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "v1.ckpt"
+    return path, V1_FIXTURE.read_bytes()
+
+
+def _load_corrupted(data, path, good):
     # headers sit in the first bytes (magic, version, first tensor record)
-    # and in the last few hundred (schedule and descriptor sections)
-    path, good = pristine
+    # and in the last few hundred (the descriptor section, and in version 1
+    # the schedule section before it)
     n = len(good)
     if data.draw(st.booleans(), label="truncate"):
         corrupt = good[: data.draw(st.integers(0, n - 1), label="length")]
@@ -263,12 +325,24 @@ def test_corrupt_checkpoint_loads_or_raises_a_checkpoint_error(pristine, data):
         assert str(path) in str(exc)
 
 
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_corrupt_checkpoint_loads_or_raises_a_checkpoint_error(pristine, data):
+    _load_corrupted(data, *pristine)
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_corrupt_version1_checkpoint_loads_or_raises_a_checkpoint_error(pristine_v1, data):
+    _load_corrupted(data, *pristine_v1)
+
+
 @pytest.mark.parametrize("value", [4.0, float("nan"), float("inf")])
 def test_invalid_descriptor_field_is_reported_with_path(saved, value):
     _, _, path = saved
     data = bytearray(path.read_bytes())
     at = data.index(b"kernel_len") + len(b"kernel_len") + 4  # after the rank-0 header
-    data[at:at + 4] = struct.pack("<f", value)
+    data[at:at + 8] = struct.pack("<d", value)
     path.write_bytes(bytes(data))
     with pytest.raises(DescriptorMismatchError, match=re.escape(str(path))):
         load_checkpoint(path)
@@ -283,17 +357,10 @@ def test_non_positive_descriptor_count_is_reported_with_path(tmp_path, field, va
     if field == "t_obs":  # keep the trajectory length, and so every tensor shape
         fields["t_pred"] += DESC.t_obs - value
     fields[field] = value
-    vectors = ("alphas", "alpha_bars", "posterior_vars", "loss_weights")
-    if fields["n_steps"]:
-        schedule = build_cosine_schedule(fields["n_steps"])
-        records = [(name, getattr(schedule, name)) for name in vectors]
-    else:
-        records = [(name, np.empty(0)) for name in vectors]
     path = tmp_path / "bad.ckpt"
     with open(path, "wb") as fh:
         fh.write(MAGIC + struct.pack("<I", VERSION))
         _write_section(fh, sorted(params.tensors.items()))
-        _write_section(fh, records)
         _write_section(fh, [("widths", np.asarray(DESC.widths, dtype=np.float64))]
                        + [(name, np.asarray(float(v))) for name, v in fields.items()])
     with pytest.raises(DescriptorMismatchError, match=f"{field} must be at least 1") as info:
@@ -306,3 +373,11 @@ def test_schedule_descriptor_step_mismatch_rejected(tmp_path):
     schedule = build_cosine_schedule(DESC.n_steps + 1)
     with pytest.raises(ValueError):
         save_checkpoint(params, schedule, tmp_path / "x.ckpt")
+
+
+def test_save_rejects_a_schedule_the_loader_would_not_rebuild(tmp_path):
+    # the file holds no schedule, so another cosine offset cannot be saved
+    params = init_params(DESC, seed=1)
+    with pytest.raises(ValueError, match=r"must be build_cosine_schedule\(8\)"):
+        save_checkpoint(params, build_cosine_schedule(DESC.n_steps, 0.02), tmp_path / "x.ckpt")
+    assert not (tmp_path / "x.ckpt").exists()

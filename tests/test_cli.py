@@ -336,6 +336,9 @@ def test_eval_record_t_obs_mismatch_is_rejected(workspace, tmp_path, capsys):
                  "holds non-finite values", id="nan"),
     pytest.param(lambda r: r["trajectories"][0][0].__setitem__(0, float("-inf")),
                  "holds non-finite values", id="inf"),
+    pytest.param(lambda r: r["trajectories"][0][0].__setitem__(0, 10 ** 400),
+                 "is not a (K >= 1, 20, 2) array: int too large to convert to float",
+                 id="huge-int"),
 ])
 def test_eval_record_bad_trajectories_are_rejected(workspace, tmp_path, capsys, edit, problem):
     _, data, _, preds = workspace
@@ -451,3 +454,39 @@ def test_render_unknown_scene_fails(workspace, tmp_path, capsys):
     )
     assert code == 1
     assert "not present" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--dt", "0"], "--dt must be positive and finite, got 0.0"),
+    (["--dt", "-0.4"], "--dt must be positive and finite, got -0.4"),
+    (["--dt", "nan"], "--dt must be positive and finite, got nan"),
+    (["--resolution", "0"], "--resolution must be positive and finite, got 0.0"),
+    (["--resolution", "inf"], "--resolution must be positive and finite, got inf"),
+    (["--speed-min", "0"], "--speed-min must be positive and finite, got 0.0"),
+    (["--speed-max", "inf"], "--speed-max must be positive and finite, got inf"),
+    (["--speed-min", "2", "--speed-max", "1"], "--speed-min must be <= --speed-max, got 2.0 > 1.0"),
+    (["--goal-noise", "-1"], "--goal-noise must be >= 0 and finite, got -1.0"),
+    (["--goal-noise", "nan"], "--goal-noise must be >= 0 and finite, got nan"),
+])
+def test_gen_data_float_flags_are_checked_before_writing(tmp_path, capsys, flags, message):
+    out = tmp_path / "out"
+    _assert_rejected(["gen-data", "--out", out, *flags], message, capsys)
+    assert not out.exists()
+
+
+def test_gen_data_accepts_equal_speeds_and_zero_goal_noise(tmp_path):
+    out = tmp_path / "out"
+    assert run("gen-data", "--out", out, "--n-scenes", 1, "--agents-per-scene", 1,
+               "--k-intents", 2, "--speed-min", 1.0, "--speed-max", 1.0,
+               "--goal-noise", 0) == 0
+    assert (out / "dataset.json").exists()
+
+
+def test_eval_undecodable_line_names_file_and_line(workspace, tmp_path, capsys):
+    _, data, _, preds = workspace
+    lines = Path(preds).read_bytes().splitlines(keepends=True)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(lines[0] + lines[1][:40] + b"\xff" + lines[1][41:] + b"".join(lines[2:]))
+    argv = ["eval", "--predictions", bad, "--data", data, "--out", tmp_path / "m.json"]
+    _assert_rejected(argv, f"{bad}:2: malformed prediction record: 'utf-8' codec can't decode",
+                     capsys)

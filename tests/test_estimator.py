@@ -77,3 +77,20 @@ def test_save_load_round_trip(tmp_path):
         agent.trajectory[:T_OBS], agent.intents, env=scenes[0].env, seed=1
     )
     np.testing.assert_array_equal(a.trajectories.samples, b.trajectories.samples)
+
+
+def test_reloaded_model_predicts_exactly_what_the_fitted_one_did(tmp_path):
+    scenes = tiny_scenes()
+    model = tiny_model().fit(scenes)
+    path = tmp_path / "model.ckpt"
+    model.save(path)
+    loaded = TrajDiffuse.load(path)
+    for name, tensor in model.model_params_.tensors.items():
+        np.testing.assert_array_equal(loaded.model_params_.tensors[name], tensor)
+    agent = scenes[0].agents[0]
+    args = (agent.trajectory[:T_OBS], agent.intents * 3)
+    for guidance in (False, True):
+        fitted = model.predict(*args, env=scenes[0].env, seed=5, guidance=guidance)
+        reloaded = loaded.predict(*args, env=scenes[0].env, seed=5, guidance=guidance)
+        assert reloaded.trajectories.samples.tobytes() == fitted.trajectories.samples.tobytes()
+        np.testing.assert_array_equal(reloaded.per_sample_ecfl, fitted.per_sample_ecfl)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -428,15 +430,27 @@ def test_pgm_format_errors_name_the_file(tmp_path, content, problem):
      "resolution_m_per_px must be positive and finite, got inf"),
     ('{"resolution_m_per_px": 0.5, "origin_x_m": 1e999, "origin_y_m": 0.0}',
      "origin contains non-finite values"),
+    ('{"resolution_m_per_px": 1' + "0" * 400 + ', "origin_x_m": 0.0, "origin_y_m": 0.0}',
+     "int too large to convert to float"),
+    (b'{"resolution_m_per_px": 0.5, "origin_x_m": 0.0, "origin_y_m": 0.0}\xff'.decode("latin-1"),
+     "'utf-8' codec can't decode byte 0xff"),
 ], ids=["not-json", "no-resolution", "negative-resolution", "infinite-resolution",
-        "infinite-origin"])
+        "infinite-origin", "huge-integer-resolution", "not-utf8"])
 def test_map_metadata_errors_name_the_file(tmp_path, meta, problem):
     save_environment(half_plane_env(), tmp_path / "m.pgm", tmp_path / "m.json")
-    (tmp_path / "m.json").write_text(meta)
+    (tmp_path / "m.json").write_bytes(meta.encode("latin-1"))
     with pytest.raises(ValueError) as info:
         load_environment(tmp_path / "m.pgm", tmp_path / "m.json")
     assert str(info.value).startswith(f"{tmp_path / 'm.json'}: ")
     assert problem in str(info.value)
+
+
+def test_map_without_a_navigable_pixel_names_the_pgm(tmp_path):
+    save_environment(half_plane_env(), tmp_path / "m.pgm", tmp_path / "m.json")
+    write_pgm(tmp_path / "m.pgm", np.zeros((4, 5), dtype=bool))
+    with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'm.pgm'}: nav_grid has no "
+                                                   "navigable pixel")):
+        load_environment(tmp_path / "m.pgm", tmp_path / "m.json")
 
 
 def test_environment_round_trip_and_missing_sidecar(tmp_path):

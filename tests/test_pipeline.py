@@ -47,9 +47,7 @@ def tiny_scenes(n_scenes=2, n_agents=4, seed=0):
 def fitted():
     scenes = tiny_scenes()
     params, log = train(scenes, TrainConfig(**TINY_TRAIN))
-    from trajdiffuse.schedule import build_cosine_schedule
-
-    return scenes, params, build_cosine_schedule(5)
+    return scenes, params
 
 
 def make_request(scenes, seed=0, guidance=True, k=3):
@@ -65,27 +63,27 @@ def make_request(scenes, seed=0, guidance=True, k=3):
 # -------------------------------------------------------------------- predict
 
 def test_predict_is_bit_reproducible(fitted):
-    scenes, params, sched = fitted
+    scenes, params = fitted
     for guidance in (False, True):
         req = make_request(scenes, guidance=guidance)
-        a = predict(params, sched, **req)
-        b = predict(params, sched, **req)
+        a = predict(params, **req)
+        b = predict(params, **req)
         np.testing.assert_array_equal(a.trajectories.samples, b.trajectories.samples)
         np.testing.assert_array_equal(a.per_sample_ecfl, b.per_sample_ecfl)
 
 
 def test_default_streams_differ_per_sample(fitted):
-    scenes, params, sched = fitted
+    scenes, params = fitted
     req = make_request(scenes, k=3)
-    out = predict(params, sched, **req).trajectories.samples
+    out = predict(params, **req).trajectories.samples
     assert np.abs(out[0] - out[1]).max() > 0
 
 
 def test_observed_history_and_goal_are_bit_exact(fitted):
-    scenes, params, sched = fitted
+    scenes, params = fitted
     agent = scenes[0].agents[0]
     req = make_request(scenes, k=3)
-    out = predict(params, sched, **req).trajectories.samples
+    out = predict(params, **req).trajectories.samples
     spec = agent.intents[0]
     for j in range(3):
         np.testing.assert_array_equal(out[j, :T_OBS], agent.trajectory[:T_OBS])
@@ -95,9 +93,9 @@ def test_observed_history_and_goal_are_bit_exact(fitted):
 
 
 def test_seed_isolation_changes_only_unclamped_frames(fitted):
-    scenes, params, sched = fitted
-    a = predict(params, sched, **make_request(scenes, seed=0)).trajectories.samples
-    b = predict(params, sched, **make_request(scenes, seed=1)).trajectories.samples
+    scenes, params = fitted
+    a = predict(params, **make_request(scenes, seed=0)).trajectories.samples
+    b = predict(params, **make_request(scenes, seed=1)).trajectories.samples
     clamped = scenes[0].agents[0].intents[0].frames
     np.testing.assert_array_equal(a[:, clamped], b[:, clamped])
     free = [t for t in range(T) if t not in set(clamped.tolist())]
@@ -105,42 +103,42 @@ def test_seed_isolation_changes_only_unclamped_frames(fitted):
 
 
 def test_guidance_flag_changes_only_unclamped_frames(fitted):
-    scenes, params, sched = fitted
-    on = predict(params, sched, **make_request(scenes, guidance=True)).trajectories.samples
-    off = predict(params, sched, **make_request(scenes, guidance=False)).trajectories.samples
+    scenes, params = fitted
+    on = predict(params, **make_request(scenes, guidance=True)).trajectories.samples
+    off = predict(params, **make_request(scenes, guidance=False)).trajectories.samples
     clamped = scenes[0].agents[0].intents[0].frames
     np.testing.assert_array_equal(on[:, clamped], off[:, clamped])
 
 
 def test_predict_validation_errors(fitted):
-    scenes, params, sched = fitted
+    scenes, params = fitted
     req = make_request(scenes)
     req["env"] = None
     with pytest.raises(ValueError, match="guidance requires an environment"):
-        predict(params, sched, **req)
+        predict(params, **req)
     bad = make_request(scenes)
     bad["observed"] = bad["observed"] + 1.0
     with pytest.raises(ValueError, match="history does not match"):
-        predict(params, sched, **bad)
+        predict(params, **bad)
     bad = make_request(scenes)
     bad["guidance_steps"] = -1
     with pytest.raises(ValueError, match="guidance_steps must be >= 0, got -1"):
-        predict(params, sched, **bad)
+        predict(params, **bad)
     nan_params = type(params)(
         {k: v.copy() for k, v in params.tensors.items()}, params.arch
     )
     nan_params.tensors["out.w"][0, 0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        predict(nan_params, sched, **make_request(scenes))
+        predict(nan_params, **make_request(scenes))
 
 
 def test_unguided_predict_flags_samples_and_needs_no_environment(fitted):
-    scenes, params, sched = fitted
+    scenes, params = fitted
     req = make_request(scenes, guidance=False, k=3)
-    with_env = predict(params, sched, **req)
+    with_env = predict(params, **req)
     flags = ecfl_check(req["env"], with_env.trajectories.samples, T_OBS)
     np.testing.assert_array_equal(with_env.per_sample_ecfl, flags)
-    without = predict(params, sched, **{**req, "env": None})
+    without = predict(params, **{**req, "env": None})
     assert without.per_sample_ecfl is None
     np.testing.assert_array_equal(without.trajectories.samples, with_env.trajectories.samples)
 
@@ -154,7 +152,7 @@ def test_unguided_predict_matches_ddpm_oracle():
     params.tensors["out.w"] = rng.standard_normal(params.tensors["out.w"].shape) * 0.1
     sched = build_cosine_schedule(desc.n_steps)
     req = make_request(tiny_scenes(), seed=4, guidance=False, k=3)
-    out = predict(params, sched, **req).trajectories.samples
+    out = predict(params, **req).trajectories.samples
 
     frames = req["intents"][0].frames
     center = req["observed"][-1]
@@ -182,11 +180,11 @@ def test_unguided_predict_matches_ddpm_oracle():
 
 
 def test_guidance_moves_offmap_samples_toward_navigable(fitted):
-    scenes, params, sched = fitted
+    scenes, params = fitted
     req_on = make_request(scenes, guidance=True, k=6)
     req_off = make_request(scenes, guidance=False, k=6)
-    on = predict(params, sched, **req_on)
-    off = predict(params, sched, **req_off)
+    on = predict(params, **req_on)
+    off = predict(params, **req_off)
     assert on.per_sample_ecfl.mean() >= off.per_sample_ecfl.mean()
 
 
@@ -250,14 +248,14 @@ def test_empty_dataset_rejected():
 
 
 def test_resume_with_mismatched_architecture_rejected(fitted):
-    scenes, params, _ = fitted
+    scenes, params = fitted
     cfg = TrainConfig(**{**TINY_TRAIN, "widths": (6,), "n_epochs": 1})
     with pytest.raises(ValueError, match="architecture does not match"):
         train(scenes, cfg, init=params)
 
 
 def test_resume_continues_from_checkpoint(fitted):
-    scenes, params, _ = fitted
+    scenes, params = fitted
     cfg = TrainConfig(**{**TINY_TRAIN, "n_epochs": 1})
     resumed, log = train(scenes, cfg, init=params)
     assert len(log) == 1

@@ -236,6 +236,8 @@ def copy_of(written, tmp_path):
     ('{"t_obs": 8.5, "t_pred": 12, "frame_dt": 0.4}', "t_obs must be an integer >= 1, got 8.5"),
     ('{"t_obs": 8, "t_pred": 12, "frame_dt": -0.4}', "frame_dt must be positive and finite"),
     ('{"t_obs": 8, "t_pred": 12, "frame_dt": NaN}', "frame_dt must be positive and finite"),
+    pytest.param('{"t_obs": 8, "t_pred": 12, "frame_dt": 1' + "0" * 400 + "}",
+                 "int too large to convert to float", id="huge-integer-frame_dt"),
 ])
 def test_bad_dataset_json_is_named(written, tmp_path, text, problem):
     data = copy_of(written, tmp_path)
@@ -275,6 +277,16 @@ def test_agent_id_is_a_unique_integer(written, tmp_path, agent_id, problem):
     records[1]["agent_id"] = agent_id
     jsonl.write_text("".join(json.dumps(r) + "\n" for r in records))
     message = f"{jsonl}:2: malformed agent record: {problem}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_dataset(data)
+
+
+def test_undecodable_agent_line_names_file_and_line(written, tmp_path):
+    data = copy_of(written, tmp_path)
+    jsonl = data / "scene_0001" / "agents.jsonl"
+    lines = jsonl.read_bytes().splitlines(keepends=True)
+    jsonl.write_bytes(lines[0] + lines[1][:55] + b"\xff" + lines[1][56:])
+    message = f"{jsonl}:2: malformed agent record: 'utf-8' codec can't decode byte 0xff"
     with pytest.raises(ValueError, match=re.escape(message)):
         read_dataset(data)
 
