@@ -72,7 +72,12 @@ class ConditionSpec:
 
     def __post_init__(self):
         # Copies, so that freezing them below leaves the caller's arrays writeable.
-        frames = np.array(self.frames, dtype=np.intp)
+        frames = np.array(self.frames)
+        # numpy promotes a list that mixes bools into ints to int, so look at the list too
+        if frames.size and (frames.dtype.kind not in "iu" or (
+                isinstance(self.frames, (list, tuple)) and bool in map(type, self.frames))):
+            raise ValueError(f"clamp frames must be integers, got {self.frames!r}")
+        frames = frames.astype(np.intp, copy=False)
         values = as_float_array(self.values, "clamp values", shape=(None, 2)).copy()
         if frames.ndim != 1 or frames.size != values.shape[0]:
             raise ValueError("frames and values must align one-to-one")

@@ -68,23 +68,42 @@ def _envelope_rows(f: np.ndarray) -> np.ndarray:
     return d
 
 
+def _column_sq_dist(nav: np.ndarray) -> np.ndarray:
+    """Squared pixel distance to the nearest navigable pixel in the same column.
+
+    `nav` is an (..., H, W) boolean stack. The nearest navigable row at or
+    above each pixel is a running maximum down the column, the nearest at or
+    below a running minimum up it; a column with no navigable pixel gets _BIG.
+    Integer arithmetic throughout, so the result is exact.
+    """
+    h = nav.shape[-2]
+    rows = np.arange(h).reshape(h, 1)
+    above = np.maximum.accumulate(np.where(nav, rows, -h), axis=-2)
+    below = np.flip(np.minimum.accumulate(np.flip(np.where(nav, rows, 2 * h), axis=-2),
+                                          axis=-2), axis=-2)
+    gap = np.minimum(rows - above, below - rows)  # >= h only where the column is all blocked
+    return np.where(gap < h, np.square(gap, dtype=np.float64), _BIG)
+
+
 def distance_transform(nav_grid: np.ndarray, resolution: float) -> np.ndarray:
     """Exact Euclidean distance (meters) to the nearest navigable pixel center.
 
-    Two passes of the Felzenszwalb-Huttenlocher lower envelope, first down
-    every column, then along every row, each pass sweeping all columns (or
-    rows) in lockstep: an H x W map costs about 2 * (H + W) Python iterations
-    of vector operations.
+    `nav_grid` is one (H, W) map or an (N, H, W) stack of maps of one shape;
+    the result has the same shape. The column pass is two cumulative scans
+    per column; the row pass is one Felzenszwalb-Huttenlocher lower envelope
+    over all N * H rows in lockstep, about 2 * W Python iterations of vector
+    operations for the whole stack.
     """
     nav_grid = np.asarray(nav_grid, dtype=bool)
     check_positive(resolution, "resolution")
-    if nav_grid.ndim != 2 or nav_grid.size == 0:
-        raise ValueError("nav_grid must be a non-empty 2-D boolean array")
-    if not nav_grid.any():
-        raise ValueError("nav_grid has no navigable pixel")
-    d2 = np.where(nav_grid, 0.0, _BIG)
-    d2 = _envelope_rows(d2.T).T
-    d2 = _envelope_rows(d2)
+    if nav_grid.ndim not in (2, 3) or nav_grid.size == 0:
+        raise ValueError("nav_grid must be a non-empty (H, W) or (N, H, W) boolean array")
+    blocked = np.flatnonzero(~nav_grid.any(axis=(-2, -1)))
+    if blocked.size:
+        where = "" if nav_grid.ndim == 2 else f" (map {blocked[0]} of the stack)"
+        raise ValueError(f"nav_grid has no navigable pixel{where}")
+    d2 = _column_sq_dist(nav_grid)
+    d2 = _envelope_rows(d2.reshape(-1, d2.shape[-1])).reshape(d2.shape)
     return np.sqrt(d2) * resolution
 
 
@@ -112,6 +131,17 @@ def gradient_field(dist_field: np.ndarray, resolution: float) -> np.ndarray:
     return np.stack([gx, gy], axis=-1)
 
 
+def _check_extent(shape: tuple, resolution: float, origin: np.ndarray) -> None:
+    """Raise unless the world <-> pixel transform of every pixel stays finite."""
+    h, w = shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = origin / resolution
+        far = origin + resolution * np.array([w - 1, h - 1], dtype=np.float64)
+    if not (np.isfinite(scaled).all() and np.isfinite(far).all()):
+        raise ValueError(f"origin {origin.tolist()} with {w}x{h} px at {resolution} m/px "
+                         "overflows the world <-> pixel transform")
+
+
 def _round_half_away(v: np.ndarray) -> np.ndarray:
     return np.copysign(np.floor(np.abs(v) + 0.5), v)
 
@@ -134,12 +164,22 @@ class NavEnvironment:
 
     @classmethod
     def from_grid(cls, nav_grid, resolution: float, origin=(0.0, 0.0)) -> "NavEnvironment":
-        nav_grid = np.asarray(nav_grid, dtype=bool)
+        nav_grid = np.array(nav_grid, dtype=bool)
+        if nav_grid.ndim != 2:
+            raise ValueError(f"nav_grid must be a 2-D boolean array, got shape {nav_grid.shape}")
         resolution = check_positive(resolution, "resolution")
-        origin = np.asarray(origin, dtype=np.float64).reshape(2).copy()
-        dist = distance_transform(nav_grid, resolution)
-        grad = gradient_field(dist, resolution)
-        return cls(nav_grid.copy(), resolution, origin, dist, grad)
+        origin = np.array(origin, dtype=np.float64).reshape(2)
+        _check_extent(nav_grid.shape, resolution, origin)
+        return cls._from_stack(nav_grid[None], resolution, [origin])[0]
+
+    @classmethod
+    def _from_stack(cls, nav_grids: np.ndarray, resolution: float, origins) -> list:
+        """One environment per map of an (N, H, W) boolean stack the caller hands
+        over (the maps become views of it); one distance_transform call builds
+        every distance field."""
+        dist = distance_transform(nav_grids, resolution)
+        return [cls(grid, resolution, origin, d, gradient_field(d, resolution))
+                for grid, origin, d in zip(nav_grids, origins, dist)]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -283,7 +323,8 @@ def read_pgm(path) -> np.ndarray:
     if maxval != 255:
         raise ValueError(f"{path}: expected maxval 255, got {maxval}")
     if binary:
-        pixels = np.frombuffer(data[pos + 1:pos + 1 + w * h], dtype=np.uint8)
+        # the payload is everything after the single whitespace that ends the header
+        pixels = np.frombuffer(data[pos + 1:], dtype=np.uint8)
     else:
         try:
             pixels = np.array(data[pos:].split(), dtype=np.int64)
@@ -307,7 +348,8 @@ def save_environment(env: NavEnvironment, pgm_path, json_path) -> None:
     Path(json_path).write_text(json.dumps(meta, sort_keys=True) + "\n")
 
 
-def load_environment(pgm_path, json_path) -> NavEnvironment:
+def _read_map_meta(json_path) -> tuple[float, np.ndarray]:
+    """(resolution, origin) from a map's JSON sidecar."""
     if not Path(json_path).exists():
         raise FileNotFoundError(f"missing map metadata: {json_path}")
     try:
@@ -318,8 +360,34 @@ def load_environment(pgm_path, json_path) -> NavEnvironment:
         raise ValueError(f"{json_path}: map metadata lacks {exc}") from exc
     except (ValueError, TypeError, OverflowError) as exc:
         raise ValueError(f"{json_path}: bad map metadata: {exc}") from exc
-    nav_grid = read_pgm(pgm_path)
-    try:
-        return NavEnvironment.from_grid(nav_grid, resolution=resolution, origin=origin)
-    except ValueError as exc:  # e.g. no navigable pixel
-        raise ValueError(f"{pgm_path}: {exc}") from exc
+    return resolution, origin
+
+
+def load_environment(maps) -> list:
+    """The NavEnvironments of a sequence of (pgm_path, json_path) pairs, in order.
+
+    Every file is read and checked before any field is built, so each error
+    names its file. Maps that share a shape and a resolution get their
+    distance fields from one distance_transform call.
+    """
+    loaded = []  # (nav_grid, resolution, origin) per map
+    for pgm_path, json_path in maps:
+        resolution, origin = _read_map_meta(json_path)
+        nav_grid = read_pgm(pgm_path)
+        try:
+            _check_extent(nav_grid.shape, resolution, origin)
+        except ValueError as exc:
+            raise ValueError(f"{json_path}: bad map metadata: {exc}") from exc
+        if not nav_grid.any():
+            raise ValueError(f"{pgm_path}: nav_grid has no navigable pixel")
+        loaded.append((nav_grid, resolution, origin))
+    groups: dict = {}  # (shape, resolution) -> indices of its maps
+    for i, (nav_grid, resolution, _) in enumerate(loaded):
+        groups.setdefault((nav_grid.shape, resolution), []).append(i)
+    envs = [None] * len(loaded)
+    for (_, resolution), members in groups.items():
+        stack = np.stack([loaded[i][0] for i in members])
+        built = NavEnvironment._from_stack(stack, resolution, [loaded[i][2] for i in members])
+        for i, env in zip(members, built):
+            envs[i] = env
+    return envs

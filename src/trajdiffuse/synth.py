@@ -434,9 +434,9 @@ def read_dataset(data_dir) -> list:
     scene_dirs = sorted(p for p in data_dir.iterdir() if p.is_dir())
     if not scene_dirs:
         raise FileNotFoundError(f"no scene directories in {data_dir}")
+    envs = load_environment([(sdir / "map.pgm", sdir / "map.json") for sdir in scene_dirs])
     read = []
-    for sdir in scene_dirs:
-        env = load_environment(sdir / "map.pgm", sdir / "map.json")
+    for sdir, env in zip(scene_dirs, envs):
         agents = []
         first_line = {}  # agent_id -> line of its record
         jsonl = sdir / "agents.jsonl"

@@ -209,6 +209,18 @@ def test_condition_spec_frame_errors(frames, n_values, error, message):
         ConditionSpec(np.array(frames, dtype=np.intp), np.zeros((n_values, 2)), T_OBS, T_PRED)
 
 
+@pytest.mark.parametrize("frames", [
+    HISTORY + [12.5, 19],
+    HISTORY + [12.0, 19],
+    HISTORY[:-1] + [True, 12, 19],
+    np.array(HISTORY + [12, 19], dtype=np.float64),
+    [True] * 10,
+], ids=["fraction", "integral-float", "bool-in-list", "float-array", "all-bool"])
+def test_condition_spec_frames_must_be_integers(frames):
+    with pytest.raises(ValueError, match="clamp frames must be integers"):
+        ConditionSpec(frames, np.zeros((len(frames), 2)), T_OBS, T_PRED)
+
+
 def test_condition_spec_copies_the_callers_arrays():
     rng = np.random.default_rng(12)
     frames = np.concatenate([np.arange(T_OBS), [12, T - 1]]).astype(np.intp)

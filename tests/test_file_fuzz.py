@@ -112,7 +112,7 @@ def test_corrupt_pgm_loads_or_names_the_file(dataset, binary, data):
         good = f"P2\n# a comment\n{w} {h}\n255\n{pixels}\n".encode()
     path.write_bytes(corrupt_bytes(data, good))
     try:
-        load_environment(path, sdir / "map.json")  # read_pgm, then the grid's own checks
+        load_environment([(path, sdir / "map.json")])  # read_pgm, then the grid's own checks
     except ValueError as exc:
         assert_names(exc, path)
 
@@ -128,7 +128,7 @@ def test_corrupt_map_json_loads_or_names_the_file(dataset, data):
     else:
         path.write_text(json.dumps(corrupt_json(data, json.loads(good))))
     try:
-        load_environment(sdir / "map.pgm", path)
+        load_environment([(sdir / "map.pgm", path)])
     except ValueError as exc:
         assert_names(exc, path)
 

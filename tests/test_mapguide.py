@@ -83,6 +83,46 @@ def test_distance_matches_brute_force_on_random_grids():
         )
 
 
+def random_stack(rng, n, h, w):
+    """n random (h, w) maps, some with columns that hold no navigable pixel."""
+    stack = rng.random((n, h, w)) < float(rng.uniform(0.05, 0.6))
+    stack[:, :, rng.random(w) < 0.3] = False
+    for grid in stack:
+        if not grid.any():
+            grid[rng.integers(h), rng.integers(w)] = True
+    return stack
+
+
+def test_stacked_distance_matches_brute_force():
+    rng = np.random.default_rng(21)
+    shapes = [(1, 1), (1, 9), (12, 1), (2, 3), (7, 7), (13, 5), (6, 31)]
+    for trial in range(40):
+        h, w = shapes[trial] if trial < len(shapes) else rng.integers(1, 20, 2)
+        stack = random_stack(rng, int(rng.integers(1, 6)), int(h), int(w))
+        res = float(rng.uniform(0.1, 2.0))
+        got = distance_transform(stack, res)
+        assert got.shape == stack.shape
+        for i, grid in enumerate(stack):
+            np.testing.assert_array_equal(got[i], brute_force_distance(grid, res),
+                                          err_msg=f"trial {trial}, map {i}")
+
+
+def test_stacked_distance_equals_per_map_calls():
+    rng = np.random.default_rng(22)
+    for _ in range(10):
+        stack = random_stack(rng, 6, *rng.integers(2, 40, 2))
+        got = distance_transform(stack, 0.37)
+        for grid, field in zip(stack, got):
+            assert field.tobytes() == distance_transform(grid, 0.37).tobytes()
+
+
+def test_stack_with_a_blocked_map_names_its_index():
+    stack = np.ones((3, 4, 5), dtype=bool)
+    stack[1] = False
+    with pytest.raises(ValueError, match=re.escape("no navigable pixel (map 1 of the stack)")):
+        distance_transform(stack, 1.0)
+
+
 def test_all_blocked_grid_rejected():
     with pytest.raises(ValueError):
         distance_transform(np.zeros((4, 4), dtype=bool), 1.0)
@@ -411,7 +451,9 @@ def test_pgm_rejects_other_values(tmp_path):
     (b"P5\nxx 4\n255\n" + b"\xff" * 16, "header token b'xx' is not an integer"),
     (b"P2\n2 1\n255\n255 zz\n", "P2 pixel values must be integers"),
     (b"P5\n-4 -4\n255\n" + b"\xff" * 16, "dimensions must be positive, got -4x-4"),
-], ids=["header-token", "p2-pixel", "negative-size"])
+    (b"P5\n2 4\n255\n" + b"\xff" * 16, "expected 8 pixels, got 16"),
+    (b"P5\n2 4\n255\n" + b"\xff" * 7, "expected 8 pixels, got 7"),
+], ids=["header-token", "p2-pixel", "negative-size", "p5-extra-bytes", "p5-short"])
 def test_pgm_format_errors_name_the_file(tmp_path, content, problem):
     path = tmp_path / "map.pgm"
     path.write_bytes(content)
@@ -434,13 +476,18 @@ def test_pgm_format_errors_name_the_file(tmp_path, content, problem):
      "int too large to convert to float"),
     (b'{"resolution_m_per_px": 0.5, "origin_x_m": 0.0, "origin_y_m": 0.0}\xff'.decode("latin-1"),
      "'utf-8' codec can't decode byte 0xff"),
+    ('{"resolution_m_per_px": 0.5, "origin_x_m": 1e308, "origin_y_m": 0.0}',
+     "overflows the world <-> pixel transform"),
+    ('{"resolution_m_per_px": 1e307, "origin_x_m": 0.0, "origin_y_m": 0.0}',
+     "overflows the world <-> pixel transform"),
 ], ids=["not-json", "no-resolution", "negative-resolution", "infinite-resolution",
-        "infinite-origin", "huge-integer-resolution", "not-utf8"])
+        "infinite-origin", "huge-integer-resolution", "not-utf8", "extreme-origin",
+        "extreme-far-corner"])
 def test_map_metadata_errors_name_the_file(tmp_path, meta, problem):
     save_environment(half_plane_env(), tmp_path / "m.pgm", tmp_path / "m.json")
     (tmp_path / "m.json").write_bytes(meta.encode("latin-1"))
     with pytest.raises(ValueError) as info:
-        load_environment(tmp_path / "m.pgm", tmp_path / "m.json")
+        load_environment([(tmp_path / "m.pgm", tmp_path / "m.json")])
     assert str(info.value).startswith(f"{tmp_path / 'm.json'}: ")
     assert problem in str(info.value)
 
@@ -450,15 +497,15 @@ def test_map_without_a_navigable_pixel_names_the_pgm(tmp_path):
     write_pgm(tmp_path / "m.pgm", np.zeros((4, 5), dtype=bool))
     with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'm.pgm'}: nav_grid has no "
                                                    "navigable pixel")):
-        load_environment(tmp_path / "m.pgm", tmp_path / "m.json")
+        load_environment([(tmp_path / "m.pgm", tmp_path / "m.json")])
 
 
 def test_environment_round_trip_and_missing_sidecar(tmp_path):
     env = half_plane_env()
     save_environment(env, tmp_path / "m.pgm", tmp_path / "m.json")
-    loaded = load_environment(tmp_path / "m.pgm", tmp_path / "m.json")
+    loaded = load_environment([(tmp_path / "m.pgm", tmp_path / "m.json")])[0]
     np.testing.assert_array_equal(loaded.nav_grid, env.nav_grid)
     np.testing.assert_array_equal(loaded.origin, env.origin)
     assert loaded.resolution == env.resolution
     with pytest.raises(FileNotFoundError, match="map metadata"):
-        load_environment(tmp_path / "m.pgm", tmp_path / "missing.json")
+        load_environment([(tmp_path / "m.pgm", tmp_path / "missing.json")])

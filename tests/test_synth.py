@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trajdiffuse.mapguide import ecfl_check
+from trajdiffuse.mapguide import NavEnvironment, ecfl_check, write_pgm
 from trajdiffuse.synth import (
     IntentOracleConfig,
     _dijkstra,
@@ -278,6 +278,55 @@ def test_agent_id_is_a_unique_integer(written, tmp_path, agent_id, problem):
     jsonl.write_text("".join(json.dumps(r) + "\n" for r in records))
     message = f"{jsonl}:2: malformed agent record: {problem}"
     with pytest.raises(ValueError, match=re.escape(message)):
+        read_dataset(data)
+
+
+@pytest.mark.parametrize("frame", [12.7, 12.0, True], ids=["fraction", "integral-float", "bool"])
+def test_clamp_frames_must_be_integers(written, tmp_path, frame):
+    data = copy_of(written, tmp_path)
+    jsonl = data / "scene_0001" / "agents.jsonl"
+    records = [json.loads(line) for line in jsonl.read_text().splitlines()]
+    records[1]["intents"][0]["frames"][T_OBS] = frame
+    jsonl.write_text("".join(json.dumps(r) + "\n" for r in records))
+    message = f"{jsonl}:2: malformed agent record: clamp frames must be integers"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_dataset(data)
+
+
+def four_scenes(written, tmp_path):
+    """A copy of the two-scene dataset with each scene repeated once more."""
+    data = copy_of(written, tmp_path)
+    for i in (0, 1):
+        shutil.copytree(data / f"scene_000{i}", data / f"scene_000{i + 2}")
+    return data, sorted(p for p in data.iterdir() if p.is_dir())
+
+
+def test_maps_of_several_shapes_and_resolutions_match_per_map_builds(written, tmp_path):
+    data, scene_dirs = four_scenes(written, tmp_path)
+    rng = np.random.default_rng(4)
+    for i, sdir in enumerate(scene_dirs):
+        if i % 2:  # a second map shape
+            grid = rng.random((20, 28)) < 0.3
+            grid[0, 0] = True
+            write_pgm(sdir / "map.pgm", grid)
+        if i >= 2:  # a second resolution
+            (sdir / "map.json").write_text(
+                '{"resolution_m_per_px": 0.25, "origin_x_m": -1.5, "origin_y_m": 2.0}')
+    scenes = read_dataset(data)
+    assert {(s.env.shape, s.env.resolution) for s in scenes} == {
+        ((32, 32), 0.5), ((20, 28), 0.5), ((32, 32), 0.25), ((20, 28), 0.25)}
+    for scene in scenes:
+        env = scene.env
+        alone = NavEnvironment.from_grid(env.nav_grid, env.resolution, env.origin)
+        assert env.dist_field.tobytes() == alone.dist_field.tobytes()
+        assert env.grad_field.tobytes() == alone.grad_field.tobytes()
+
+
+def test_blocked_map_in_the_middle_of_a_dataset_names_its_pgm(written, tmp_path):
+    data, _ = four_scenes(written, tmp_path)
+    pgm = data / "scene_0001" / "map.pgm"
+    write_pgm(pgm, np.zeros((32, 32), dtype=bool))
+    with pytest.raises(ValueError, match=re.escape(f"{pgm}: nav_grid has no navigable pixel")):
         read_dataset(data)
 
 
