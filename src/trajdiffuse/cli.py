@@ -21,7 +21,7 @@ from .diffusion import TrajBatch
 from .estimator import TrajDiffuse
 from .metrics import MetricsReport, acfl, ade_fde, ecfl, kde_nll, mve
 from .synth import ENV_KINDS, IntentOracleConfig, generate_dataset, read_dataset, write_dataset
-from .validation import check_positive
+from .validation import check_non_negative, check_positive
 
 log = logging.getLogger("trajdiffuse")
 
@@ -63,12 +63,12 @@ def _echo_config(args: argparse.Namespace, target: Path) -> None:
     target.write_text(json.dumps(resolved, sort_keys=True, default=str) + "\n")
 
 
-def _check_counts(args: argparse.Namespace, *flags: str) -> None:
-    """Reject a count flag below 1, by name, before any file is touched."""
+def _check_counts(args: argparse.Namespace, *flags: str, minimum: int = 1) -> None:
+    """Reject an integer flag below `minimum`, by name, before any file is touched."""
     for flag in flags:
         value = getattr(args, flag[2:].replace("-", "_"))
-        if value < 1:
-            raise ValueError(f"{flag} must be >= 1, got {value}")
+        if value < minimum:
+            raise ValueError(f"{flag} must be >= {minimum}, got {value}")
 
 
 def _check_gen_data_floats(args: argparse.Namespace) -> None:
@@ -79,8 +79,7 @@ def _check_gen_data_floats(args: argparse.Namespace) -> None:
         raise ValueError(
             f"--speed-min must be <= --speed-max, got {args.speed_min} > {args.speed_max}"
         )
-    if not 0 <= args.goal_noise < np.inf:
-        raise ValueError(f"--goal-noise must be >= 0 and finite, got {args.goal_noise}")
+    check_non_negative(args.goal_noise, "--goal-noise")
 
 
 def _agent_seed(base: int, scene_idx: int, agent_id: int) -> int:
@@ -91,6 +90,7 @@ def _agent_seed(base: int, scene_idx: int, agent_id: int) -> int:
 
 def cmd_gen_data(args) -> int:
     _check_counts(args, "--n-scenes", "--agents-per-scene", "--t-obs", "--t-pred", "--k-intents")
+    _check_counts(args, "--waypoints", "--seed", minimum=0)
     _check_gen_data_floats(args)
     intent_cfg = IntentOracleConfig(
         n_waypoints=args.waypoints, goal_noise_sigma=args.goal_noise,
@@ -114,6 +114,9 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     _check_counts(args, "--epochs", "--batch", "--steps")
+    _check_counts(args, "--seed", minimum=0)
+    check_non_negative(args.lr, "--lr")
+    check_positive(args.coord_scale, "--coord-scale")
     scenes = read_dataset(args.data)
     model = TrajDiffuse(
         n_epochs=args.epochs, batch_size=args.batch, lr=args.lr, n_steps=args.steps,
@@ -143,6 +146,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     _check_counts(args, "--k", "--grad-steps")
+    _check_counts(args, "--seed", minimum=0)
     model = TrajDiffuse.load(args.checkpoint).set_params(guidance_steps=args.grad_steps)
     scenes = read_dataset(args.data)
     records = []

@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..validation import check_non_negative
+
 
 class NonFiniteGradientError(ValueError):
     """Raised when a gradient tensor contains NaN or inf; the step is invalid."""
@@ -36,8 +38,7 @@ def adam_update(tensors: dict, grads: dict, state: AdamState, lr: float,
     gradients raise NonFiniteGradientError so the caller can skip and report
     the step.
     """
-    if lr < 0:
-        raise ValueError(f"lr must be >= 0, got {lr}")
+    check_non_negative(lr, "lr")
     b1, b2 = betas
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):

@@ -6,7 +6,9 @@ the clean-signal parameterization, the stochastic reverse step, and the
 batched training loss with its gradient (plain MSE or the schedule-weighted
 form). Randomness enters only through explicit noise arrays supplied by the
 caller. TrajBatch and ConditionSpec are the trajectory and clamp-set types
-the rest of the package passes around.
+the rest of the package passes around. ConditionSpec has one constructor, and
+its checks are the one definition of a valid clamp layout: the intent oracle
+and the dataset reader both build specs through it.
 """
 
 from __future__ import annotations
@@ -95,31 +97,6 @@ class ConditionSpec:
         values.setflags(write=False)
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_anchors(cls, history, waypoint_frames, waypoint_values, goal_value,
-                     t_pred: int) -> "ConditionSpec":
-        """Build a spec from history plus (frame, value) waypoint/goal anchors."""
-        history = as_float_array(history, "history", shape=(None, 2))
-        t_obs = history.shape[0]
-        waypoint_frames = list(np.asarray(waypoint_frames, dtype=int).ravel())
-        waypoint_values = (
-            np.asarray(waypoint_values, dtype=np.float64).reshape(-1, 2)
-            if len(waypoint_frames)
-            else np.zeros((0, 2))
-        )
-        goal_frame = t_obs + t_pred - 1
-        for w in waypoint_frames:
-            if not t_obs <= w < goal_frame:
-                raise ValueError(f"waypoint frame {w} must lie in [{t_obs}, {goal_frame})")
-        frames = np.concatenate(
-            [np.arange(t_obs), np.asarray(waypoint_frames, dtype=int), [goal_frame]]
-        )
-        values = np.concatenate(
-            [history, waypoint_values, np.asarray(goal_value, dtype=np.float64).reshape(1, 2)]
-        )
-        order = np.argsort(frames)
-        return cls(frames[order], values[order], t_obs=t_obs, t_pred=t_pred)
 
 
 def forward_noise(x0: np.ndarray, i, noise: np.ndarray, schedule: NoiseSchedule) -> np.ndarray:

@@ -314,6 +314,7 @@ def intent_oracle(trajectory: np.ndarray, t_obs: int, cfg: IntentOracleConfig,
     t_pred = t_total - t_obs
     wframes = cfg.resolved_frames(t_obs, t_pred)
     goal_frame = t_total - 1
+    frames = list(range(t_obs)) + wframes + [goal_frame]
     rng = np.random.default_rng(np.random.SeedSequence([9041, seed]))
 
     alt_goals = []
@@ -335,13 +336,10 @@ def intent_oracle(trajectory: np.ndarray, t_obs: int, cfg: IntentOracleConfig,
         projected = [_project_to_navigable(env, a) for a in anchors]
         if any(p is None for p in projected):
             continue  # projection failed: this intent is aborted
-        wvals = np.array(projected[:-1]).reshape(len(wframes), 2)
-        goal = projected[-1]
         if cfg.diversify and k >= 1 and alt_goals:
-            goal = alt_goals[(k - 1) % len(alt_goals)]
-        intents.append(
-            ConditionSpec.from_anchors(traj[:t_obs], wframes, wvals, goal, t_pred=t_pred)
-        )
+            projected[-1] = alt_goals[(k - 1) % len(alt_goals)]
+        values = np.vstack([traj[:t_obs], *projected])
+        intents.append(ConditionSpec(frames, values, t_obs=t_obs, t_pred=t_pred))
     return intents
 
 
@@ -422,20 +420,32 @@ def _read_split(meta_path: Path) -> tuple:
     return t_obs, t_pred, frame_dt
 
 
+def _check_intents_fit(intents: list, history: np.ndarray) -> None:
+    """A record's intents share one clamp-frame layout and clamp its own history."""
+    if not intents:
+        return
+    if len({spec.frames.tobytes() for spec in intents}) > 1:
+        raise ValueError("intents do not share one clamp-frame layout")
+    clamped = np.stack([spec.values[: len(history)] for spec in intents])
+    if not (clamped == history).all():
+        raise ValueError("intent history does not match the record's first t_obs frames")
+
+
 def read_dataset(data_dir) -> list:
     """Read scenes back; raises with file/line context on malformed records.
 
-    The frame split comes from dataset.json, or, without one, from the first
-    agent record; every record's frames must span it.
+    The frame split comes from dataset.json, which every dataset carries.
+    Every record's frames must span it, and its intents must share one
+    clamp-frame layout whose history values are the record's first t_obs
+    frames.
     """
     data_dir = Path(data_dir)
-    meta_path = data_dir / "dataset.json"
-    split = _read_split(meta_path) if meta_path.exists() else None
+    t_obs, t_pred, frame_dt = _read_split(data_dir / "dataset.json")
     scene_dirs = sorted(p for p in data_dir.iterdir() if p.is_dir())
     if not scene_dirs:
         raise FileNotFoundError(f"no scene directories in {data_dir}")
     envs = load_environment([(sdir / "map.pgm", sdir / "map.json") for sdir in scene_dirs])
-    read = []
+    scenes = []
     for sdir, env in zip(scene_dirs, envs):
         agents = []
         first_line = {}  # agent_id -> line of its record
@@ -447,18 +457,12 @@ def read_dataset(data_dir) -> list:
                     if not line.strip():
                         continue
                     record = json.loads(line)
-                    if split is None:  # no dataset.json: t_obs is the clamped prefix
-                        if not record["intents"]:
-                            raise ValueError("cannot infer t_obs without intents or dataset.json")
-                        frames = record["intents"][0]["frames"]
-                        t_obs = next((i for i, f in enumerate(frames) if f != i), len(frames))
-                        split = (t_obs, len(record["frames"]) - t_obs, 0.4)
-                    t_obs, t_pred, _ = split
                     traj = as_float_array(record["frames"], "frames", shape=(t_obs + t_pred, 2))
                     intents = [
                         ConditionSpec(spec["frames"], spec["values"], t_obs=t_obs, t_pred=t_pred)
                         for spec in record["intents"]
                     ]
+                    _check_intents_fit(intents, traj[:t_obs])
                     agent_id = record["agent_id"]
                     if isinstance(agent_id, bool) or not isinstance(agent_id, int):
                         raise ValueError(f"agent_id {agent_id!r} is not an integer")
@@ -468,6 +472,5 @@ def read_dataset(data_dir) -> list:
                     agents.append(AgentTrack(agent_id, traj, intents))
                 except (LookupError, ValueError, TypeError, OverflowError, RecursionError) as exc:
                     raise ValueError(f"{jsonl}:{lineno}: malformed agent record: {exc}") from exc
-        read.append((sdir.name, env, agents))
-    t_obs, t_pred, frame_dt = split if split is not None else (0, 0, 0.4)
-    return [Scene(sid, env, agents, t_obs, t_pred, frame_dt) for sid, env, agents in read]
+        scenes.append(Scene(sdir.name, env, agents, t_obs, t_pred, frame_dt))
+    return scenes

@@ -72,3 +72,10 @@ def check_positive(value: float, name: str) -> float:
     if not 0 < value < np.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
     return value
+
+
+def check_non_negative(value: float, name: str) -> float:
+    value = float(value)
+    if not 0 <= value < np.inf:
+        raise ValueError(f"{name} must be >= 0 and finite, got {value}")
+    return value

@@ -392,6 +392,28 @@ def test_eval_rejects_bad_settings_before_reading(tmp_path, capsys, flag, value,
 ])
 def test_count_flags_below_one_are_rejected_before_reading(tmp_path, capsys, command, flag,
                                                            value):
+    _assert_rejected_before_reading(tmp_path, capsys, command, flag, value,
+                                    f"{flag} must be >= 1, got {value}")
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("gen-data", "--seed", -1, "--seed must be >= 0, got -1"),
+    ("train", "--seed", -1, "--seed must be >= 0, got -1"),
+    ("predict", "--seed", -1, "--seed must be >= 0, got -1"),
+    ("gen-data", "--waypoints", -3, "--waypoints must be >= 0, got -3"),
+    ("train", "--lr", "nan", "--lr must be >= 0 and finite, got nan"),
+    ("train", "--lr", "inf", "--lr must be >= 0 and finite, got inf"),
+    ("train", "--lr", "-0.001", "--lr must be >= 0 and finite, got -0.001"),
+    ("train", "--coord-scale", "0", "--coord-scale must be positive and finite, got 0.0"),
+    ("train", "--coord-scale", "inf", "--coord-scale must be positive and finite, got inf"),
+])
+def test_settings_out_of_range_are_rejected_before_reading(tmp_path, capsys, command, flag,
+                                                           value, message):
+    _assert_rejected_before_reading(tmp_path, capsys, command, flag, value, message)
+
+
+def _assert_rejected_before_reading(tmp_path, capsys, command, flag, value, message):
+    """`command` with `flag value` fails with `message` before it reads or writes a file."""
     missing, out = tmp_path / "missing", tmp_path / "out"
     inputs = {
         "predict": ["--checkpoint", missing / "model.ckpt", "--data", missing],
@@ -399,7 +421,7 @@ def test_count_flags_below_one_are_rejected_before_reading(tmp_path, capsys, com
         "gen-data": [],
     }[command]
     argv = [command, *inputs, "--out", out, flag, value]
-    _assert_rejected(argv, f"{flag} must be >= 1, got {value}", capsys)
+    _assert_rejected(argv, message, capsys)
     assert not out.exists()
 
 

@@ -24,15 +24,13 @@ def make_batch(rng, k=4):
 
 
 def make_cond(rng, values=None):
-    history = rng.normal(size=(T_OBS, 2)) if values is None else values[:T_OBS]
-    wframes = [11, 15]
-    if values is None:
-        wvals = rng.normal(size=(2, 2))
-        goal = rng.normal(size=2)
+    frames = list(range(T_OBS)) + [11, 15, T - 1]
+    if values is None:  # draw order: history, waypoints, goal
+        anchors = np.vstack([rng.normal(size=(T_OBS, 2)), rng.normal(size=(2, 2)),
+                             rng.normal(size=2)])
     else:
-        wvals = values[wframes]
-        goal = values[T - 1]
-    return ConditionSpec.from_anchors(history, wframes, wvals, goal, t_pred=T_PRED)
+        anchors = values[frames]
+    return ConditionSpec(frames, anchors, T_OBS, T_PRED)
 
 
 def clamp(traj, cond):
@@ -179,11 +177,9 @@ def test_condition_spec_validation():
         # missing goal frame
         ConditionSpec(np.arange(T_OBS), rng.normal(size=(T_OBS, 2)), T_OBS, T_PRED)
     with pytest.raises(ValueError):
-        # waypoint outside the prediction window
-        ConditionSpec.from_anchors(
-            rng.normal(size=(T_OBS, 2)), [T - 1], rng.normal(size=(1, 2)),
-            rng.normal(size=2), t_pred=T_PRED,
-        )
+        # waypoint on the goal frame, outside the prediction window
+        ConditionSpec(list(range(T_OBS)) + [T - 1, T - 1], rng.normal(size=(T_OBS + 2, 2)),
+                      T_OBS, T_PRED)
     with pytest.raises(IndexError):
         ConditionSpec(
             np.concatenate([np.arange(T_OBS), [T + 3]]),

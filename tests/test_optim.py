@@ -70,6 +70,14 @@ def test_non_finite_gradients_rejected():
         adam_update(tensors, {"a": np.array([np.inf, 0.0])}, state, lr=0.1)
 
 
+@pytest.mark.parametrize("lr", [-0.1, float("nan"), float("inf")])
+def test_learning_rate_must_be_non_negative_and_finite(lr):
+    tensors = {"a": np.zeros(2)}
+    state = AdamState.for_params(tensors)
+    with pytest.raises(ValueError, match=f"lr must be >= 0 and finite, got {lr}"):
+        adam_update(tensors, {"a": np.ones(2)}, state, lr=lr)
+
+
 def test_missing_gradient_entries_pass_through():
     tensors = {"a": np.ones(2), "b": np.full(2, 3.0)}
     state = AdamState.for_params(tensors)

@@ -27,9 +27,8 @@ def straight_track(rng, agent_id):
     start = rng.uniform(2.0, 6.0, size=2)
     step = rng.uniform(-0.5, 0.5, size=2)
     traj = start + np.arange(T)[:, None] * step
-    cond = ConditionSpec.from_anchors(
-        traj[:T_OBS], [T_OBS + 1], traj[[T_OBS + 1]], traj[-1], t_pred=T_PRED
-    )
+    frames = list(range(T_OBS)) + [T_OBS + 1, T - 1]
+    cond = ConditionSpec(frames, traj[frames], T_OBS, T_PRED)
     return AgentTrack(agent_id, traj, [cond])
 
 

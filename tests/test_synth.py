@@ -11,6 +11,7 @@ from trajdiffuse.mapguide import NavEnvironment, ecfl_check, write_pgm
 from trajdiffuse.synth import (
     IntentOracleConfig,
     _dijkstra,
+    _project_to_navigable,
     generate_dataset,
     generate_environment,
     generate_trajectory,
@@ -163,6 +164,66 @@ def test_oracle_history_is_bit_exact():
         np.testing.assert_array_equal(spec.values[:T_OBS], traj[:T_OBS])
 
 
+def from_anchors_replay(history, waypoint_frames, waypoint_values, goal_value, t_pred):
+    """Frames and values as the former ConditionSpec.from_anchors built them:
+    concatenate history, waypoints and goal, then sort by frame."""
+    t_obs = history.shape[0]
+    waypoint_values = (np.asarray(waypoint_values, dtype=np.float64).reshape(-1, 2)
+                       if len(waypoint_frames) else np.zeros((0, 2)))
+    frames = np.concatenate(
+        [np.arange(t_obs), np.asarray(waypoint_frames, dtype=int), [t_obs + t_pred - 1]])
+    values = np.concatenate(
+        [history, waypoint_values, np.asarray(goal_value, dtype=np.float64).reshape(1, 2)])
+    order = np.argsort(frames)
+    return frames[order], values[order]
+
+
+def oracle_replay(traj, t_obs, cfg, env, k_samples, seed, frame_dt):
+    """intent_oracle's draws, with each intent built through from_anchors_replay."""
+    t_pred = traj.shape[0] - t_obs
+    wframes = cfg.resolved_frames(t_obs, t_pred)
+    rng = np.random.default_rng(np.random.SeedSequence([9041, seed]))
+    alt_goals = []
+    if cfg.diversify and k_samples > 1:
+        dist, _ = _dijkstra(env.nav_grid, env.nearest_pixel(traj[t_obs - 1]), env.resolution)
+        steps = np.linalg.norm(np.diff(traj[:t_obs], axis=0), axis=1)
+        v_est = max(float(steps.mean()) / frame_dt, 0.1) if steps.size else 1.0
+        budget = v_est * t_pred * frame_dt
+        cells = np.argwhere(np.isfinite(dist) & (dist >= 0.4 * budget) & (dist <= 1.2 * budget))
+        if cells.size:
+            alt_goals = [env.pixel_to_world(*cells[j])
+                         for j in rng.permutation(len(cells))[: k_samples - 1]]
+    out = []
+    for k in range(k_samples):
+        anchors = traj[wframes + [traj.shape[0] - 1]] + rng.normal(
+            0.0, cfg.goal_noise_sigma, size=(len(wframes) + 1, 2))
+        projected = [_project_to_navigable(env, a) for a in anchors]
+        if any(p is None for p in projected):
+            continue
+        goal = projected[-1]
+        if cfg.diversify and k >= 1 and alt_goals:
+            goal = alt_goals[(k - 1) % len(alt_goals)]
+        wvals = np.array(projected[:-1]).reshape(len(wframes), 2)
+        out.append(from_anchors_replay(traj[:t_obs], wframes, wvals, goal, t_pred))
+    return out
+
+
+@pytest.mark.parametrize("diversify", [False, True], ids=["fixed-goal", "diversify"])
+@pytest.mark.parametrize("n_waypoints", [0, 2, 3])
+def test_oracle_matches_the_from_anchors_replay_byte_for_byte(n_waypoints, diversify):
+    env, traj = make_scene_bits(seed=10 + n_waypoints)
+    cfg = IntentOracleConfig(n_waypoints=n_waypoints, goal_noise_sigma=0.5, diversify=diversify)
+    intents = intent_oracle(traj, T_OBS, cfg, env, k_samples=5, seed=4, frame_dt=DT)
+    replayed = oracle_replay(traj, T_OBS, cfg, env, k_samples=5, seed=4, frame_dt=DT)
+    assert len(intents) == len(replayed) == 5
+    for spec, (frames, values) in zip(intents, replayed):
+        assert spec.frames.tobytes() == frames.astype(np.intp).tobytes()
+        assert spec.values.dtype == values.dtype == np.float64
+        assert spec.values.tobytes() == values.tobytes()
+    if diversify:
+        assert len({tuple(spec.values[-1]) for spec in intents}) >= 2
+
+
 def test_default_waypoint_frames_are_thirds_of_horizon():
     cfg = IntentOracleConfig()
     assert cfg.resolved_frames(8, 12) == [12, 16]
@@ -251,6 +312,11 @@ def test_bad_dataset_json_is_named(written, tmp_path, text, problem):
                  "frames has shape (16, 2), expected (20, 2)", id="short-no-intents"),
     pytest.param(lambda r: r["frames"][3].__setitem__(0, float("nan")),
                  "frames contains non-finite values", id="nan"),
+    pytest.param(lambda r: r["intents"][1]["values"][3].__setitem__(0, 1.5),
+                 "intent history does not match the record's first t_obs frames",
+                 id="intent-history-differs"),
+    pytest.param(lambda r: [r["intents"][1][key].pop(T_OBS) for key in ("frames", "values")],
+                 "intents do not share one clamp-frame layout", id="two-layouts"),
 ])
 def test_agent_frames_must_span_the_split(written, tmp_path, edit, problem):
     data = copy_of(written, tmp_path)
@@ -340,21 +406,15 @@ def test_undecodable_agent_line_names_file_and_line(written, tmp_path):
         read_dataset(data)
 
 
-def test_split_without_dataset_json_comes_from_the_first_record(written, tmp_path):
+def test_missing_dataset_json_is_named(written, tmp_path):
     data = copy_of(written, tmp_path)
     (data / "dataset.json").unlink()
-    scenes = read_dataset(data)
-    assert {(s.t_obs, s.t_pred) for s in scenes} == {(T_OBS, T_PRED)}
-    jsonl = data / "scene_0000" / "agents.jsonl"
-    records = [json.loads(line) for line in jsonl.read_text().splitlines()]
-    records[0]["intents"] = []
-    jsonl.write_text("".join(json.dumps(r) + "\n" for r in records))
-    with pytest.raises(ValueError, match=re.escape(f"{jsonl}:1: malformed agent record: "
-                                                   "cannot infer t_obs")):
+    with pytest.raises(FileNotFoundError, match=re.escape(str(data / "dataset.json"))):
         read_dataset(data)
 
 
 def test_handwritten_two_agent_fixture(tmp_path):
+    (tmp_path / "dataset.json").write_text('{"t_obs": 2, "t_pred": 2, "frame_dt": 0.4}')
     sdir = tmp_path / "scene_0000"
     sdir.mkdir()
     (sdir / "map.pgm").write_text("P2\n16 16\n255\n" + ("255 " * 256).strip() + "\n")
@@ -362,9 +422,8 @@ def test_handwritten_two_agent_fixture(tmp_path):
         '{"resolution_m_per_px": 1.0, "origin_x_m": 0.0, "origin_y_m": 0.0}'
     )
     frames = [[float(t), 0.0] for t in range(4)]
-    intents = [{"frames": [0, 1, 3], "values": [[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]]}]
-    import json
-
+    # a waypoint on frame t_obs makes the clamped prefix longer than the history
+    intents = [{"frames": [0, 1, 2, 3], "values": frames}]
     with open(sdir / "agents.jsonl", "w") as fh:
         for aid in (0, 1):
             record = {"scene_id": "scene_0000", "agent_id": aid,
@@ -372,9 +431,10 @@ def test_handwritten_two_agent_fixture(tmp_path):
             fh.write(json.dumps(record) + "\n")
     scenes = read_dataset(tmp_path)
     assert len(scenes) == 1 and len(scenes[0].agents) == 2
-    assert scenes[0].t_obs == 2  # inferred from the contiguous clamped prefix
+    assert (scenes[0].t_obs, scenes[0].t_pred, scenes[0].frame_dt) == (2, 2, 0.4)
     assert scenes[0].agents[1].agent_id == 1
     np.testing.assert_array_equal(scenes[0].agents[0].trajectory, np.asarray(frames))
+    np.testing.assert_array_equal(scenes[0].agents[0].intents[0].frames, [0, 1, 2, 3])
 
 
 def test_dataset_generation_is_deterministic(tmp_path):
