@@ -96,6 +96,12 @@ def cmd_gen_data(args) -> int:
         n_waypoints=args.waypoints, goal_noise_sigma=args.goal_noise,
         diversify=args.diversify,
     )
+    try:
+        intent_cfg.resolved_frames(args.t_obs, args.t_pred)
+    except ValueError as exc:
+        raise ValueError(
+            f"--waypoints {args.waypoints} does not fit in --t-pred {args.t_pred}: {exc}"
+        ) from exc
     scenes = generate_dataset(
         kinds=args.kind, n_scenes=args.n_scenes, n_agents=args.agents_per_scene,
         size=args.size, resolution=args.resolution, t_obs=args.t_obs,

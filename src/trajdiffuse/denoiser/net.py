@@ -261,13 +261,26 @@ def _check_input(params: DenoiserParams, x: np.ndarray, i) -> np.ndarray:
     return i_arr
 
 
-def forward_with_cache(params: DenoiserParams, x: np.ndarray, i):
-    """Network forward on (B, T, 2) inputs; i is an int or a (B,) int array."""
+def forward_with_cache(params: DenoiserParams, x: np.ndarray, i, *, keep_cache: bool = True):
+    """Network forward on (B, T, 2) inputs; i is an int or a (B,) int array.
+
+    Returns (y, cache) for `backward_from_cache`. With keep_cache=False the
+    forward keeps no cache: each block's is dropped as soon as the block
+    returns, and the cache returned is None. The output is the same.
+    """
     desc = params.arch
     p = params.tensors
     i_arr = _check_input(params, x, i)
     x = np.asarray(x, dtype=np.float64)
     x_cf = np.ascontiguousarray(x.transpose(0, 2, 1))
+    enc_caches, down_caches, dec_caches, rep_caches, up_caches = [], [], [], [], []
+
+    def run(caches, layer, *args, **kwargs):
+        """y of layer(*args, **kwargs) -> (y, c); c is appended to `caches` when kept."""
+        y, c = layer(*args, **kwargs)
+        if keep_cache:
+            caches.append(c)
+        return y
 
     emb0 = sinusoidal_embedding(i_arr, desc.emb_dim)
     t1, c_t1 = linear_forward(emb0, p["time_mlp.fc1.w"], p["time_mlp.fc1.b"])
@@ -276,44 +289,42 @@ def forward_with_cache(params: DenoiserParams, x: np.ndarray, i):
 
     last = desc.n_levels - 1
     h = x_cf
-    skips, enc_caches, down_caches = [], [], []
+    skips = []
     for lvl in range(desc.n_levels):
         for blk in (0, 1):
-            h, c = _res_forward(p, f"enc.{lvl}.{blk}", h, emb, desc)
-            enc_caches.append(c)
+            h = run(enc_caches, _res_forward, p, f"enc.{lvl}.{blk}", h, emb, desc)
         if lvl < last:
             skips.append(h)
-            h, c = conv1d_forward(h, p[f"down.{lvl}.w"], p[f"down.{lvl}.b"], stride=2)
-            down_caches.append(c)
+            h = run(down_caches, conv1d_forward, h, p[f"down.{lvl}.w"], p[f"down.{lvl}.b"],
+                    stride=2)
 
     h, c_attn = attention_forward(h, p, "attn")
 
-    dec_caches, up_caches = [], []
     for blk in (0, 1):
-        h, c = _res_forward(p, f"dec.{last}.{blk}", h, emb, desc)
-        dec_caches.append(c)
+        h = run(dec_caches, _res_forward, p, f"dec.{last}.{blk}", h, emb, desc)
     for lvl in range(last - 1, -1, -1):
-        h, c_rep = upsample2_forward(h)
-        h, c_up = conv1d_forward(h, p[f"up.{lvl}.w"], p[f"up.{lvl}.b"])
-        up_caches.append((c_rep, c_up))
+        h = run(rep_caches, upsample2_forward, h)
+        h = run(up_caches, conv1d_forward, h, p[f"up.{lvl}.w"], p[f"up.{lvl}.b"])
         h = np.concatenate([h, skips[lvl]], axis=1)
         for blk in (0, 1):
-            h, c = _res_forward(p, f"dec.{lvl}.{blk}", h, emb, desc)
-            dec_caches.append(c)
+            h = run(dec_caches, _res_forward, p, f"dec.{lvl}.{blk}", h, emb, desc)
 
     yc, c_out = conv1d_forward(h, p["out.w"], p["out.b"])
-    y = x_cf + yc
+    y = np.ascontiguousarray((x_cf + yc).transpose(0, 2, 1))
+    if not keep_cache:
+        return y, None
     cache = {
         "time": (c_t1, c_tm, c_t2),
         "enc": enc_caches,
         "down": down_caches,
         "attn": c_attn,
         "dec": dec_caches,
+        "rep": rep_caches,
         "up": up_caches,
         "out": c_out,
         "shape": x.shape,
     }
-    return np.ascontiguousarray(y.transpose(0, 2, 1)), cache
+    return y, cache
 
 
 def backward_from_cache(params: DenoiserParams, cache: dict, upstream: np.ndarray):
@@ -321,6 +332,9 @@ def backward_from_cache(params: DenoiserParams, cache: dict, upstream: np.ndarra
     desc = params.arch
     p = params.tensors
     last = desc.n_levels - 1
+    if cache is None:
+        raise ValueError("no cache to run the backward from: the forward kept none "
+                         "(keep_cache=False)")
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != cache["shape"]:
         raise ValueError(
@@ -338,6 +352,7 @@ def backward_from_cache(params: DenoiserParams, cache: dict, upstream: np.ndarra
     dx_residual = dy  # global residual branch straight to the input
 
     dec_caches = list(cache["dec"])
+    rep_caches = list(cache["rep"])
     up_caches = list(cache["up"])
     d_skips = {}
     # decoder levels 0 .. last-1 were run last; unwind them first
@@ -348,11 +363,10 @@ def backward_from_cache(params: DenoiserParams, cache: dict, upstream: np.ndarra
         n_up = p[f"up.{lvl}.w"].shape[0]
         d_skips[lvl] = dh[:, n_up:, :]
         dh = dh[:, :n_up, :]
-        c_rep, c_up = up_caches.pop()
-        dh, dw, db = conv1d_backward(dh, p[f"up.{lvl}.w"], c_up)
+        dh, dw, db = conv1d_backward(dh, p[f"up.{lvl}.w"], up_caches.pop())
         grads[f"up.{lvl}.w"] = dw
         grads[f"up.{lvl}.b"] = db
-        dh = upsample2_backward(dh, c_rep)
+        dh = upsample2_backward(dh, rep_caches.pop())
     for blk in (1, 0):
         dh, de = _res_backward(p, f"dec.{last}.{blk}", dh, dec_caches.pop(), grads)
         d_emb_total += de

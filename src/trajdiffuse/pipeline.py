@@ -75,7 +75,8 @@ def predict(params: DenoiserParams, observed, intents: list,
     runs the cosine schedule of the model's n_steps. Sample j draws its noise
     from SeedSequence([seed, j]). Guidance takes `guidance_steps` one-pixel
     steps per frame (0: none) and needs `env`; without one, the returned
-    per-sample ECFL flags are None.
+    per-sample ECFL flags are None. The network forward keeps no backward
+    cache.
     """
     desc = params.arch
     if not params.all_finite():
@@ -95,7 +96,7 @@ def predict(params: DenoiserParams, observed, intents: list,
     tau = np.stack([rng.standard_normal((t_total, 2)) for rng in streams])
     tau = clamp_frames_batch(tau, frames, values_std)
     for i in range(schedule.n_steps, 0, -1):
-        x0_pred, _ = forward_with_cache(params, tau, i)
+        x0_pred, _ = forward_with_cache(params, tau, i, keep_cache=False)
         noise = np.stack([rng.standard_normal((t_total, 2)) for rng in streams])
         tau = reverse_step(tau, x0_pred, i, schedule, noise)
         if guidance_steps > 0:

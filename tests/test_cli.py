@@ -504,6 +504,23 @@ def test_gen_data_accepts_equal_speeds_and_zero_goal_noise(tmp_path):
     assert (out / "dataset.json").exists()
 
 
+@pytest.mark.parametrize("t_pred, waypoints", [(12, 8), (12, 12), (6, 4), (6, 6)])
+def test_gen_data_waypoints_must_fit_the_horizon(tmp_path, capsys, t_pred, waypoints):
+    out = tmp_path / "out"
+    argv = ["gen-data", "--out", out, "--t-pred", t_pred, "--waypoints", waypoints]
+    _assert_rejected(argv, f"--waypoints {waypoints} does not fit in --t-pred {t_pred}: ",
+                     capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t_pred, waypoints", [(12, 7), (6, 3)])
+def test_gen_data_accepts_the_most_waypoints_that_fit(tmp_path, t_pred, waypoints):
+    out = tmp_path / "out"
+    assert run("gen-data", "--out", out, "--n-scenes", 1, "--agents-per-scene", 1,
+               "--k-intents", 2, "--t-pred", t_pred, "--waypoints", waypoints) == 0
+    assert (out / "dataset.json").exists()
+
+
 def test_eval_undecodable_line_names_file_and_line(workspace, tmp_path, capsys):
     _, data, _, preds = workspace
     lines = Path(preds).read_bytes().splitlines(keepends=True)

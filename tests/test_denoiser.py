@@ -184,3 +184,33 @@ def test_per_sample_step_indices():
     for pos, i in enumerate((1, 5, 9)):
         y_single, _ = forward_with_cache(params, x[pos:pos + 1], i)
         np.testing.assert_allclose(y_mixed[pos:pos + 1], y_single, rtol=0, atol=1e-12)
+
+
+TOY = ArchDescriptor(widths=(16, 32, 64))
+WIDE = ArchDescriptor(widths=(32, 64, 128))
+
+
+@pytest.mark.parametrize("desc", [TOY, WIDE], ids=["toy", "wide"])
+@pytest.mark.parametrize("bsz", [1, 20])
+@pytest.mark.parametrize("per_row", [False, True], ids=["scalar-i", "per-row-i"])
+def test_forward_without_cache_equals_the_cached_forward(desc, bsz, per_row):
+    rng = np.random.default_rng(bsz)
+    params = init_params(desc, seed=18)
+    for t in params.tensors.values():  # every branch, the zero-initialized ones too
+        t += 0.05 * rng.standard_normal(t.shape)
+    x = rng.normal(size=(bsz, desc.traj_len, 2))
+    i = rng.integers(1, desc.n_steps + 1, size=bsz) if per_row else 7
+    y_kept, cache = forward_with_cache(params, x, i)
+    y_free, none = forward_with_cache(params, x, i, keep_cache=False)
+    assert cache is not None and none is None
+    assert y_free.dtype == y_kept.dtype and y_free.shape == y_kept.shape
+    assert y_free.tobytes() == y_kept.tobytes()
+
+
+def test_backward_needs_a_kept_cache():
+    rng = np.random.default_rng(19)
+    params = init_params(TINY, seed=20)
+    x = tiny_batch(rng)
+    _, cache = forward_with_cache(params, x, 3, keep_cache=False)
+    with pytest.raises(ValueError, match="the forward kept none"):
+        backward_from_cache(params, cache, np.zeros_like(x))

@@ -142,6 +142,35 @@ def test_unguided_predict_flags_samples_and_needs_no_environment(fitted):
     np.testing.assert_array_equal(without.trajectories.samples, with_env.trajectories.samples)
 
 
+@pytest.mark.parametrize("guided", [True, False], ids=["guided", "unguided"])
+def test_predict_calls_the_names_the_benchmark_traces(fitted, monkeypatch, guided):
+    """perfbench times predict by rebinding `pipeline.forward_with_cache` and
+    `pipeline.guidance_delta`, reading x from args[1] and t_obs from args[2];
+    a predict that bypassed either name would leave its spans empty."""
+    import trajdiffuse.pipeline as pipeline
+
+    scenes, params = fitted
+    calls = {"forward_with_cache": [], "guidance_delta": []}
+    for name in calls:
+        original = getattr(pipeline, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name].append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, counting)
+    k, n_steps = 3, params.arch.n_steps
+    predict(params, **make_request(scenes, guidance=guided, k=k))
+
+    assert len(calls["forward_with_cache"]) == n_steps
+    assert all(args[1].shape == (k, T, 2) for args in calls["forward_with_cache"])
+    if guided:
+        assert len(calls["guidance_delta"]) == k * n_steps
+        assert all(args[2] == T_OBS for args in calls["guidance_delta"])
+    else:
+        assert calls["guidance_delta"] == []
+
+
 def test_unguided_predict_matches_ddpm_oracle():
     # the chain written out with the DDPM posterior inline, clamping as predict does
     desc = ArchDescriptor(widths=(4,), kernel_len=3, gn_groups=2, emb_dim=8,
