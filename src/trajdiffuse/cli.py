@@ -19,7 +19,7 @@ import numpy as np
 
 from .diffusion import TrajBatch
 from .estimator import TrajDiffuse
-from .metrics import MetricsReport, acfl, ade_fde, ecfl, kde_nll, mve
+from .metrics import acfl, ade_fde, ecfl, kde_nll, mve
 from .synth import ENV_KINDS, IntentOracleConfig, generate_dataset, read_dataset, write_dataset
 from .validation import check_non_negative, check_positive
 
@@ -305,25 +305,25 @@ def cmd_eval(args) -> int:
         for scene_rows in per_scene.values()
         if len(scene_rows) >= 2
     ]
-    report = MetricsReport(
-        ade=float(np.mean(ades)),
-        fde=float(np.mean(fdes)),
-        kde_nll=float(np.mean(nlls)) if nlls else None,
-        ecfl=float(np.mean(ecfls)),
-        mve=float(np.mean(mves)),
-        acfl=float(np.mean(acfl_values)) if acfl_values else None,
-        config={
+    report = json.dumps({
+        "ade": float(np.mean(ades)),
+        "fde": float(np.mean(fdes)),
+        "kde_nll": float(np.mean(nlls)) if nlls else None,
+        "ecfl": float(np.mean(ecfls)),
+        "mve": float(np.mean(mves)),
+        "acfl": float(np.mean(acfl_values)) if acfl_values else None,
+        "config": {
             "mve_bins": args.mve_bins,
             "acfl_threshold": args.acfl_threshold,
             "kde_bandwidth_rule": "scott_per_dim",
             "n_agents": len(records),
         },
-    )
+    }, sort_keys=True, indent=2)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(report.to_json() + "\n")
+    out.write_text(report + "\n")
     _echo_config(args, out.with_name(out.name + ".config.json"))
-    print(report.to_json())
+    print(report)
     return 0
 
 

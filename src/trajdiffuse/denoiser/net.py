@@ -147,7 +147,7 @@ def param_specs(desc: ArchDescriptor):
             specs.append((f"down.{lvl}.b", (w[lvl + 1],), "zeros"))
     width = desc.bottleneck_len
     for tag in ("q", "k", "v", "o"):
-        specs.append((f"attn.w{tag}", (width, width), "attn"))
+        specs.append((f"attn.w{tag}", (width, width), "linear"))
         specs.append((f"attn.b{tag}", (width,), "zeros"))
     specs += _res_block_specs(f"dec.{last}.0", w[last], w[last], k, e)
     specs += _res_block_specs(f"dec.{last}.1", w[last], w[last], k, e)
@@ -156,7 +156,7 @@ def param_specs(desc: ArchDescriptor):
         specs.append((f"up.{lvl}.b", (w[lvl],), "zeros"))
         specs += _res_block_specs(f"dec.{lvl}.0", 2 * w[lvl], w[lvl], k, e)
         specs += _res_block_specs(f"dec.{lvl}.1", w[lvl], w[lvl], k, e)
-    specs.append(("out.w", (desc.in_channels, w[0], k), "zero_out"))
+    specs.append(("out.w", (desc.in_channels, w[0], k), "zeros"))
     specs.append(("out.b", (desc.in_channels,), "zeros"))
     return specs
 
@@ -173,15 +173,12 @@ def init_params(desc: ArchDescriptor, seed: int = 0) -> DenoiserParams:
     for name, shape, kind in param_specs(desc):
         if kind == "ones":
             t = np.ones(shape)
-        elif kind in ("zeros", "zero_out"):
+        elif kind == "zeros":
             t = np.zeros(shape)
         else:
             if kind == "conv":
-                fan_in = shape[1] * shape[2]
-                std = np.sqrt(2.0 / fan_in)
-            elif kind == "linear":
-                std = np.sqrt(1.0 / shape[0])
-            else:  # attn
+                std = np.sqrt(2.0 / (shape[1] * shape[2]))
+            else:  # linear
                 std = np.sqrt(1.0 / shape[0])
             t = (rng.standard_normal(shape) * std).astype(np.float32).astype(np.float64)
         tensors[name] = t
@@ -189,6 +186,12 @@ def init_params(desc: ArchDescriptor, seed: int = 0) -> DenoiserParams:
 
 
 # ----------------------------------------------------------- residual block
+
+def _conv_back(p, name, dy, cache, grads):
+    """conv1d backward for the conv `name`; stores its weight and bias gradients."""
+    dx, grads[f"{name}.w"], grads[f"{name}.b"] = conv1d_backward(dy, p[f"{name}.w"], cache)
+    return dx
+
 
 def _res_forward(p, prefix, x, emb, desc):
     c_out = p[f"{prefix}.conv1.w"].shape[0]
@@ -201,41 +204,26 @@ def _res_forward(p, prefix, x, emb, desc):
     h, c_conv2 = conv1d_forward(h, p[f"{prefix}.conv2.w"], p[f"{prefix}.conv2.b"])
     h, c_gn2 = groupnorm_forward(h, p[f"{prefix}.gn2.g"], p[f"{prefix}.gn2.b"], groups)
     h, c_m2 = mish_forward(h)
-    has_skip = f"{prefix}.skip.w" in p
-    if has_skip:
+    if f"{prefix}.skip.w" in p:
         s, c_skip = conv1d_forward(x, p[f"{prefix}.skip.w"], p[f"{prefix}.skip.b"])
     else:
         s, c_skip = x, None
-    return h + s, (c_conv1, c_gn1, c_emb, c_m1, c_conv2, c_gn2, c_m2, c_skip, has_skip)
+    return h + s, (c_conv1, c_gn1, c_emb, c_m1, c_conv2, c_gn2, c_m2, c_skip)
 
 
 def _res_backward(p, prefix, dy, cache, grads):
     """Returns (dx, d_emb); parameter gradients land in `grads`."""
-    c_conv1, c_gn1, c_emb, c_m1, c_conv2, c_gn2, c_m2, c_skip, has_skip = cache
-    if has_skip:
-        dx_skip, dw, db = conv1d_backward(dy, p[f"{prefix}.skip.w"], c_skip)
-        grads[f"{prefix}.skip.w"] = dw
-        grads[f"{prefix}.skip.b"] = db
-    else:
-        dx_skip = dy
+    c_conv1, c_gn1, c_emb, c_m1, c_conv2, c_gn2, c_m2, c_skip = cache
+    dx_skip = dy if c_skip is None else _conv_back(p, f"{prefix}.skip", dy, c_skip, grads)
     dh = mish_backward(dy, c_m2)
-    dh, dg, db = groupnorm_backward(dh, c_gn2)
-    grads[f"{prefix}.gn2.g"] = dg
-    grads[f"{prefix}.gn2.b"] = db
-    dh, dw, db = conv1d_backward(dh, p[f"{prefix}.conv2.w"], c_conv2)
-    grads[f"{prefix}.conv2.w"] = dw
-    grads[f"{prefix}.conv2.b"] = db
+    dh, grads[f"{prefix}.gn2.g"], grads[f"{prefix}.gn2.b"] = groupnorm_backward(dh, c_gn2)
+    dh = _conv_back(p, f"{prefix}.conv2", dh, c_conv2, grads)
     dh = mish_backward(dh, c_m1)
     d_eb = dh.sum(axis=2)
-    d_emb, dw, db = linear_backward(d_eb, p[f"{prefix}.emb.w"], c_emb)
-    grads[f"{prefix}.emb.w"] = dw
-    grads[f"{prefix}.emb.b"] = db
-    dh, dg, db = groupnorm_backward(dh, c_gn1)
-    grads[f"{prefix}.gn1.g"] = dg
-    grads[f"{prefix}.gn1.b"] = db
-    dx, dw, db = conv1d_backward(dh, p[f"{prefix}.conv1.w"], c_conv1)
-    grads[f"{prefix}.conv1.w"] = dw
-    grads[f"{prefix}.conv1.b"] = db
+    d_emb, grads[f"{prefix}.emb.w"], grads[f"{prefix}.emb.b"] = linear_backward(
+        d_eb, p[f"{prefix}.emb.w"], c_emb)
+    dh, grads[f"{prefix}.gn1.g"], grads[f"{prefix}.gn1.b"] = groupnorm_backward(dh, c_gn1)
+    dx = _conv_back(p, f"{prefix}.conv1", dh, c_conv1, grads)
     return dx + dx_skip, d_emb
 
 
@@ -264,70 +252,58 @@ def _check_input(params: DenoiserParams, x: np.ndarray, i) -> np.ndarray:
 def forward_with_cache(params: DenoiserParams, x: np.ndarray, i, *, keep_cache: bool = True):
     """Network forward on (B, T, 2) inputs; i is an int or a (B,) int array.
 
-    Returns (y, cache) for `backward_from_cache`. With keep_cache=False the
-    forward keeps no cache: each block's is dropped as soon as the block
-    returns, and the cache returned is None. The output is the same.
+    Returns (y, cache) for `backward_from_cache`. The cache is (x.shape,
+    tape): the tape holds every layer's cache in forward order, and the
+    backward pops it in reverse. With keep_cache=False the forward keeps no
+    cache: each block's is dropped as soon as the block returns, and the
+    cache returned is None. The output is the same.
     """
     desc = params.arch
     p = params.tensors
     i_arr = _check_input(params, x, i)
     x = np.asarray(x, dtype=np.float64)
     x_cf = np.ascontiguousarray(x.transpose(0, 2, 1))
-    enc_caches, down_caches, dec_caches, rep_caches, up_caches = [], [], [], [], []
+    tape = []
 
-    def run(caches, layer, *args, **kwargs):
-        """y of layer(*args, **kwargs) -> (y, c); c is appended to `caches` when kept."""
+    def run(layer, *args, **kwargs):
+        """y of layer(*args, **kwargs) -> (y, c); c goes on the tape when kept."""
         y, c = layer(*args, **kwargs)
         if keep_cache:
-            caches.append(c)
+            tape.append(c)
         return y
 
     emb0 = sinusoidal_embedding(i_arr, desc.emb_dim)
-    t1, c_t1 = linear_forward(emb0, p["time_mlp.fc1.w"], p["time_mlp.fc1.b"])
-    tm, c_tm = mish_forward(t1)
-    emb, c_t2 = linear_forward(tm, p["time_mlp.fc2.w"], p["time_mlp.fc2.b"])
+    t1 = run(linear_forward, emb0, p["time_mlp.fc1.w"], p["time_mlp.fc1.b"])
+    tm = run(mish_forward, t1)
+    emb = run(linear_forward, tm, p["time_mlp.fc2.w"], p["time_mlp.fc2.b"])
 
     last = desc.n_levels - 1
     h = x_cf
     skips = []
     for lvl in range(desc.n_levels):
         for blk in (0, 1):
-            h = run(enc_caches, _res_forward, p, f"enc.{lvl}.{blk}", h, emb, desc)
+            h = run(_res_forward, p, f"enc.{lvl}.{blk}", h, emb, desc)
         if lvl < last:
             skips.append(h)
-            h = run(down_caches, conv1d_forward, h, p[f"down.{lvl}.w"], p[f"down.{lvl}.b"],
-                    stride=2)
+            h = run(conv1d_forward, h, p[f"down.{lvl}.w"], p[f"down.{lvl}.b"], stride=2)
 
-    h, c_attn = attention_forward(h, p, "attn")
+    h = run(attention_forward, h, p, "attn")
 
     for blk in (0, 1):
-        h = run(dec_caches, _res_forward, p, f"dec.{last}.{blk}", h, emb, desc)
+        h = run(_res_forward, p, f"dec.{last}.{blk}", h, emb, desc)
     for lvl in range(last - 1, -1, -1):
-        h = run(rep_caches, upsample2_forward, h)
-        h = run(up_caches, conv1d_forward, h, p[f"up.{lvl}.w"], p[f"up.{lvl}.b"])
+        h = run(upsample2_forward, h)
+        h = run(conv1d_forward, h, p[f"up.{lvl}.w"], p[f"up.{lvl}.b"])
         h = np.concatenate([h, skips[lvl]], axis=1)
         for blk in (0, 1):
-            h = run(dec_caches, _res_forward, p, f"dec.{lvl}.{blk}", h, emb, desc)
+            h = run(_res_forward, p, f"dec.{lvl}.{blk}", h, emb, desc)
 
-    yc, c_out = conv1d_forward(h, p["out.w"], p["out.b"])
+    yc = run(conv1d_forward, h, p["out.w"], p["out.b"])
     y = np.ascontiguousarray((x_cf + yc).transpose(0, 2, 1))
-    if not keep_cache:
-        return y, None
-    cache = {
-        "time": (c_t1, c_tm, c_t2),
-        "enc": enc_caches,
-        "down": down_caches,
-        "attn": c_attn,
-        "dec": dec_caches,
-        "rep": rep_caches,
-        "up": up_caches,
-        "out": c_out,
-        "shape": x.shape,
-    }
-    return y, cache
+    return y, ((x.shape, tape) if keep_cache else None)
 
 
-def backward_from_cache(params: DenoiserParams, cache: dict, upstream: np.ndarray):
+def backward_from_cache(params: DenoiserParams, cache, upstream: np.ndarray):
     """Reverse-mode pass; returns (grads, d_input) with grads keyed like tensors."""
     desc = params.arch
     p = params.tensors
@@ -335,64 +311,50 @@ def backward_from_cache(params: DenoiserParams, cache: dict, upstream: np.ndarra
     if cache is None:
         raise ValueError("no cache to run the backward from: the forward kept none "
                          "(keep_cache=False)")
+    shape, tape = cache
     upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != cache["shape"]:
+    if upstream.shape != shape:
         raise ValueError(
             f"upstream gradient shape {upstream.shape} does not match the forward "
-            f"output {cache['shape']}"
+            f"output {shape}"
         )
+    tape = list(tape)  # popped below; the caller's cache stays whole
     dy = upstream.transpose(0, 2, 1)
 
     grads: dict = {}
     d_emb_total = 0.0
 
-    dh, dw, db = conv1d_backward(dy, p["out.w"], cache["out"])
-    grads["out.w"] = dw
-    grads["out.b"] = db
+    dh = _conv_back(p, "out", dy, tape.pop(), grads)
     dx_residual = dy  # global residual branch straight to the input
 
-    dec_caches = list(cache["dec"])
-    rep_caches = list(cache["rep"])
-    up_caches = list(cache["up"])
     d_skips = {}
     # decoder levels 0 .. last-1 were run last; unwind them first
     for lvl in range(last):
         for blk in (1, 0):
-            dh, de = _res_backward(p, f"dec.{lvl}.{blk}", dh, dec_caches.pop(), grads)
+            dh, de = _res_backward(p, f"dec.{lvl}.{blk}", dh, tape.pop(), grads)
             d_emb_total += de
         n_up = p[f"up.{lvl}.w"].shape[0]
         d_skips[lvl] = dh[:, n_up:, :]
-        dh = dh[:, :n_up, :]
-        dh, dw, db = conv1d_backward(dh, p[f"up.{lvl}.w"], up_caches.pop())
-        grads[f"up.{lvl}.w"] = dw
-        grads[f"up.{lvl}.b"] = db
-        dh = upsample2_backward(dh, rep_caches.pop())
+        dh = _conv_back(p, f"up.{lvl}", dh[:, :n_up, :], tape.pop(), grads)
+        dh = upsample2_backward(dh, tape.pop())
     for blk in (1, 0):
-        dh, de = _res_backward(p, f"dec.{last}.{blk}", dh, dec_caches.pop(), grads)
+        dh, de = _res_backward(p, f"dec.{last}.{blk}", dh, tape.pop(), grads)
         d_emb_total += de
 
-    dh = attention_backward(dh, p, "attn", cache["attn"], grads)
+    dh = attention_backward(dh, p, "attn", tape.pop(), grads)
 
-    enc_caches = list(cache["enc"])
-    down_caches = list(cache["down"])
     for lvl in range(last, -1, -1):
         if lvl < last:
-            dh, dw, db = conv1d_backward(dh, p[f"down.{lvl}.w"], down_caches.pop())
-            grads[f"down.{lvl}.w"] = dw
-            grads[f"down.{lvl}.b"] = db
-            dh = dh + d_skips[lvl]
+            dh = _conv_back(p, f"down.{lvl}", dh, tape.pop(), grads) + d_skips[lvl]
         for blk in (1, 0):
-            dh, de = _res_backward(p, f"enc.{lvl}.{blk}", dh, enc_caches.pop(), grads)
+            dh, de = _res_backward(p, f"enc.{lvl}.{blk}", dh, tape.pop(), grads)
             d_emb_total += de
 
-    c_t1, c_tm, c_t2 = cache["time"]
-    dt, dw, db = linear_backward(d_emb_total, p["time_mlp.fc2.w"], c_t2)
-    grads["time_mlp.fc2.w"] = dw
-    grads["time_mlp.fc2.b"] = db
-    dt = mish_backward(dt, c_tm)
-    _, dw, db = linear_backward(dt, p["time_mlp.fc1.w"], c_t1)
-    grads["time_mlp.fc1.w"] = dw
-    grads["time_mlp.fc1.b"] = db
+    dt, grads["time_mlp.fc2.w"], grads["time_mlp.fc2.b"] = linear_backward(
+        d_emb_total, p["time_mlp.fc2.w"], tape.pop())
+    dt = mish_backward(dt, tape.pop())
+    _, grads["time_mlp.fc1.w"], grads["time_mlp.fc1.b"] = linear_backward(
+        dt, p["time_mlp.fc1.w"], tape.pop())
 
     dx = (dx_residual + dh).transpose(0, 2, 1)
     return grads, np.ascontiguousarray(dx)

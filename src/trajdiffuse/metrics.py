@@ -14,9 +14,7 @@ oracle.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,22 +25,6 @@ from .validation import as_float_array, check_positive
 KDE_DENSITY_FLOOR = 1e-12
 KDE_BANDWIDTH_FLOOR = 1e-3  # meters; also the fallback for degenerate samples
 HEADING_EPS = 1e-9  # meters; steps shorter than this carry no heading
-
-
-@dataclass
-class MetricsReport:
-    """Aggregated metric values plus the configuration that produced them."""
-
-    ade: float
-    fde: float
-    kde_nll: float | None  # None when fewer than 2 samples per agent
-    ecfl: float
-    mve: float
-    acfl: float | None  # None without multi-agent scenes
-    config: dict
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 def ade_fde(predictions: TrajBatch, ground_truth) -> tuple[float, float]:

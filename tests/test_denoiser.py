@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,10 @@ from trajdiffuse.denoiser import (
     backward_from_cache,
     forward_with_cache,
     init_params,
+    net,
+    param_specs,
 )
-from trajdiffuse.denoiser.layers import attention_forward
+from trajdiffuse.denoiser.layers import attention_forward, conv1d_forward
 
 TINY = ArchDescriptor(
     widths=(4,), kernel_len=5, gn_groups=8, emb_dim=8,
@@ -42,17 +46,69 @@ def test_step_embedding_reaches_output():
     assert np.abs(y1 - yn).max() > 0
 
 
-def test_internal_lengths_follow_stride_arithmetic():
+def test_internal_lengths_follow_stride_arithmetic(monkeypatch):
     rng = np.random.default_rng(2)
     params = init_params(THREE_LEVEL, seed=3)
     x = rng.normal(size=(1, 20, 2))
-    y, cache = forward_with_cache(params, x, 5)
+    attn_shapes, down_lengths = [], []
+
+    def attention(h, *args):
+        attn_shapes.append(h.shape)
+        return attention_forward(h, *args)
+
+    def conv(h, w, b, stride=1):
+        if stride == 2:
+            down_lengths.append(h.shape[2])  # input lengths of the down convs
+        return conv1d_forward(h, w, b, stride=stride)
+
+    monkeypatch.setattr(net, "attention_forward", attention)
+    monkeypatch.setattr(net, "conv1d_forward", conv)
+    y, _ = forward_with_cache(params, x, 5)
     assert y.shape == (1, 20, 2)
     # bottleneck attention saw length 20 -> 10 -> 5
-    attn_x = cache["attn"][0]
-    assert attn_x.shape == (1, 8, 5)
-    down_lengths = [c[1][2] for c in cache["down"]]  # input lengths of the down convs
+    assert attn_shapes == [(1, 8, 5)]
     assert down_lengths == [20, 10]
+
+
+TRACED_LAYERS = ("conv1d", "groupnorm", "mish", "attention", "linear")
+
+
+def test_each_layer_runs_once_per_pass_through_the_traced_names(monkeypatch):
+    """perfbench's per-layer metrics count calls to these `net` module names,
+    so every layer must run through them: once forward, once backward."""
+    counts = Counter()
+    for op in TRACED_LAYERS:
+        for way in ("forward", "backward"):
+            name = f"{op}_{way}"
+
+            def counting(*args, _name=name, _layer=getattr(net, name), **kwargs):
+                counts[_name] += 1
+                return _layer(*args, **kwargs)
+
+            monkeypatch.setattr(net, name, counting)
+    rng = np.random.default_rng(21)
+    params = init_params(THREE_LEVEL, seed=22)
+    x = tiny_batch(rng, THREE_LEVEL)
+    specs = param_specs(THREE_LEVEL)
+    n_res = sum(name.endswith(".conv1.w") for name, _, _ in specs)
+    assert n_res == 4 * THREE_LEVEL.n_levels  # two encoder and two decoder blocks a level
+    expected = {
+        "conv1d": sum(len(shape) == 3 for _, shape, _ in specs),
+        "groupnorm": 2 * n_res,
+        "mish": 1 + 2 * n_res,
+        "attention": 1,
+        "linear": 2 + n_res,
+    }
+
+    forward_with_cache(params, x, 4, keep_cache=False)
+    assert {op: counts[f"{op}_forward"] for op in TRACED_LAYERS} == expected
+    assert not any(counts[f"{op}_backward"] for op in TRACED_LAYERS)
+
+    counts.clear()
+    _, cache = forward_with_cache(params, x, 4)
+    backward_from_cache(params, cache, rng.normal(size=x.shape))
+    assert {op: counts[f"{op}_forward"] for op in TRACED_LAYERS} == expected
+    assert {op: counts[f"{op}_backward"] for op in TRACED_LAYERS} == expected
 
 
 def test_forward_is_deterministic():
