@@ -431,15 +431,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model on a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output directory for checkpoint and loss log")
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--steps", type=int, default=25, help="denoising steps N")
-    p.add_argument("--weighting", choices=("simple", "paper"), default="simple")
-    p.add_argument("--widths", type=_widths_type, default=(32, 64, 128))
-    p.add_argument("--coord-scale", type=float, default=5.0)
+    p.add_argument("--epochs", type=int, default=TrajDiffuse.n_epochs)
+    p.add_argument("--batch", type=int, default=TrajDiffuse.batch_size)
+    p.add_argument("--lr", type=float, default=TrajDiffuse.lr)
+    p.add_argument("--steps", type=int, default=TrajDiffuse.n_steps, help="denoising steps N")
+    p.add_argument("--weighting", choices=("simple", "paper"), default=TrajDiffuse.weighting)
+    p.add_argument("--widths", type=_widths_type, default=TrajDiffuse.widths)
+    p.add_argument("--coord-scale", type=float, default=TrajDiffuse.coord_scale)
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=TrajDiffuse.seed)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="sample trajectory predictions")
@@ -448,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output JSONL file")
     p.add_argument("--k", type=int, default=20, help="samples per agent")
     p.add_argument("--guidance", choices=("on", "off"), default="on")
-    p.add_argument("--grad-steps", type=int, default=10)
+    p.add_argument("--grad-steps", type=int, default=TrajDiffuse.guidance_steps)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_predict)
 

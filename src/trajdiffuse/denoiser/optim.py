@@ -8,6 +8,9 @@ import numpy as np
 
 from ..validation import check_non_negative
 
+BETAS = (0.9, 0.999)  # decay rates of the first and second moment estimates
+EPS = 1e-8
+
 
 class NonFiniteGradientError(ValueError):
     """Raised when a gradient tensor contains NaN or inf; the step is invalid."""
@@ -30,8 +33,8 @@ class AdamState:
         )
 
 
-def adam_update(tensors: dict, grads: dict, state: AdamState, lr: float,
-                betas=(0.9, 0.999), eps: float = 1e-8) -> tuple[dict, AdamState]:
+def adam_update(tensors: dict, grads: dict, state: AdamState,
+                lr: float) -> tuple[dict, AdamState]:
     """One Adam step; returns updated tensors and state (inputs untouched).
 
     Tensors with no gradient entry are carried through unchanged. Non-finite
@@ -39,7 +42,7 @@ def adam_update(tensors: dict, grads: dict, state: AdamState, lr: float,
     the step.
     """
     check_non_negative(lr, "lr")
-    b1, b2 = betas
+    b1, b2 = BETAS
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradientError(f"non-finite gradient for {name!r}")
@@ -56,7 +59,7 @@ def adam_update(tensors: dict, grads: dict, state: AdamState, lr: float,
         v = b2 * state.v[name] + (1 - b2) * g * g
         m_hat = m / (1 - b1**t)
         v_hat = v / (1 - b2**t)
-        new_tensors[name] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+        new_tensors[name] = p - lr * m_hat / (np.sqrt(v_hat) + EPS)
         new_m[name] = m
         new_v[name] = v
     return new_tensors, AdamState(m=new_m, v=new_v, step=t)

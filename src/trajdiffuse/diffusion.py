@@ -8,7 +8,9 @@ form). Randomness enters only through explicit noise arrays supplied by the
 caller. TrajBatch and ConditionSpec are the trajectory and clamp-set types
 the rest of the package passes around. ConditionSpec has one constructor, and
 its checks are the one definition of a valid clamp layout: the intent oracle
-and the dataset reader both build specs through it.
+and the dataset reader both build specs through it. `check_intents` is the
+one rule for an agent's set of intents, which `read_dataset` and `predict`
+both apply.
 """
 
 from __future__ import annotations
@@ -97,6 +99,16 @@ class ConditionSpec:
         values.setflags(write=False)
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "values", values)
+
+
+def check_intents(intents: list, history: np.ndarray) -> None:
+    """One agent's intents share one clamp-frame layout and each clamps its
+    observed history exactly; `history` is the agent's first t_obs frames."""
+    if len({spec.frames.tobytes() for spec in intents}) > 1:
+        raise ValueError("intents do not share one clamp-frame layout")
+    clamped = np.stack([spec.values[: len(history)] for spec in intents])
+    if not (clamped == history).all():
+        raise ValueError("intent history does not match the record's first t_obs frames")
 
 
 def forward_noise(x0: np.ndarray, i, noise: np.ndarray, schedule: NoiseSchedule) -> np.ndarray:

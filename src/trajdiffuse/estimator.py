@@ -9,7 +9,7 @@ a dependency.
 
 from __future__ import annotations
 
-import inspect
+from dataclasses import dataclass, fields
 
 from .denoiser import DenoiserParams, load_checkpoint, save_checkpoint
 from .mapguide import NavEnvironment
@@ -21,7 +21,8 @@ class NotFittedError(RuntimeError):
     """predict() was called before fit() or load()."""
 
 
-class TrajDiffuse:
+@dataclass(eq=False, kw_only=True)
+class TrajDiffuse(TrainConfig):
     """Map-guided conditional diffusion model for trajectory prediction.
 
     Parameters
@@ -44,32 +45,13 @@ class TrajDiffuse:
     `schedule.DEFAULT_COSINE_OFFSET`.
     """
 
-    def __init__(self, n_steps=25, widths=(32, 64, 128), kernel_len=5, gn_groups=8,
-                 emb_dim=32, coord_scale=5.0, lr=1e-3, batch_size=32, n_epochs=200,
-                 weighting="simple", guidance_steps=10, seed=0):
-        self.n_steps = n_steps
-        self.widths = widths
-        self.kernel_len = kernel_len
-        self.gn_groups = gn_groups
-        self.emb_dim = emb_dim
-        self.coord_scale = coord_scale
-        self.lr = lr
-        self.batch_size = batch_size
-        self.n_epochs = n_epochs
-        self.weighting = weighting
-        self.guidance_steps = guidance_steps
-        self.seed = seed
-
-    @classmethod
-    def _param_names(cls):
-        sig = inspect.signature(cls.__init__)
-        return [name for name in sig.parameters if name != "self"]
+    guidance_steps: int = 10
 
     def get_params(self, deep=True):
-        return {name: getattr(self, name) for name in self._param_names()}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def set_params(self, **params):
-        valid = set(self._param_names())
+        valid = {f.name for f in fields(self)}
         for name, value in params.items():
             if name not in valid:
                 raise ValueError(f"invalid parameter {name!r} for TrajDiffuse")
@@ -80,14 +62,7 @@ class TrajDiffuse:
 
     def fit(self, scenes, init: DenoiserParams | None = None):
         """Train on a list of scenes; returns self."""
-        config = TrainConfig(
-            n_epochs=self.n_epochs, batch_size=self.batch_size, lr=self.lr,
-            n_steps=self.n_steps, weighting=self.weighting, seed=self.seed,
-            widths=tuple(self.widths), kernel_len=self.kernel_len,
-            gn_groups=self.gn_groups, emb_dim=self.emb_dim,
-            coord_scale=self.coord_scale,
-        )
-        self.model_params_, self.training_log_ = train(scenes, config, init=init)
+        self.model_params_, self.training_log_ = train(scenes, self, init=init)
         return self
 
     def _check_fitted(self):

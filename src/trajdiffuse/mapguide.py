@@ -110,24 +110,14 @@ def distance_transform(nav_grid: np.ndarray, resolution: float) -> np.ndarray:
 def gradient_field(dist_field: np.ndarray, resolution: float) -> np.ndarray:
     """Central-difference gradient of the distance field, (H, W, 2) as (d/dx, d/dy).
 
-    One-sided differences at the borders; slopes are dimensionless (meters of
-    distance per meter of world displacement).
+    One-sided differences at the borders, and zero along an axis of length 1;
+    slopes are dimensionless (meters of distance per meter of world
+    displacement).
     """
     dist = as_float_array(dist_field, "dist_field")
     check_positive(resolution, "resolution")
-    h, w = dist.shape
-    gx = np.zeros_like(dist)
-    gy = np.zeros_like(dist)
-    if w > 2:
-        gx[:, 1:-1] = (dist[:, 2:] - dist[:, :-2]) / (2.0 * resolution)
-    if w > 1:
-        gx[:, 0] = (dist[:, 1] - dist[:, 0]) / resolution
-        gx[:, -1] = (dist[:, -1] - dist[:, -2]) / resolution
-    if h > 2:
-        gy[1:-1, :] = (dist[2:, :] - dist[:-2, :]) / (2.0 * resolution)
-    if h > 1:
-        gy[0, :] = (dist[1, :] - dist[0, :]) / resolution
-        gy[-1, :] = (dist[-1, :] - dist[-2, :]) / resolution
+    gx, gy = (np.gradient(dist, resolution, axis=axis) if dist.shape[axis] > 1
+              else np.zeros_like(dist) for axis in (1, 0))
     return np.stack([gx, gy], axis=-1)
 
 

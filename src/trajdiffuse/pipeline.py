@@ -23,7 +23,14 @@ from typing import ClassVar
 
 import numpy as np
 
-from .diffusion import TrajBatch, clamp_frames_batch, forward_noise, loss_and_grad, reverse_step
+from .diffusion import (
+    TrajBatch,
+    check_intents,
+    clamp_frames_batch,
+    forward_noise,
+    loss_and_grad,
+    reverse_step,
+)
 from .denoiser import (
     AdamState,
     ArchDescriptor,
@@ -50,14 +57,9 @@ def _validate_request(observed, intents: list, env: NavEnvironment | None,
     observed = as_float_array(observed, "observed", shape=(desc.t_obs, 2))
     if not intents:
         raise ValueError("request carries no intents")
-    frames = intents[0].frames
-    for spec in intents:
-        if spec.t_obs != desc.t_obs or spec.t_pred != desc.t_pred:
-            raise ValueError("intent frame split does not match the model")
-        if not np.array_equal(spec.frames, frames):
-            raise ValueError("all intents must share one clamp-frame layout")
-        if not np.array_equal(spec.values[: desc.t_obs], observed):
-            raise ValueError("intent history does not match the observed trajectory")
+    if any(spec.t_obs != desc.t_obs or spec.t_pred != desc.t_pred for spec in intents):
+        raise ValueError("intent frame split does not match the model")
+    check_intents(intents, observed)
     if guidance_steps < 0:
         raise ValueError(f"guidance_steps must be >= 0, got {guidance_steps}")
     if guidance_steps and env is None:
@@ -115,7 +117,7 @@ def predict(params: DenoiserParams, observed, intents: list,
 
 # ----------------------------------------------------------------- training
 
-@dataclass
+@dataclass(eq=False, kw_only=True)
 class TrainConfig:
     n_epochs: int = 200
     batch_size: int = 32

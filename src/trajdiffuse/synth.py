@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diffusion import ConditionSpec
+from .diffusion import ConditionSpec, check_intents
 from .mapguide import NavEnvironment, ecfl_check, load_environment, save_environment
 from .validation import as_float_array, check_positive, check_trajectory
 
@@ -345,19 +345,6 @@ def intent_oracle(trajectory: np.ndarray, t_obs: int, cfg: IntentOracleConfig,
 
 # ------------------------------------------------------------------ datasets
 
-def generate_scene(scene_id: str, kind: str, size, resolution, n_agents: int,
-                   t_obs: int, t_pred: int, frame_dt: float, speed_range: tuple,
-                   intent_cfg: IntentOracleConfig, k_intents: int, seed: int) -> Scene:
-    env = generate_environment(kind, size, resolution, seed)
-    agents = []
-    for a in range(n_agents):
-        agent_seed = seed * 1009 + a
-        traj = generate_trajectory(env, t_obs + t_pred, frame_dt, speed_range, agent_seed)
-        intents = intent_oracle(traj, t_obs, intent_cfg, env, k_intents, agent_seed, frame_dt)
-        agents.append(AgentTrack(agent_id=a, trajectory=traj, intents=intents))
-    return Scene(scene_id, env, agents, t_obs, t_pred, frame_dt)
-
-
 def generate_dataset(kinds, n_scenes: int, n_agents: int, size, resolution,
                      t_obs: int, t_pred: int, frame_dt: float, speed_range,
                      intent_cfg: IntentOracleConfig, k_intents: int, seed: int) -> list:
@@ -366,13 +353,15 @@ def generate_dataset(kinds, n_scenes: int, n_agents: int, size, resolution,
         kinds = [kinds]
     scenes = []
     for s in range(n_scenes):
-        scenes.append(
-            generate_scene(
-                f"scene_{s:04d}", kinds[s % len(kinds)], size, resolution, n_agents,
-                t_obs, t_pred, frame_dt, speed_range, intent_cfg, k_intents,
-                seed=seed * 7919 + s,
-            )
-        )
+        seed_s = seed * 7919 + s
+        env = generate_environment(kinds[s % len(kinds)], size, resolution, seed_s)
+        agents = []
+        for a in range(n_agents):
+            agent_seed = seed_s * 1009 + a
+            traj = generate_trajectory(env, t_obs + t_pred, frame_dt, speed_range, agent_seed)
+            intents = intent_oracle(traj, t_obs, intent_cfg, env, k_intents, agent_seed, frame_dt)
+            agents.append(AgentTrack(agent_id=a, trajectory=traj, intents=intents))
+        scenes.append(Scene(f"scene_{s:04d}", env, agents, t_obs, t_pred, frame_dt))
     return scenes
 
 
@@ -420,17 +409,6 @@ def _read_split(meta_path: Path) -> tuple:
     return t_obs, t_pred, frame_dt
 
 
-def _check_intents_fit(intents: list, history: np.ndarray) -> None:
-    """A record's intents share one clamp-frame layout and clamp its own history."""
-    if not intents:
-        return
-    if len({spec.frames.tobytes() for spec in intents}) > 1:
-        raise ValueError("intents do not share one clamp-frame layout")
-    clamped = np.stack([spec.values[: len(history)] for spec in intents])
-    if not (clamped == history).all():
-        raise ValueError("intent history does not match the record's first t_obs frames")
-
-
 def read_dataset(data_dir) -> list:
     """Read scenes back; raises with file/line context on malformed records.
 
@@ -462,7 +440,8 @@ def read_dataset(data_dir) -> list:
                         ConditionSpec(spec["frames"], spec["values"], t_obs=t_obs, t_pred=t_pred)
                         for spec in record["intents"]
                     ]
-                    _check_intents_fit(intents, traj[:t_obs])
+                    if intents:
+                        check_intents(intents, traj[:t_obs])
                     agent_id = record["agent_id"]
                     if isinstance(agent_id, bool) or not isinstance(agent_id, int):
                         raise ValueError(f"agent_id {agent_id!r} is not an integer")

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from trajdiffuse import NotFittedError, TrajDiffuse
+from trajdiffuse.pipeline import TrainConfig, train
 from tests.test_pipeline import T_OBS, T_PRED, TINY_TRAIN, tiny_scenes
 
 
@@ -94,3 +97,27 @@ def test_reloaded_model_predicts_exactly_what_the_fitted_one_did(tmp_path):
         reloaded = loaded.predict(*args, env=scenes[0].env, seed=5, guidance=guidance)
         assert reloaded.trajectories.samples.tobytes() == fitted.trajectories.samples.tobytes()
         np.testing.assert_array_equal(reloaded.per_sample_ecfl, fitted.per_sample_ecfl)
+
+
+def test_fit_trains_exactly_what_train_does_with_the_same_settings():
+    scenes = tiny_scenes()
+    model = tiny_model(weighting="paper").fit(scenes)
+    settings = {**TINY_TRAIN, "weighting": "paper"}
+    params, log = train(scenes, TrainConfig(**settings))
+    assert model.model_params_.arch == params.arch
+    assert list(model.model_params_.tensors) == list(params.tensors)
+    for name, tensor in params.tensors.items():
+        assert model.model_params_.tensors[name].tobytes() == tensor.tobytes()
+    assert model.training_log_ == log
+
+
+def test_estimator_is_a_keyword_only_train_config_with_identity_equality():
+    model = TrajDiffuse()
+    assert isinstance(model, TrainConfig)
+    assert set(model.get_params()) == {f.name for f in dataclasses.fields(TrainConfig)} | {
+        "guidance_steps"}
+    assert model == model and model != TrajDiffuse()
+    assert hash(model) == hash(model)
+    assert len({model, TrajDiffuse()}) == 2
+    with pytest.raises(TypeError):
+        TrajDiffuse(25)

@@ -160,25 +160,30 @@ def test_half_plane_ramp_interior_gradient():
 
 def test_gradient_matches_scalar_central_difference_oracle():
     rng = np.random.default_rng(1)
-    dist = rng.random((6, 7))
     res = 0.5
-    g = gradient_field(dist, res)
-    h, w = dist.shape
-    for r in range(h):
-        for c in range(w):
-            if 0 < c < w - 1:
-                gx = (dist[r, c + 1] - dist[r, c - 1]) / (2 * res)
-            elif c == 0:
-                gx = (dist[r, 1] - dist[r, 0]) / res
-            else:
-                gx = (dist[r, c] - dist[r, c - 1]) / res
-            if 0 < r < h - 1:
-                gy = (dist[r + 1, c] - dist[r - 1, c]) / (2 * res)
-            elif r == 0:
-                gy = (dist[1, c] - dist[0, c]) / res
-            else:
-                gy = (dist[r, c] - dist[r - 1, c]) / res
-            assert g[r, c, 0] == gx and g[r, c, 1] == gy
+    for shape in [(6, 7), (1, 7), (6, 1), (2, 2)]:
+        dist = rng.random(shape)
+        g = gradient_field(dist, res)
+        h, w = dist.shape
+        for r in range(h):
+            for c in range(w):
+                if w == 1:
+                    gx = 0.0
+                elif 0 < c < w - 1:
+                    gx = (dist[r, c + 1] - dist[r, c - 1]) / (2 * res)
+                elif c == 0:
+                    gx = (dist[r, 1] - dist[r, 0]) / res
+                else:
+                    gx = (dist[r, c] - dist[r, c - 1]) / res
+                if h == 1:
+                    gy = 0.0
+                elif 0 < r < h - 1:
+                    gy = (dist[r + 1, c] - dist[r - 1, c]) / (2 * res)
+                elif r == 0:
+                    gy = (dist[1, c] - dist[0, c]) / res
+                else:
+                    gy = (dist[r, c] - dist[r - 1, c]) / res
+                assert g[r, c, 0] == gx and g[r, c, 1] == gy, (shape, r, c)
 
 
 def test_gradient_zero_strictly_inside_navigable():
