@@ -3,7 +3,13 @@ and SVG rendering.
 
 Every run is deterministic given its flags and seed, writes a JSON config
 echo next to its outputs, and uses exit codes 0 (success), 1 (runtime
-failure), 2 (usage error). TRAJDIFFUSE_LOG sets the default log level.
+failure), 2 (usage error). A flag value of the wrong type or outside its
+range, such as `--epochs 0`, is a usage error that argparse reports before
+any file is read or written. TRAJDIFFUSE_LOG sets the default log level.
+
+`eval` and `render` read a predictions file through one loader, which checks
+every record against the dataset (trajectories through `TrajBatch`) and names
+the record's file and line when it rejects one.
 """
 
 from __future__ import annotations
@@ -55,31 +61,33 @@ def _widths_type(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"--widths must be ints like 32,64,128") from exc
 
 
+def _int_flag(flag: str, minimum: int = 1):
+    """An argparse type for `flag`: an int of at least `minimum`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{flag} must be >= {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
+
+
+def _float_flag(flag: str, check=check_positive):
+    """An argparse type for `flag`: a float that `check` (check_positive or
+    check_non_negative) accepts."""
+    def parse(text: str) -> float:
+        value = float(text)
+        try:
+            return check(value, flag)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    parse.__name__ = "float"
+    return parse
+
+
 def _echo_config(args: argparse.Namespace, target: Path) -> None:
     resolved = {k: v for k, v in vars(args).items() if k != "func"}
-    for key, value in resolved.items():
-        if isinstance(value, (tuple, Path)):
-            resolved[key] = str(value) if isinstance(value, Path) else list(value)
     target.write_text(json.dumps(resolved, sort_keys=True, default=str) + "\n")
-
-
-def _check_counts(args: argparse.Namespace, *flags: str, minimum: int = 1) -> None:
-    """Reject an integer flag below `minimum`, by name, before any file is touched."""
-    for flag in flags:
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if value < minimum:
-            raise ValueError(f"{flag} must be >= {minimum}, got {value}")
-
-
-def _check_gen_data_floats(args: argparse.Namespace) -> None:
-    """Reject gen-data's float flags outside their ranges, by name, before any file is touched."""
-    for flag in ("--dt", "--resolution", "--speed-min", "--speed-max"):
-        check_positive(getattr(args, flag[2:].replace("-", "_")), flag)
-    if args.speed_min > args.speed_max:
-        raise ValueError(
-            f"--speed-min must be <= --speed-max, got {args.speed_min} > {args.speed_max}"
-        )
-    check_non_negative(args.goal_noise, "--goal-noise")
 
 
 def _agent_seed(base: int, scene_idx: int, agent_id: int) -> int:
@@ -89,9 +97,10 @@ def _agent_seed(base: int, scene_idx: int, agent_id: int) -> int:
 # ------------------------------------------------------------------ gen-data
 
 def cmd_gen_data(args) -> int:
-    _check_counts(args, "--n-scenes", "--agents-per-scene", "--t-obs", "--t-pred", "--k-intents")
-    _check_counts(args, "--waypoints", "--seed", minimum=0)
-    _check_gen_data_floats(args)
+    if args.speed_min > args.speed_max:
+        raise ValueError(
+            f"--speed-min must be <= --speed-max, got {args.speed_min} > {args.speed_max}"
+        )
     intent_cfg = IntentOracleConfig(
         n_waypoints=args.waypoints, goal_noise_sigma=args.goal_noise,
         diversify=args.diversify,
@@ -119,10 +128,6 @@ def cmd_gen_data(args) -> int:
 # --------------------------------------------------------------------- train
 
 def cmd_train(args) -> int:
-    _check_counts(args, "--epochs", "--batch", "--steps")
-    _check_counts(args, "--seed", minimum=0)
-    check_non_negative(args.lr, "--lr")
-    check_positive(args.coord_scale, "--coord-scale")
     scenes = read_dataset(args.data)
     model = TrajDiffuse(
         n_epochs=args.epochs, batch_size=args.batch, lr=args.lr, n_steps=args.steps,
@@ -151,8 +156,6 @@ def cmd_train(args) -> int:
 # ------------------------------------------------------------------- predict
 
 def cmd_predict(args) -> int:
-    _check_counts(args, "--k", "--grad-steps")
-    _check_counts(args, "--seed", minimum=0)
     model = TrajDiffuse.load(args.checkpoint).set_params(guidance_steps=args.grad_steps)
     scenes = read_dataset(args.data)
     records = []
@@ -192,9 +195,14 @@ def cmd_predict(args) -> int:
 _RECORD_KEYS = ("scene_id", "agent_id", "trajectories")
 
 
-def _load_predictions(path) -> list:
-    """Prediction records as ("<path>:<line>", record) pairs, in file order;
-    each (scene_id, agent_id) may appear once."""
+def _load_predictions(path, scenes: dict) -> list:
+    """The records of a predictions file, checked against the dataset, as
+    (where, scene, agent, batch) in file order.
+
+    `scenes` maps scene_id to Scene and `where` is the record's
+    "<path>:<line>". Each record names an agent of the dataset, at most once,
+    and its trajectories must make a TrajBatch of the scene's frame split.
+    """
     records = []
     first_seen = {}
     with open(path, "rb") as fh:
@@ -214,103 +222,61 @@ def _load_predictions(path) -> list:
                 raise ValueError(
                     f"{where}: prediction record lacks {', '.join(map(repr, missing))}"
                 )
-            ids = (record["scene_id"], record["agent_id"])
-            if not isinstance(ids[0], str):
-                raise ValueError(f"{where}: scene_id {ids[0]!r} is not a string")
-            if isinstance(ids[1], bool) or not isinstance(ids[1], int):
-                raise ValueError(f"{where}: agent_id {ids[1]!r} is not an integer")
-            if ids in first_seen:
+            scene_id, agent_id = record["scene_id"], record["agent_id"]
+            scene = scenes.get(scene_id) if isinstance(scene_id, str) else None
+            if scene is None:
+                raise ValueError(f"{where}: scene_id {scene_id!r} is not in the dataset")
+            agent = next((a for a in scene.agents if a.agent_id == agent_id), None)
+            if agent is None or type(agent_id) is not int:  # a JSON true equals 1
+                raise ValueError(f"{where}: agent_id {agent_id!r} is not in scene {scene_id!r}")
+            if (scene_id, agent_id) in first_seen:
                 raise ValueError(
-                    f"{where}: scene_id {ids[0]!r} agent_id {ids[1]!r} repeats the record "
-                    f"at {first_seen[ids]}"
+                    f"{where}: scene_id {scene_id!r} agent_id {agent_id!r} repeats the record "
+                    f"at {first_seen[scene_id, agent_id]}"
                 )
-            first_seen[ids] = where
-            records.append((where, record))
+            first_seen[scene_id, agent_id] = where
+            t_obs = record.get("t_obs", scene.t_obs)
+            if t_obs != scene.t_obs:
+                raise ValueError(
+                    f"{where}: t_obs {t_obs!r} differs from the scene's {scene.t_obs}"
+                )
+            try:
+                batch = TrajBatch(record["trajectories"], scene.t_obs, scene.t_pred)
+            except (ValueError, TypeError, OverflowError) as exc:
+                raise ValueError(f"{where}: bad trajectories: {exc}") from exc
+            records.append((where, scene, agent, batch))
     return records
 
 
-def _resolve_record(scene, where, record):
-    """The agent of `scene` that a prediction record names, and its (K, T, 2)
-    samples, checked against the scene; `where` is the record's file:line."""
-    for agent in scene.agents:
-        if agent.agent_id == record["agent_id"]:
-            break
-    else:
-        raise ValueError(
-            f"{where}: agent_id {record['agent_id']!r} is not in scene {scene.scene_id!r}"
-        )
-    t_obs = record.get("t_obs", scene.t_obs)
-    if t_obs != scene.t_obs:
-        raise ValueError(f"{where}: t_obs {t_obs!r} differs from the scene's {scene.t_obs}")
-    t_len = scene.t_obs + scene.t_pred
-    expected = f"(K >= 1, {t_len}, 2)"
-    try:
-        samples = np.asarray(record["trajectories"], dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{where}: trajectories is not a {expected} array: {exc}") from exc
-    if samples.ndim != 3 or len(samples) < 1 or samples.shape[1:] != (t_len, 2):
-        raise ValueError(f"{where}: trajectories has shape {samples.shape}, expected {expected}")
-    if not np.all(np.isfinite(samples)):
-        raise ValueError(f"{where}: trajectories holds non-finite values")
-    return agent, samples
-
-
-def _eval_one(where, record, scenes, mve_bins):
-    scene = scenes.get(record["scene_id"])
-    if scene is None:
-        raise ValueError(f"{where}: scene_id {record['scene_id']!r} is not in the dataset")
-    agent, samples = _resolve_record(scene, where, record)
-    batch = TrajBatch(samples, scene.t_obs, scene.t_pred)
-    a, f = ade_fde(batch, agent.trajectory)
-    nll = kde_nll(batch, agent.trajectory) if batch.n_samples >= 2 else None
-    return {
-        "where": where,
-        "scene_id": record["scene_id"],
-        "batch": batch,
-        "ade": a,
-        "fde": f,
-        "nll": nll,
-        "ecfl": ecfl(batch, scene.env),
-        "mve": mve(batch, n_bins=mve_bins),
-    }
-
-
 def cmd_eval(args) -> int:
-    check_positive(args.acfl_threshold, "--acfl-threshold")
-    _check_counts(args, "--mve-bins")
     scenes = {s.scene_id: s for s in read_dataset(args.data)}
-    records = _load_predictions(args.predictions)
+    records = _load_predictions(args.predictions, scenes)
 
-    rows = [_eval_one(where, r, scenes, args.mve_bins) for where, r in records]
-
-    ades = [r["ade"] for r in rows]
-    fdes = [r["fde"] for r in rows]
-    nlls = [r["nll"] for r in rows if r["nll"] is not None]
-    ecfls = [r["ecfl"] for r in rows]
-    mves = [r["mve"] for r in rows]
     per_scene: dict = {}
-    for row in rows:
-        scene_rows = per_scene.setdefault(row["scene_id"], [])
-        if scene_rows and row["batch"].n_samples != scene_rows[0]["batch"].n_samples:
-            first = scene_rows[0]
+    for where, scene, _, batch in records:
+        scene_rows = per_scene.setdefault(scene.scene_id, [])
+        if scene_rows and batch.n_samples != scene_rows[0][1].n_samples:
+            first_where, first_batch = scene_rows[0]
             raise ValueError(
-                f"{row['where']}: scene {row['scene_id']!r} has K={row['batch'].n_samples} "
-                f"samples, but {first['where']} has K={first['batch'].n_samples}; "
+                f"{where}: scene {scene.scene_id!r} has K={batch.n_samples} samples, but "
+                f"{first_where} has K={first_batch.n_samples}; "
                 f"ACFL needs the same K for every agent of a scene"
             )
-        scene_rows.append(row)
-
+        scene_rows.append((where, batch))
+    errors = [ade_fde(batch, agent.trajectory) for _, _, agent, batch in records]
+    nlls = [kde_nll(batch, agent.trajectory)
+            for _, _, agent, batch in records if batch.n_samples >= 2]
     acfl_values = [
-        acfl([row["batch"] for row in scene_rows], threshold=args.acfl_threshold)
+        acfl([batch for _, batch in scene_rows], threshold=args.acfl_threshold)
         for scene_rows in per_scene.values()
         if len(scene_rows) >= 2
     ]
     report = json.dumps({
-        "ade": float(np.mean(ades)),
-        "fde": float(np.mean(fdes)),
+        "ade": float(np.mean([ade for ade, _ in errors])),
+        "fde": float(np.mean([fde for _, fde in errors])),
         "kde_nll": float(np.mean(nlls)) if nlls else None,
-        "ecfl": float(np.mean(ecfls)),
-        "mve": float(np.mean(mves)),
+        "ecfl": float(np.mean([ecfl(batch, scene.env) for _, scene, _, batch in records])),
+        "mve": float(np.mean([mve(batch, n_bins=args.mve_bins) for *_, batch in records])),
         "acfl": float(np.mean(acfl_values)) if acfl_values else None,
         "config": {
             "mve_bins": args.mve_bins,
@@ -350,14 +316,13 @@ def _render_scene(scene, records) -> str:
             f'<rect x="{c * CELL_PX}" y="{r * CELL_PX}" width="{CELL_PX}" '
             f'height="{CELL_PX}" fill="#e8e6e0"/>'
         )
-    for where, record in records:
-        agent, samples = _resolve_record(scene, where, record)
+    for agent, batch in records:
         gt = " ".join(_svg_point(env, p) for p in agent.trajectory)
         lines.append(
             f'<polyline points="{gt}" fill="none" stroke="#2f5ed8" '
             f'stroke-width="2" stroke-dasharray="6,4"/>'
         )
-        for sample in samples:
+        for sample in batch.samples:
             pts = " ".join(_svg_point(env, p) for p in sample)
             lines.append(
                 f'<polyline points="{pts}" fill="none" stroke="#d83a2f" '
@@ -369,10 +334,9 @@ def _render_scene(scene, records) -> str:
 
 def cmd_render(args) -> int:
     scenes = {s.scene_id: s for s in read_dataset(args.data)}
-    records = _load_predictions(args.predictions)
     by_scene: dict = {}
-    for where, record in records:
-        by_scene.setdefault(record["scene_id"], []).append((where, record))
+    for _, scene, agent, batch in _load_predictions(args.predictions, scenes):
+        by_scene.setdefault(scene.scene_id, []).append((agent, batch))
 
     targets = [args.scene] if args.scene else sorted(by_scene)
     out = Path(args.out)
@@ -409,55 +373,59 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--kind", type=_kinds_type, default=["corridor"],
                    help="environment kind(s), comma-separated; scenes cycle through them")
-    p.add_argument("--n-scenes", type=int, default=8)
-    p.add_argument("--agents-per-scene", type=int, default=3)
+    p.add_argument("--n-scenes", type=_int_flag("--n-scenes"), default=8)
+    p.add_argument("--agents-per-scene", type=_int_flag("--agents-per-scene"), default=3)
     p.add_argument("--size", type=_size_type, default=(32, 32), help="grid size HxW, min 16x16")
-    p.add_argument("--resolution", type=float, default=0.5, help="meters per pixel")
-    p.add_argument("--t-obs", type=int, default=8)
-    p.add_argument("--t-pred", type=int, default=12)
-    p.add_argument("--dt", type=float, default=0.4, help="seconds per frame")
-    p.add_argument("--speed-min", type=float, default=0.6)
-    p.add_argument("--speed-max", type=float, default=1.4)
-    p.add_argument("--waypoints", type=int, default=2,
+    p.add_argument("--resolution", type=_float_flag("--resolution"), default=0.5,
+                   help="meters per pixel")
+    p.add_argument("--t-obs", type=_int_flag("--t-obs"), default=8)
+    p.add_argument("--t-pred", type=_int_flag("--t-pred"), default=12)
+    p.add_argument("--dt", type=_float_flag("--dt"), default=0.4, help="seconds per frame")
+    p.add_argument("--speed-min", type=_float_flag("--speed-min"), default=0.6)
+    p.add_argument("--speed-max", type=_float_flag("--speed-max"), default=1.4)
+    p.add_argument("--waypoints", type=_int_flag("--waypoints", 0), default=2,
                    help="interior waypoint anchors (the goal is always clamped)")
-    p.add_argument("--goal-noise", type=float, default=0.5,
-                   help="sigma (meters) of anchor perturbation")
+    p.add_argument("--goal-noise", type=_float_flag("--goal-noise", check_non_negative),
+                   default=0.5, help="sigma (meters) of anchor perturbation")
     p.add_argument("--diversify", action="store_true",
                    help="give intents 1..K-1 alternate reachable goals")
-    p.add_argument("--k-intents", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--k-intents", type=_int_flag("--k-intents"), default=20)
+    p.add_argument("--seed", type=_int_flag("--seed", 0), default=0)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train a model on a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output directory for checkpoint and loss log")
-    p.add_argument("--epochs", type=int, default=TrajDiffuse.n_epochs)
-    p.add_argument("--batch", type=int, default=TrajDiffuse.batch_size)
-    p.add_argument("--lr", type=float, default=TrajDiffuse.lr)
-    p.add_argument("--steps", type=int, default=TrajDiffuse.n_steps, help="denoising steps N")
+    p.add_argument("--epochs", type=_int_flag("--epochs"), default=TrajDiffuse.n_epochs)
+    p.add_argument("--batch", type=_int_flag("--batch"), default=TrajDiffuse.batch_size)
+    p.add_argument("--lr", type=_float_flag("--lr", check_non_negative), default=TrajDiffuse.lr)
+    p.add_argument("--steps", type=_int_flag("--steps"), default=TrajDiffuse.n_steps,
+                   help="denoising steps N")
     p.add_argument("--weighting", choices=("simple", "paper"), default=TrajDiffuse.weighting)
     p.add_argument("--widths", type=_widths_type, default=TrajDiffuse.widths)
-    p.add_argument("--coord-scale", type=float, default=TrajDiffuse.coord_scale)
+    p.add_argument("--coord-scale", type=_float_flag("--coord-scale"),
+                   default=TrajDiffuse.coord_scale)
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
-    p.add_argument("--seed", type=int, default=TrajDiffuse.seed)
+    p.add_argument("--seed", type=_int_flag("--seed", 0), default=TrajDiffuse.seed)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="sample trajectory predictions")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output JSONL file")
-    p.add_argument("--k", type=int, default=20, help="samples per agent")
+    p.add_argument("--k", type=_int_flag("--k"), default=20, help="samples per agent")
     p.add_argument("--guidance", choices=("on", "off"), default="on")
-    p.add_argument("--grad-steps", type=int, default=TrajDiffuse.guidance_steps)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--grad-steps", type=_int_flag("--grad-steps"),
+                   default=TrajDiffuse.guidance_steps)
+    p.add_argument("--seed", type=_int_flag("--seed", 0), default=0)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("eval", help="score predictions against ground truth")
     p.add_argument("--predictions", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output metrics JSON")
-    p.add_argument("--mve-bins", type=int, default=36)
-    p.add_argument("--acfl-threshold", type=float, default=0.5)
+    p.add_argument("--mve-bins", type=_int_flag("--mve-bins"), default=36)
+    p.add_argument("--acfl-threshold", type=_float_flag("--acfl-threshold"), default=0.5)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("render", help="render scenes with predictions to SVG")

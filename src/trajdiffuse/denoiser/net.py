@@ -85,11 +85,10 @@ class ArchDescriptor:
         return self.traj_len // self.downsample_factor
 
     def groups_for(self, channels: int) -> int:
-        """Largest divisor of `channels` not exceeding gn_groups."""
+        """Largest divisor of `channels` not exceeding gn_groups (1 divides every count)."""
         for g in range(min(self.gn_groups, channels), 0, -1):
             if channels % g == 0:
                 return g
-        return 1
 
 
 @dataclass
@@ -234,11 +233,6 @@ def _check_input(params: DenoiserParams, x: np.ndarray, i) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != desc.in_channels:
         raise ValueError(f"input must have shape (B, T, {desc.in_channels}), got {x.shape}")
-    if x.shape[1] % desc.downsample_factor != 0:
-        raise ValueError(
-            f"trajectory length {x.shape[1]} not divisible by the total "
-            f"downsampling factor {desc.downsample_factor}"
-        )
     if x.shape[1] != desc.traj_len:
         raise ValueError(
             f"trajectory length {x.shape[1]} does not match the descriptor's {desc.traj_len}"

@@ -37,9 +37,8 @@ def adam_update(tensors: dict, grads: dict, state: AdamState,
                 lr: float) -> tuple[dict, AdamState]:
     """One Adam step; returns updated tensors and state (inputs untouched).
 
-    Tensors with no gradient entry are carried through unchanged. Non-finite
-    gradients raise NonFiniteGradientError so the caller can skip and report
-    the step.
+    `grads` holds a gradient for every tensor. Non-finite gradients raise
+    NonFiniteGradientError so the caller can skip and report the step.
     """
     check_non_negative(lr, "lr")
     b1, b2 = BETAS
@@ -49,12 +48,7 @@ def adam_update(tensors: dict, grads: dict, state: AdamState,
     t = state.step + 1
     new_tensors, new_m, new_v = {}, {}, {}
     for name, p in tensors.items():
-        g = grads.get(name)
-        if g is None:
-            new_tensors[name] = p.copy()
-            new_m[name] = state.m[name].copy()
-            new_v[name] = state.v[name].copy()
-            continue
+        g = grads[name]
         m = b1 * state.m[name] + (1 - b1) * g
         v = b2 * state.v[name] + (1 - b2) * g * g
         m_hat = m / (1 - b1**t)

@@ -1,16 +1,16 @@
 """Diffusion math core: the only implementation, called by `pipeline`.
 
 Pure functions over ndarrays of shape (B, T, 2): forward noising via the
-closed-form marginal, inpainting-style frame clamping, the posterior mean in
-the clean-signal parameterization, the stochastic reverse step, and the
-batched training loss with its gradient (plain MSE or the schedule-weighted
-form). Randomness enters only through explicit noise arrays supplied by the
-caller. TrajBatch and ConditionSpec are the trajectory and clamp-set types
-the rest of the package passes around. ConditionSpec has one constructor, and
-its checks are the one definition of a valid clamp layout: the intent oracle
-and the dataset reader both build specs through it. `check_intents` is the
-one rule for an agent's set of intents, which `read_dataset` and `predict`
-both apply.
+closed-form marginal (one step per sample), inpainting-style frame clamping,
+the posterior mean in the clean-signal parameterization, the stochastic
+reverse step, and the batched training loss with its gradient (plain MSE or
+the schedule-weighted form). Randomness enters only through explicit noise
+arrays supplied by the caller. TrajBatch and ConditionSpec are the trajectory
+and clamp-set types the rest of the package passes around. ConditionSpec has
+one constructor, and its checks are the one definition of a valid clamp
+layout: the intent oracle and the dataset reader both build specs through it.
+`check_intents` is the one rule for an agent's set of intents, which
+`read_dataset` and `predict` both apply.
 """
 
 from __future__ import annotations
@@ -114,17 +114,14 @@ def check_intents(intents: list, history: np.ndarray) -> None:
 def forward_noise(x0: np.ndarray, i, noise: np.ndarray, schedule: NoiseSchedule) -> np.ndarray:
     """Sample the closed-form marginal: sqrt(ab_i) * x0 + sqrt(1 - ab_i) * noise.
 
-    x0 and noise have shape (B, T, 2); i is an int or a (B,) int array of
-    per-sample steps.
+    x0 and noise have shape (B, T, 2); i is a (B,) int array of per-sample
+    steps, as training draws them.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
     check_same_shape(noise, x0, "noise", "x0")
-    if np.ndim(i) == 0:
-        ab = schedule.alpha_bars[check_step_index(i, schedule.n_steps) - 1]
-    else:
-        steps = check_step_array(i, x0.shape[0], schedule.n_steps)
-        ab = schedule.alpha_bars[steps - 1][:, None, None]
+    steps = check_step_array(i, x0.shape[0], schedule.n_steps)
+    ab = schedule.alpha_bars[steps - 1][:, None, None]
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * noise
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 from .denoiser import DenoiserParams, load_checkpoint, save_checkpoint
 from .mapguide import NavEnvironment
-from .pipeline import PredictionResult, TrainConfig, predict, train
+from .pipeline import ARCH_FIELDS, PredictionResult, TrainConfig, predict, train
 from .schedule import build_cosine_schedule
 
 
@@ -90,11 +90,7 @@ class TrajDiffuse(TrainConfig):
     @classmethod
     def load(cls, path) -> "TrajDiffuse":
         params = load_checkpoint(path)
-        desc = params.arch
-        model = cls(
-            n_steps=desc.n_steps, widths=desc.widths, kernel_len=desc.kernel_len,
-            gn_groups=desc.gn_groups, emb_dim=desc.emb_dim, coord_scale=desc.coord_scale,
-        )
+        model = cls(**{name: getattr(params.arch, name) for name in ARCH_FIELDS})
         model.model_params_ = params
         model.training_log_ = []
         return model

@@ -117,19 +117,23 @@ def predict(params: DenoiserParams, observed, intents: list,
 
 # ----------------------------------------------------------------- training
 
+# The TrainConfig fields that are ArchDescriptor fields of the same name.
+ARCH_FIELDS = ("widths", "kernel_len", "gn_groups", "emb_dim", "n_steps", "coord_scale")
+
+
 @dataclass(eq=False, kw_only=True)
 class TrainConfig:
     n_epochs: int = 200
     batch_size: int = 32
     lr: float = 1e-3
-    n_steps: int = 25
+    n_steps: int = ArchDescriptor.n_steps
     weighting: str = "simple"
     seed: int = 0
-    widths: tuple = (32, 64, 128)
-    kernel_len: int = 5
-    gn_groups: int = 8
-    emb_dim: int = 32
-    coord_scale: float = 5.0
+    widths: tuple = ArchDescriptor.widths
+    kernel_len: int = ArchDescriptor.kernel_len
+    gn_groups: int = ArchDescriptor.gn_groups
+    emb_dim: int = ArchDescriptor.emb_dim
+    coord_scale: float = ArchDescriptor.coord_scale
     cosine_offset: ClassVar[float] = DEFAULT_COSINE_OFFSET  # fixed, as in Improved DDPM
 
 
@@ -171,9 +175,7 @@ def train(scenes: list, config: TrainConfig,
     x0_all, frames, t_obs, t_pred = _collect_training_arrays(scenes, config.coord_scale)
 
     desc = ArchDescriptor(
-        widths=config.widths, kernel_len=config.kernel_len, gn_groups=config.gn_groups,
-        emb_dim=config.emb_dim, t_obs=t_obs, t_pred=t_pred, n_steps=config.n_steps,
-        coord_scale=config.coord_scale,
+        t_obs=t_obs, t_pred=t_pred, **{name: getattr(config, name) for name in ARCH_FIELDS},
     )
     if init is not None:
         if init.arch != desc:

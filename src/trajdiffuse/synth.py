@@ -348,9 +348,7 @@ def intent_oracle(trajectory: np.ndarray, t_obs: int, cfg: IntentOracleConfig,
 def generate_dataset(kinds, n_scenes: int, n_agents: int, size, resolution,
                      t_obs: int, t_pred: int, frame_dt: float, speed_range,
                      intent_cfg: IntentOracleConfig, k_intents: int, seed: int) -> list:
-    """n_scenes scenes cycling through `kinds`; deterministic per seed."""
-    if isinstance(kinds, str):
-        kinds = [kinds]
+    """n_scenes scenes cycling through the list `kinds`; deterministic per seed."""
     scenes = []
     for s in range(n_scenes):
         seed_s = seed * 7919 + s

@@ -124,7 +124,7 @@ def test_a1_math_core_oracle_suite():
     clean = np.tile(clean_val, (n, 2, 1))
     noise = rng.standard_normal((n, 2, 2))
     ab = sched.alpha_bars[i - 1]
-    noised = forward_noise(clean, i, noise, sched)
+    noised = forward_noise(clean, np.full(n, i), noise, sched)
     se = math.sqrt((1 - ab) / n)
     assert np.all(np.abs(noised.mean(axis=0) - np.sqrt(ab) * clean_val) < 4 * se)
     assert np.all(np.abs(noised.var(axis=0) - (1 - ab)) < 0.05 * (1 - ab))

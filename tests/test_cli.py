@@ -62,9 +62,9 @@ def test_gen_data_layout_and_determinism(workspace, tmp_path):
 
 
 def test_gen_data_rejects_small_size(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run("gen-data", "--out", tmp_path / "x", "--size", "4x4")
-    assert exc.value.code == 2
+    _assert_usage_error(["gen-data", "--out", tmp_path / "x", "--size", "4x4"],
+                        "--size must be at least 16x16, got 4x4", capsys)
+    assert not (tmp_path / "x").exists()
 
 
 def test_gen_data_rejects_unknown_kind(tmp_path):
@@ -216,12 +216,9 @@ def test_predict_records_equal_estimator_predictions(workspace):
 def test_predict_rejects_bad_grad_steps_before_sampling(workspace, tmp_path, capsys):
     _, data, model, _ = workspace
     out = tmp_path / "bad.jsonl"
-    code = run(
-        "predict", "--checkpoint", model / "model.ckpt", "--data", data,
-        "--out", out, "--k", 3, "--grad-steps", 0,
-    )
-    assert code == 1
-    assert "--grad-steps must be >= 1, got 0" in capsys.readouterr().err
+    argv = ["predict", "--checkpoint", model / "model.ckpt", "--data", data,
+            "--out", out, "--k", 3, "--grad-steps", 0]
+    _assert_usage_error(argv, "--grad-steps must be >= 1, got 0", capsys)
     assert not out.exists()
 
 
@@ -276,27 +273,17 @@ def test_eval_report_matches_metrics_module(workspace, tmp_path):
 ])
 def test_eval_unknown_id_names_file_line_and_id(workspace, tmp_path, capsys, field, value):
     _, data, _, preds = workspace
+    bad = _bad_predictions(preds, tmp_path, lambda r: r.update({field: value}))
+    _assert_eval_and_render_reject(data, bad, f"{bad}:2: {field} {value!r}", capsys)
+
+
+def _bad_predictions(preds, tmp_path, edit, line=2):
+    """A copy of the predictions with the record on `line` edited; returns its path."""
     records = read_jsonl(preds)
-    records[1][field] = value
+    edit(records[line - 1])
     bad = tmp_path / "bad.jsonl"
     bad.write_text("".join(json.dumps(r) + "\n" for r in records))
-    argv = ["eval", "--predictions", bad, "--data", data, "--out", tmp_path / "m.json"]
-    message = f"{bad}:2: {field} {value!r}"
-
-    args = build_parser().parse_args([str(a) for a in argv])
-    with pytest.raises(ValueError, match=re.escape(message)):
-        args.func(args)
-    assert run(*argv) == 1
-    assert message in capsys.readouterr().err
-
-
-def _eval_bad_record(data, preds, tmp_path, edit):
-    """Run eval on the predictions with record 2 edited; return (argv, bad path)."""
-    records = read_jsonl(preds)
-    edit(records[1])
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text("".join(json.dumps(r) + "\n" for r in records))
-    return ["eval", "--predictions", bad, "--data", data, "--out", tmp_path / "m.json"], bad
+    return bad
 
 
 def _assert_rejected(argv, message, capsys):
@@ -307,11 +294,29 @@ def _assert_rejected(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+def _assert_eval_and_render_reject(data, bad, message, capsys):
+    """eval, render of all scenes and render of scene_0000 reject `bad` with `message`
+    and write nothing."""
+    out = bad.parent / "out"
+    for argv in (["eval"], ["render"], ["render", "--scene", "scene_0000"]):
+        _assert_rejected([*argv, "--predictions", bad, "--data", data, "--out", out],
+                         message, capsys)
+        assert not out.exists()
+
+
+def _assert_usage_error(argv, message, capsys):
+    """argparse rejects `argv` with exit code 2 and `message` on stderr."""
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key", ["scene_id", "agent_id", "trajectories"])
 def test_eval_record_missing_key_names_file_line_and_key(workspace, tmp_path, capsys, key):
     _, data, _, preds = workspace
-    argv, bad = _eval_bad_record(data, preds, tmp_path, lambda r: r.pop(key))
-    _assert_rejected(argv, f"{bad}:2: prediction record lacks {key!r}", capsys)
+    bad = _bad_predictions(preds, tmp_path, lambda r: r.pop(key))
+    _assert_eval_and_render_reject(data, bad, f"{bad}:2: prediction record lacks {key!r}", capsys)
 
 
 def test_eval_record_t_obs_mismatch_is_rejected(workspace, tmp_path, capsys):
@@ -320,35 +325,37 @@ def test_eval_record_t_obs_mismatch_is_rejected(workspace, tmp_path, capsys):
     def edit(record):
         record["t_obs"] -= 1
 
-    argv, bad = _eval_bad_record(data, preds, tmp_path, edit)
-    _assert_rejected(argv, f"{bad}:2: t_obs 7 differs from the scene's 8", capsys)
+    bad = _bad_predictions(preds, tmp_path, edit)
+    _assert_eval_and_render_reject(data, bad, f"{bad}:2: t_obs 7 differs from the scene's 8",
+                                   capsys)
 
 
 @pytest.mark.parametrize("edit, problem", [
-    pytest.param(lambda r: [s.pop() for s in r["trajectories"]], "has shape (3, 19, 2)",
-                 id="short"),
-    pytest.param(lambda r: r.update(trajectories=[]), "has shape (0,)", id="no-samples"),
+    pytest.param(lambda r: [s.pop() for s in r["trajectories"]],
+                 "samples have 19 frames, expected t_obs + t_pred = 20", id="short"),
+    pytest.param(lambda r: r.update(trajectories=[]), "samples must have 3 dimensions, got 1",
+                 id="no-samples"),
     pytest.param(lambda r: [p.append(0.0) for s in r["trajectories"] for p in s],
-                 "has shape (3, 20, 3)", id="3d-points"),
-    pytest.param(lambda r: r["trajectories"][0].pop(), "is not a (K >= 1, 20, 2) array",
+                 "samples has shape (3, 20, 3), expected (None, None, 2)", id="3d-points"),
+    pytest.param(lambda r: r["trajectories"][0].pop(), "setting an array element with a sequence",
                  id="ragged"),
     pytest.param(lambda r: r["trajectories"][2][5].__setitem__(1, float("nan")),
-                 "holds non-finite values", id="nan"),
+                 "samples contains non-finite values", id="nan"),
     pytest.param(lambda r: r["trajectories"][0][0].__setitem__(0, float("-inf")),
-                 "holds non-finite values", id="inf"),
+                 "samples contains non-finite values", id="inf"),
     pytest.param(lambda r: r["trajectories"][0][0].__setitem__(0, 10 ** 400),
-                 "is not a (K >= 1, 20, 2) array: int too large to convert to float",
-                 id="huge-int"),
+                 "int too large to convert to float", id="huge-int"),
 ])
 def test_eval_record_bad_trajectories_are_rejected(workspace, tmp_path, capsys, edit, problem):
     _, data, _, preds = workspace
-    argv, bad = _eval_bad_record(data, preds, tmp_path, edit)
-    _assert_rejected(argv, f"{bad}:2: trajectories {problem}", capsys)
+    bad = _bad_predictions(preds, tmp_path, edit)
+    _assert_eval_and_render_reject(data, bad, f"{bad}:2: bad trajectories: {problem}", capsys)
 
 
 def test_eval_mixed_k_in_a_scene_names_file_and_scene(workspace, tmp_path, capsys):
     _, data, _, preds = workspace
-    argv, bad = _eval_bad_record(data, preds, tmp_path, lambda r: r["trajectories"].pop())
+    bad = _bad_predictions(preds, tmp_path, lambda r: r["trajectories"].pop())
+    argv = ["eval", "--predictions", bad, "--data", data, "--out", tmp_path / "m.json"]
     _assert_rejected(
         argv, f"{bad}:2: scene 'scene_0000' has K=2 samples, but {bad}:1 has K=3", capsys,
     )
@@ -362,9 +369,7 @@ def test_repeated_record_is_rejected_by_eval_and_render(workspace, tmp_path, cap
     first = read_jsonl(preds)[0]
     message = (f"{bad}:{len(lines) + 1}: scene_id {first['scene_id']!r} agent_id "
                f"{first['agent_id']!r} repeats the record at {bad}:1")
-    for command in ("eval", "render"):
-        argv = [command, "--predictions", bad, "--data", data, "--out", tmp_path / command]
-        _assert_rejected(argv, message, capsys)
+    _assert_eval_and_render_reject(data, bad, message, capsys)
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -377,7 +382,7 @@ def test_eval_rejects_bad_settings_before_reading(tmp_path, capsys, flag, value,
     missing = tmp_path / "missing"
     argv = ["eval", "--predictions", missing / "p.jsonl", "--data", missing,
             "--out", tmp_path / "m.json", flag, value]
-    _assert_rejected(argv, message, capsys)
+    _assert_usage_error(argv, message, capsys)
     assert not (tmp_path / "m.json").exists()
 
 
@@ -413,7 +418,8 @@ def test_settings_out_of_range_are_rejected_before_reading(tmp_path, capsys, com
 
 
 def _assert_rejected_before_reading(tmp_path, capsys, command, flag, value, message):
-    """`command` with `flag value` fails with `message` before it reads or writes a file."""
+    """`command` with `flag value` is a usage error that names the flag, and
+    nothing is read or written."""
     missing, out = tmp_path / "missing", tmp_path / "out"
     inputs = {
         "predict": ["--checkpoint", missing / "model.ckpt", "--data", missing],
@@ -421,22 +427,22 @@ def _assert_rejected_before_reading(tmp_path, capsys, command, flag, value, mess
         "gen-data": [],
     }[command]
     argv = [command, *inputs, "--out", out, flag, value]
-    _assert_rejected(argv, message, capsys)
+    _assert_usage_error(argv, message, capsys)
     assert not out.exists()
 
 
 def test_render_checks_records_like_eval(workspace, tmp_path, capsys):
+    # rendering scene_0000 alone still checks the records of every scene
     _, data, _, preds = workspace
-    _, bad = _eval_bad_record(data, preds, tmp_path, lambda r: r.pop("trajectories"))
-    argv = ["render", "--predictions", bad, "--data", data, "--out", tmp_path / "svgs"]
-    _assert_rejected(argv, f"{bad}:2: prediction record lacks 'trajectories'", capsys)
 
     def edit(record):
+        assert record["scene_id"] == "scene_0001"
         record["trajectories"][0][0][0] = float("nan")
 
-    _, bad = _eval_bad_record(data, preds, tmp_path, edit)
-    argv = ["render", "--predictions", bad, "--data", data, "--out", tmp_path / "svgs"]
-    _assert_rejected(argv, f"{bad}:2: trajectories holds non-finite values", capsys)
+    bad = _bad_predictions(preds, tmp_path, edit, line=5)
+    _assert_eval_and_render_reject(
+        data, bad, f"{bad}:5: bad trajectories: samples contains non-finite values", capsys,
+    )
 
 
 # --------------------------------------------------------------------- render
@@ -492,7 +498,11 @@ def test_render_unknown_scene_fails(workspace, tmp_path, capsys):
 ])
 def test_gen_data_float_flags_are_checked_before_writing(tmp_path, capsys, flags, message):
     out = tmp_path / "out"
-    _assert_rejected(["gen-data", "--out", out, *flags], message, capsys)
+    argv = ["gen-data", "--out", out, *flags]
+    if len(flags) == 2:  # one flag out of its range: a usage error
+        _assert_usage_error(argv, message, capsys)
+    else:  # the two speeds are compared when the command runs
+        _assert_rejected(argv, message, capsys)
     assert not out.exists()
 
 
@@ -526,6 +536,6 @@ def test_eval_undecodable_line_names_file_and_line(workspace, tmp_path, capsys):
     lines = Path(preds).read_bytes().splitlines(keepends=True)
     bad = tmp_path / "bad.jsonl"
     bad.write_bytes(lines[0] + lines[1][:40] + b"\xff" + lines[1][41:] + b"".join(lines[2:]))
-    argv = ["eval", "--predictions", bad, "--data", data, "--out", tmp_path / "m.json"]
-    _assert_rejected(argv, f"{bad}:2: malformed prediction record: 'utf-8' codec can't decode",
-                     capsys)
+    _assert_eval_and_render_reject(
+        data, bad, f"{bad}:2: malformed prediction record: 'utf-8' codec can't decode", capsys,
+    )

@@ -51,7 +51,7 @@ def test_forward_noise_zero_noise():
     rng = np.random.default_rng(0)
     clean = make_batch(rng)
     sched = build_cosine_schedule(20)
-    out = forward_noise(clean, 7, np.zeros_like(clean), sched)
+    out = forward_noise(clean, np.full(len(clean), 7), np.zeros_like(clean), sched)
     np.testing.assert_array_equal(out, np.sqrt(sched.alpha_bars[6]) * clean)
 
 
@@ -60,7 +60,7 @@ def test_forward_noise_zero_signal_single_step():
     sched = build_cosine_schedule(1)
     clean = np.zeros((3, T, 2))
     noise = rng.normal(size=(3, T, 2))
-    out = forward_noise(clean, 1, noise, sched)
+    out = forward_noise(clean, np.full(3, 1), noise, sched)
     np.testing.assert_array_equal(out, np.sqrt(1 - sched.alpha_bars[0]) * noise)
 
 
@@ -73,7 +73,7 @@ def test_forward_noise_marginal_moments_monte_carlo():
     n = 100_000
     clean = np.tile(clean_val, (n, 2, 1))
     noise = rng.standard_normal((n, 2, 2))
-    out = forward_noise(clean, i, noise, sched)
+    out = forward_noise(clean, np.full(n, i), noise, sched)
     ab = sched.alpha_bars[i - 1]
     mean = out.mean(axis=0)
     var = out.var(axis=0)
@@ -87,9 +87,11 @@ def test_forward_noise_rejects_bad_inputs():
     clean = make_batch(rng)
     sched = build_cosine_schedule(10)
     with pytest.raises(ValueError):
-        forward_noise(clean, 3, np.zeros((2, T, 2)), sched)
+        forward_noise(clean, np.full(4, 3), np.zeros((2, T, 2)), sched)
+    with pytest.raises(ValueError):  # one step per sample, not one for the batch
+        forward_noise(clean, 3, np.zeros_like(clean), sched)
     with pytest.raises(IndexError):
-        forward_noise(clean, 11, np.zeros_like(clean), sched)
+        forward_noise(clean, np.full(4, 11), np.zeros_like(clean), sched)
     with pytest.raises(IndexError):
         forward_noise(clean, np.array([3, 11, 5, 1]), np.zeros_like(clean), sched)
     with pytest.raises(IndexError):
@@ -98,7 +100,7 @@ def test_forward_noise_rejects_bad_inputs():
         forward_noise(clean, np.array([3, 5]), np.zeros_like(clean), sched)
 
 
-def test_forward_noise_per_sample_steps_match_scalar_calls():
+def test_forward_noise_per_sample_steps_match_single_row_calls():
     rng = np.random.default_rng(21)
     sched = build_cosine_schedule(10)
     clean = make_batch(rng, k=5)
@@ -106,7 +108,7 @@ def test_forward_noise_per_sample_steps_match_scalar_calls():
     steps = np.array([1, 4, 10, 4, 7])
     out = forward_noise(clean, steps, noise, sched)
     for row, i in enumerate(steps):
-        single = forward_noise(clean[row:row + 1], int(i), noise[row:row + 1], sched)
+        single = forward_noise(clean[row:row + 1], steps[row:row + 1], noise[row:row + 1], sched)
         np.testing.assert_array_equal(out[row:row + 1], single)
 
 

@@ -147,6 +147,8 @@ def test_corrupt_agents_jsonl_loads_or_names_file_and_line(dataset, data):
 
 @pytest.fixture(scope="module")
 def predictions(dataset, tmp_path_factory):
+    """A predictions file for the pristine dataset, its good bytes and the
+    dataset's scenes by id."""
     good, _ = dataset
     scene = read_dataset(good)[0]
     records = [
@@ -155,15 +157,16 @@ def predictions(dataset, tmp_path_factory):
         for agent in scene.agents
     ]
     text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-    return tmp_path_factory.mktemp("preds") / "preds.jsonl", text.encode()
+    path = tmp_path_factory.mktemp("preds") / "preds.jsonl"
+    return path, text.encode(), {scene.scene_id: scene}
 
 
 @FUZZ
 @given(data=st.data())
 def test_corrupt_predictions_load_or_name_file_and_line(predictions, data):
-    path, good = predictions
+    path, good, scenes = predictions
     path.write_bytes(corrupt_jsonl(data, good))
     try:
-        _load_predictions(path)
+        _load_predictions(path, scenes)  # checks each record against the dataset too
     except ValueError as exc:
         assert_names(exc, path, line=True)
