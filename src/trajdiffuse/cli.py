@@ -27,7 +27,7 @@ from .diffusion import TrajBatch
 from .estimator import TrajDiffuse
 from .metrics import acfl, ade_fde, ecfl, kde_nll, mve
 from .synth import ENV_KINDS, IntentOracleConfig, generate_dataset, read_dataset, write_dataset
-from .validation import check_non_negative, check_positive
+from .validation import check_non_negative, check_positive, read_jsonl
 
 log = logging.getLogger("trajdiffuse")
 
@@ -54,13 +54,6 @@ def _kinds_type(text: str) -> list:
     return kinds
 
 
-def _widths_type(text: str) -> tuple:
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"--widths must be ints like 32,64,128") from exc
-
-
 def _int_flag(flag: str, minimum: int = 1):
     """An argparse type for `flag`: an int of at least `minimum`."""
     def parse(text: str) -> int:
@@ -70,6 +63,13 @@ def _int_flag(flag: str, minimum: int = 1):
         return value
     parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
     return parse
+
+
+def _widths_type(text: str) -> tuple:
+    try:
+        return tuple(map(_int_flag("--widths"), text.split(",")))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError("--widths must be ints like 32,64,128") from exc
 
 
 def _float_flag(flag: str, check=check_positive):
@@ -201,50 +201,39 @@ def _load_predictions(path, scenes: dict) -> list:
 
     `scenes` maps scene_id to Scene and `where` is the record's
     "<path>:<line>". Each record names an agent of the dataset, at most once,
-    and its trajectories must make a TrajBatch of the scene's frame split.
+    its t_obs (when given) is the scene's as a JSON integer, and its
+    trajectories must make a TrajBatch of the scene's frame split. A file
+    without records is rejected.
     """
     records = []
     first_seen = {}
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            where = f"{path}:{lineno}"
-            try:
-                line = raw.decode("utf-8")
-                if not line.strip():
-                    continue
-                record = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # not UTF-8 or not JSON
-                raise ValueError(f"{where}: malformed prediction record: {exc}") from exc
-            if not isinstance(record, dict):
-                raise ValueError(f"{where}: prediction record is not a JSON object")
-            missing = [key for key in _RECORD_KEYS if key not in record]
-            if missing:
-                raise ValueError(
-                    f"{where}: prediction record lacks {', '.join(map(repr, missing))}"
-                )
-            scene_id, agent_id = record["scene_id"], record["agent_id"]
-            scene = scenes.get(scene_id) if isinstance(scene_id, str) else None
-            if scene is None:
-                raise ValueError(f"{where}: scene_id {scene_id!r} is not in the dataset")
-            agent = next((a for a in scene.agents if a.agent_id == agent_id), None)
-            if agent is None or type(agent_id) is not int:  # a JSON true equals 1
-                raise ValueError(f"{where}: agent_id {agent_id!r} is not in scene {scene_id!r}")
-            if (scene_id, agent_id) in first_seen:
-                raise ValueError(
-                    f"{where}: scene_id {scene_id!r} agent_id {agent_id!r} repeats the record "
-                    f"at {first_seen[scene_id, agent_id]}"
-                )
-            first_seen[scene_id, agent_id] = where
-            t_obs = record.get("t_obs", scene.t_obs)
-            if t_obs != scene.t_obs:
-                raise ValueError(
-                    f"{where}: t_obs {t_obs!r} differs from the scene's {scene.t_obs}"
-                )
-            try:
-                batch = TrajBatch(record["trajectories"], scene.t_obs, scene.t_pred)
-            except (ValueError, TypeError, OverflowError) as exc:
-                raise ValueError(f"{where}: bad trajectories: {exc}") from exc
-            records.append((where, scene, agent, batch))
+    for where, record in read_jsonl(path, "prediction record"):
+        missing = [key for key in _RECORD_KEYS if key not in record]
+        if missing:
+            raise ValueError(f"{where}: prediction record lacks {', '.join(map(repr, missing))}")
+        scene_id, agent_id = record["scene_id"], record["agent_id"]
+        scene = scenes.get(scene_id) if isinstance(scene_id, str) else None
+        if scene is None:
+            raise ValueError(f"{where}: scene_id {scene_id!r} is not in the dataset")
+        agent = next((a for a in scene.agents if a.agent_id == agent_id), None)
+        if agent is None or type(agent_id) is not int:  # a JSON true equals 1
+            raise ValueError(f"{where}: agent_id {agent_id!r} is not in scene {scene_id!r}")
+        if (scene_id, agent_id) in first_seen:
+            raise ValueError(
+                f"{where}: scene_id {scene_id!r} agent_id {agent_id!r} repeats the record "
+                f"at {first_seen[scene_id, agent_id]}"
+            )
+        first_seen[scene_id, agent_id] = where
+        t_obs = record.get("t_obs", scene.t_obs)
+        if type(t_obs) is not int or t_obs != scene.t_obs:  # a JSON 8.0 or true is no int
+            raise ValueError(f"{where}: t_obs {t_obs!r} differs from the scene's {scene.t_obs}")
+        try:
+            batch = TrajBatch(record["trajectories"], scene.t_obs, scene.t_pred)
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise ValueError(f"{where}: bad trajectories: {exc}") from exc
+        records.append((where, scene, agent, batch))
+    if not records:
+        raise ValueError(f"{path}:1: no prediction record in the file")  # where the first belongs
     return records
 
 
@@ -338,6 +327,8 @@ def cmd_render(args) -> int:
     for _, scene, agent, batch in _load_predictions(args.predictions, scenes):
         by_scene.setdefault(scene.scene_id, []).append((agent, batch))
 
+    if args.scene and args.scene not in scenes:
+        raise ValueError(f"scene {args.scene!r} not present in the dataset")
     targets = [args.scene] if args.scene else sorted(by_scene)
     out = Path(args.out)
     if args.scene:
@@ -347,8 +338,6 @@ def cmd_render(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         paths = {sid: out / f"{sid}.svg" for sid in targets}
     for sid in targets:
-        if sid not in scenes:
-            raise ValueError(f"scene {sid!r} not present in the dataset")
         paths[sid].write_text(_render_scene(scenes[sid], by_scene.get(sid, [])))
     echo_at = out.with_name(out.name + ".config.json") if args.scene else out / "render.config.json"
     _echo_config(args, echo_at)

@@ -33,7 +33,7 @@ from .layers import (
     upsample2_backward,
     upsample2_forward,
 )
-from ..validation import check_positive
+from ..validation import check_positive, check_steps
 
 
 @dataclass(frozen=True)
@@ -228,8 +228,7 @@ def _res_backward(p, prefix, dy, cache, grads):
 
 # ------------------------------------------------------------- whole network
 
-def _check_input(params: DenoiserParams, x: np.ndarray, i) -> np.ndarray:
-    desc = params.arch
+def _check_input(desc: ArchDescriptor, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != desc.in_channels:
         raise ValueError(f"input must have shape (B, T, {desc.in_channels}), got {x.shape}")
@@ -237,10 +236,7 @@ def _check_input(params: DenoiserParams, x: np.ndarray, i) -> np.ndarray:
         raise ValueError(
             f"trajectory length {x.shape[1]} does not match the descriptor's {desc.traj_len}"
         )
-    i_arr = np.broadcast_to(np.asarray(i, dtype=np.int64), (x.shape[0],))
-    if np.any(i_arr < 1) or np.any(i_arr > desc.n_steps):
-        raise IndexError(f"step index out of range 1..{desc.n_steps}")
-    return i_arr
+    return x
 
 
 def forward_with_cache(params: DenoiserParams, x: np.ndarray, i, *, keep_cache: bool = True):
@@ -254,8 +250,9 @@ def forward_with_cache(params: DenoiserParams, x: np.ndarray, i, *, keep_cache: 
     """
     desc = params.arch
     p = params.tensors
-    i_arr = _check_input(params, x, i)
-    x = np.asarray(x, dtype=np.float64)
+    x = _check_input(desc, x)
+    steps = check_steps(i, desc.n_steps, shape=() if np.ndim(i) == 0 else (x.shape[0],))
+    i_arr = np.broadcast_to(steps, (x.shape[0],))
     x_cf = np.ascontiguousarray(x.transpose(0, 2, 1))
     tape = []
 

@@ -5,10 +5,14 @@ closed-form marginal (one step per sample), inpainting-style frame clamping,
 the posterior mean in the clean-signal parameterization, the stochastic
 reverse step, and the batched training loss with its gradient (plain MSE or
 the schedule-weighted form). Randomness enters only through explicit noise
-arrays supplied by the caller. TrajBatch and ConditionSpec are the trajectory
-and clamp-set types the rest of the package passes around. ConditionSpec has
-one constructor, and its checks are the one definition of a valid clamp
-layout: the intent oracle and the dataset reader both build specs through it.
+arrays supplied by the caller. Step indices are checked by
+`validation.check_steps`: one step for the posterior mean and the reverse
+step, one per sample for forward noising and the loss. TrajBatch and
+ConditionSpec are the trajectory and clamp-set types the rest of the package
+passes around; TrajBatch checks its samples with `as_float_array`.
+ConditionSpec has one constructor, and its checks are the one definition of
+a valid clamp layout: the intent oracle and the dataset reader both build
+specs through it.
 `check_intents` is the one rule for an agent's set of intents, which
 `read_dataset` and `predict` both apply.
 """
@@ -20,13 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedule import NoiseSchedule
-from .validation import (
-    as_float_array,
-    check_batch,
-    check_same_shape,
-    check_step_array,
-    check_step_index,
-)
+from .validation import as_float_array, check_same_shape, check_steps
 
 
 @dataclass
@@ -42,7 +40,7 @@ class TrajBatch:
     t_pred: int
 
     def __post_init__(self):
-        self.samples = check_batch(self.samples)
+        self.samples = as_float_array(self.samples, "samples", shape=(None, None, 2))
         if self.t_obs < 1 or self.t_pred < 1:
             raise ValueError("t_obs and t_pred must each be >= 1")
         if self.samples.shape[1] != self.t_obs + self.t_pred:
@@ -120,7 +118,7 @@ def forward_noise(x0: np.ndarray, i, noise: np.ndarray, schedule: NoiseSchedule)
     x0 = np.asarray(x0, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
     check_same_shape(noise, x0, "noise", "x0")
-    steps = check_step_array(i, x0.shape[0], schedule.n_steps)
+    steps = check_steps(i, schedule.n_steps, shape=(x0.shape[0],))
     ab = schedule.alpha_bars[steps - 1][:, None, None]
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * noise
 
@@ -139,7 +137,7 @@ def posterior_mean(x0_pred: np.ndarray, x_i: np.ndarray, i: int,
     mu = [sqrt(a_i)(1 - ab_{i-1}) x_i + sqrt(ab_{i-1})(1 - a_i) x0] / (1 - ab_i),
     which collapses to x0 exactly at i = 1 where ab_0 = 1.
     """
-    i = check_step_index(i, schedule.n_steps)
+    i = check_steps(i, schedule.n_steps)
     x0_pred = np.asarray(x0_pred, dtype=np.float64)
     x_i = np.asarray(x_i, dtype=np.float64)
     check_same_shape(x0_pred, x_i, "x0_pred", "x_i")
@@ -156,7 +154,7 @@ def reverse_step(x_i: np.ndarray, x0_pred: np.ndarray, i: int, schedule: NoiseSc
     sigma_q(1) = 0, so the final step is deterministic and returns the
     predicted clean signal regardless of the noise array.
     """
-    i = check_step_index(i, schedule.n_steps)
+    i = check_steps(i, schedule.n_steps)
     noise = np.asarray(noise, dtype=np.float64)
     check_same_shape(noise, np.asarray(x_i), "noise", "x_i")
     mean = posterior_mean(x0_pred, x_i, i, schedule)
@@ -177,7 +175,7 @@ def loss_and_grad(pred: np.ndarray, target: np.ndarray, t_obs: int, i_steps: np.
     k, t_total, _ = pred.shape
     if not 0 <= t_obs < t_total:
         raise ValueError(f"t_obs {t_obs} out of range 0..{t_total - 1}")
-    i_steps = check_step_array(i_steps, k, schedule.n_steps)
+    i_steps = check_steps(i_steps, schedule.n_steps, shape=(k,))
     n_future_elems = (t_total - t_obs) * 2
     if weighting == "simple":
         w = np.ones(k)

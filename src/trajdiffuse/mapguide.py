@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .validation import as_float_array, check_positive, check_trajectory
+from .validation import as_float_array, check_positive
 
 _BIG = 1e15  # finite sentinel; cell distances stay far below, stays exact in f64
 
@@ -250,7 +250,7 @@ def guidance_delta(env: NavEnvironment, traj: np.ndarray, t_obs: int,
     """
     if n_grad_steps < 1:
         raise ValueError("n_grad_steps must be >= 1")
-    traj = check_trajectory(traj)
+    traj = as_float_array(traj, "trajectory", shape=(None, 2))
     t_total = traj.shape[0]
     if not 0 <= t_obs <= t_total:
         raise ValueError(f"t_obs {t_obs} out of range for {t_total} frames")

@@ -25,7 +25,7 @@ import numpy as np
 
 from .diffusion import ConditionSpec, check_intents
 from .mapguide import NavEnvironment, ecfl_check, load_environment, save_environment
-from .validation import as_float_array, check_positive, check_trajectory
+from .validation import as_float_array, check_positive, read_jsonl
 
 ENV_KINDS = ("corridor", "rooms", "maze")
 MIN_COVERAGE = 0.20
@@ -309,7 +309,7 @@ def intent_oracle(trajectory: np.ndarray, t_obs: int, cfg: IntentOracleConfig,
     Intents whose anchors cannot be projected are dropped, so fewer than K
     may come back.
     """
-    traj = check_trajectory(trajectory)
+    traj = as_float_array(trajectory, "trajectory", shape=(None, 2))
     t_total = traj.shape[0]
     t_pred = t_total - t_obs
     wframes = cfg.resolved_frames(t_obs, t_pred)
@@ -424,30 +424,26 @@ def read_dataset(data_dir) -> list:
     scenes = []
     for sdir, env in zip(scene_dirs, envs):
         agents = []
-        first_line = {}  # agent_id -> line of its record
+        first_seen = {}  # agent_id -> "<file>:<line>" of its record
         jsonl = sdir / "agents.jsonl"
-        with open(jsonl, "rb") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                try:
-                    line = raw.decode("utf-8")
-                    if not line.strip():
-                        continue
-                    record = json.loads(line)
-                    traj = as_float_array(record["frames"], "frames", shape=(t_obs + t_pred, 2))
-                    intents = [
-                        ConditionSpec(spec["frames"], spec["values"], t_obs=t_obs, t_pred=t_pred)
-                        for spec in record["intents"]
-                    ]
-                    if intents:
-                        check_intents(intents, traj[:t_obs])
-                    agent_id = record["agent_id"]
-                    if isinstance(agent_id, bool) or not isinstance(agent_id, int):
-                        raise ValueError(f"agent_id {agent_id!r} is not an integer")
-                    first = first_line.setdefault(agent_id, lineno)
-                    if first != lineno:
-                        raise ValueError(f"agent_id {agent_id} repeats the record on line {first}")
-                    agents.append(AgentTrack(agent_id, traj, intents))
-                except (LookupError, ValueError, TypeError, OverflowError, RecursionError) as exc:
-                    raise ValueError(f"{jsonl}:{lineno}: malformed agent record: {exc}") from exc
+        for where, record in read_jsonl(jsonl, "agent record"):
+            try:
+                traj = as_float_array(record["frames"], "frames", shape=(t_obs + t_pred, 2))
+                intents = [
+                    ConditionSpec(spec["frames"], spec["values"], t_obs=t_obs, t_pred=t_pred)
+                    for spec in record["intents"]
+                ]
+                if intents:
+                    check_intents(intents, traj[:t_obs])
+                agent_id = record["agent_id"]
+                if isinstance(agent_id, bool) or not isinstance(agent_id, int):
+                    raise ValueError(f"agent_id {agent_id!r} is not an integer")
+                first = first_seen.setdefault(agent_id, where)
+                if first != where:
+                    raise ValueError(f"agent_id {agent_id} repeats the record on line "
+                                     f"{first.rpartition(':')[2]}")
+                agents.append(AgentTrack(agent_id, traj, intents))
+            except (LookupError, ValueError, TypeError, OverflowError, RecursionError) as exc:
+                raise ValueError(f"{where}: malformed agent record: {exc}") from exc
         scenes.append(Scene(sdir.name, env, agents, t_obs, t_pred, frame_dt))
     return scenes

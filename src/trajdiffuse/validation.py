@@ -1,11 +1,15 @@
 """Input validation helpers shared across the package.
 
-All public entry points funnel array inputs through these checks so that
-shape and finiteness errors surface with a usable message instead of deep
-inside a broadcast.
+Each input rule has one implementation here: `as_float_array` for
+trajectory and other float arrays, `check_steps` for denoising step indices,
+and `read_jsonl` for the records of a JSONL file. Errors surface with a
+usable message instead of deep inside a broadcast, and a JSONL error names
+the record's `<file>:<line>`.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -13,7 +17,8 @@ import numpy as np
 def as_float_array(x, name: str, shape: tuple | None = None) -> np.ndarray:
     """Coerce to a float64 ndarray, checking finiteness and (optionally) shape.
 
-    ``shape`` entries may be ``None`` to accept any extent on that axis.
+    ``shape`` entries may be ``None`` to accept any extent on that axis; an
+    array checked against a shape must also be non-empty.
     """
     arr = np.asarray(x, dtype=np.float64)
     if shape is not None:
@@ -22,44 +27,45 @@ def as_float_array(x, name: str, shape: tuple | None = None) -> np.ndarray:
         for axis, want in enumerate(shape):
             if want is not None and arr.shape[axis] != want:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+        if arr.size == 0:
+            raise ValueError(f"{name} must be non-empty, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite values")
     return arr
 
 
-def check_trajectory(traj, name: str = "trajectory") -> np.ndarray:
-    """Validate a single (T, 2) trajectory in world meters."""
-    arr = as_float_array(traj, name, shape=(None, 2))
-    if arr.shape[0] < 1:
-        raise ValueError(f"{name} must contain at least one frame")
-    return arr
-
-
-def check_batch(samples, name: str = "samples") -> np.ndarray:
-    """Validate a (K, T, 2) batch of trajectories."""
-    arr = as_float_array(samples, name, shape=(None, None, 2))
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError(f"{name} must be non-empty, got shape {arr.shape}")
-    return arr
-
-
-def check_step_index(i: int, n_steps: int) -> int:
-    """Validate a denoising step index i in 1..n_steps (1 = last step)."""
-    i = int(i)
-    if not 1 <= i <= n_steps:
-        raise IndexError(f"step index {i} out of range 1..{n_steps}")
-    return i
-
-
-def check_step_array(steps, batch: int, n_steps: int) -> np.ndarray:
-    """Validate a (batch,) int array of per-sample step indices in 1..n_steps."""
+def check_steps(steps, n_steps: int, shape: tuple = ()) -> np.ndarray:
+    """Validate denoising step indices in 1..n_steps (1 = last step): an
+    integer array (not bool) of `shape`, () for one step or (B,) for one per
+    sample."""
     steps = np.asarray(steps)
-    if steps.shape != (batch,) or not np.issubdtype(steps.dtype, np.integer):
-        raise ValueError(f"per-sample steps must be a ({batch},) int array, "
-                         f"got {steps.dtype} {steps.shape}")
+    if steps.shape != shape or not np.issubdtype(steps.dtype, np.integer):
+        raise ValueError(f"steps must be a {shape} int array, got {steps.dtype} {steps.shape}")
     if np.any(steps < 1) or np.any(steps > n_steps):
         raise IndexError(f"step index out of range 1..{n_steps}")
     return steps
+
+
+def read_jsonl(path, kind: str):
+    """Yield ("<path>:<line>", record) for each non-blank line of a JSONL file.
+
+    A line that is not UTF-8, not JSON or not a JSON object raises a
+    ValueError that names its file and line; `kind` names the record in the
+    message.
+    """
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            where = f"{path}:{lineno}"
+            try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                record = json.loads(line)
+            except (ValueError, RecursionError) as exc:  # not UTF-8 or not JSON
+                raise ValueError(f"{where}: malformed {kind}: {exc}") from exc
+            if not isinstance(record, dict):
+                raise ValueError(f"{where}: {kind} is not a JSON object")
+            yield where, record
 
 
 def check_same_shape(a: np.ndarray, b: np.ndarray, name_a: str, name_b: str) -> None:

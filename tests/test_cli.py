@@ -321,12 +321,23 @@ def test_eval_record_missing_key_names_file_line_and_key(workspace, tmp_path, ca
 
 def test_eval_record_t_obs_mismatch_is_rejected(workspace, tmp_path, capsys):
     _, data, _, preds = workspace
+    for t_obs in (7, 8.0):  # t_obs is a JSON integer, like agent_id
 
-    def edit(record):
-        record["t_obs"] -= 1
+        def edit(record):
+            record["t_obs"] = t_obs
 
-    bad = _bad_predictions(preds, tmp_path, edit)
-    _assert_eval_and_render_reject(data, bad, f"{bad}:2: t_obs 7 differs from the scene's 8",
+        bad = _bad_predictions(preds, tmp_path, edit)
+        _assert_eval_and_render_reject(
+            data, bad, f"{bad}:2: t_obs {t_obs!r} differs from the scene's 8", capsys,
+        )
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank-lines"])
+def test_predictions_without_records_are_rejected(workspace, tmp_path, capsys, text):
+    _, data, _, _ = workspace
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(text)
+    _assert_eval_and_render_reject(data, bad, f"{bad}:1: no prediction record in the file",
                                    capsys)
 
 
@@ -411,6 +422,7 @@ def test_count_flags_below_one_are_rejected_before_reading(tmp_path, capsys, com
     ("train", "--lr", "-0.001", "--lr must be >= 0 and finite, got -0.001"),
     ("train", "--coord-scale", "0", "--coord-scale must be positive and finite, got 0.0"),
     ("train", "--coord-scale", "inf", "--coord-scale must be positive and finite, got inf"),
+    ("train", "--widths", "0,16", "--widths must be >= 1, got 0"),
 ])
 def test_settings_out_of_range_are_rejected_before_reading(tmp_path, capsys, command, flag,
                                                            value, message):
@@ -478,10 +490,11 @@ def test_render_unknown_scene_fails(workspace, tmp_path, capsys):
     _, data, _, preds = workspace
     code = run(
         "render", "--predictions", preds, "--data", data,
-        "--scene", "scene_0099", "--out", tmp_path / "x.svg",
+        "--scene", "scene_0099", "--out", tmp_path / "d" / "sub" / "x.svg",
     )
     assert code == 1
     assert "not present" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()  # the scene is checked before any directory is made
 
 
 @pytest.mark.parametrize("flags, message", [

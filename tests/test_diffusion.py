@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trajdiffuse.denoiser import ArchDescriptor, forward_with_cache, init_params
 from trajdiffuse.diffusion import (
     ConditionSpec,
     clamp_frames_batch,
@@ -394,3 +395,32 @@ def test_loss_and_grad_rejects_bad_inputs(case):
             "i_steps": np.array([1, 2, 3, 4]), "schedule": build_cosine_schedule(5)}
     with pytest.raises(error, match=match):
         loss_and_grad(**{**args, **override})
+
+
+# ------------------------------------------------------------------- step index
+
+STEP_NET = init_params(ArchDescriptor(widths=(4,), emb_dim=8, t_obs=4, t_pred=4, n_steps=10))
+STEP_X = np.zeros((2, 8, 2))
+STEP_SCHED = build_cosine_schedule(10)
+STEP_CALLS = {  # each entry point that takes steps, as a function of one step value
+    "forward_with_cache": lambda i: forward_with_cache(STEP_NET, STEP_X, i),
+    "forward_with_cache-per-sample": lambda i: forward_with_cache(STEP_NET, STEP_X,
+                                                                  np.full(2, i)),
+    "reverse_step": lambda i: reverse_step(STEP_X, STEP_X, i, STEP_SCHED, STEP_X),
+    "posterior_mean": lambda i: posterior_mean(STEP_X, STEP_X, i, STEP_SCHED),
+    "forward_noise": lambda i: forward_noise(STEP_X, np.full(2, i), STEP_X, STEP_SCHED),
+    "loss_and_grad": lambda i: loss_and_grad(STEP_X, STEP_X, 4, np.full(2, i), STEP_SCHED),
+}
+
+
+@pytest.mark.parametrize("step, error, match", [
+    (2.7, ValueError, "int array"),
+    (True, ValueError, "int array"),
+    (0, IndexError, "out of range 1..10"),
+    (11, IndexError, "out of range 1..10"),
+])
+@pytest.mark.parametrize("call", sorted(STEP_CALLS))
+def test_every_step_entry_point_applies_one_rule(call, step, error, match):
+    STEP_CALLS[call](3)
+    with pytest.raises(error, match=match):
+        STEP_CALLS[call](step)
