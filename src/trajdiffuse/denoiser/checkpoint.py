@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +31,8 @@ from .net import ArchDescriptor, DenoiserParams, param_specs
 MAGIC = b"TDFK"
 VERSION = 2
 _DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}  # value encoding per readable version
-_DESC_SCALARS = (
-    "kernel_len", "gn_groups", "emb_dim", "in_channels",
-    "t_obs", "t_pred", "n_steps", "coord_scale",
-)
+# ArchDescriptor's fields but the `widths` vector, in order, with their declared types
+_DESC_SCALARS = {f.name: f.type for f in fields(ArchDescriptor) if f.type != "tuple"}
 
 
 class CheckpointError(RuntimeError):
@@ -180,9 +179,8 @@ def load_checkpoint(path) -> DenoiserParams:
     try:
         widths = tuple(_integral(path, "widths", w) for w in desc_fields["widths"].tolist())
         kwargs = {name: desc_fields[name].item() for name in _DESC_SCALARS}
-        for name in _DESC_SCALARS:
-            if name != "coord_scale":
-                kwargs[name] = _integral(path, name, kwargs[name])
+        kwargs.update({name: _integral(path, name, kwargs[name])
+                       for name, kind in _DESC_SCALARS.items() if kind == "int"})
         desc = ArchDescriptor(widths=widths, **kwargs)
     except KeyError as exc:
         raise DescriptorMismatchError(f"{path}: descriptor field missing: {exc}") from exc

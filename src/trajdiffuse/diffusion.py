@@ -7,14 +7,10 @@ reverse step, and the batched training loss with its gradient (plain MSE or
 the schedule-weighted form). Randomness enters only through explicit noise
 arrays supplied by the caller. Step indices are checked by
 `validation.check_steps`: one step for the posterior mean and the reverse
-step, one per sample for forward noising and the loss. TrajBatch and
-ConditionSpec are the trajectory and clamp-set types the rest of the package
-passes around; TrajBatch checks its samples with `as_float_array`.
-ConditionSpec has one constructor, and its checks are the one definition of
-a valid clamp layout: the intent oracle and the dataset reader both build
-specs through it.
-`check_intents` is the one rule for an agent's set of intents, which
-`read_dataset` and `predict` both apply.
+step, one per sample for forward noising and the loss. TrajBatch (checked
+with `as_float_array`) and ConditionSpec are the trajectory and clamp-set
+types the package passes around. `check_intents` is the one definition of a
+valid clamp set, run once per agent in `read_dataset`, `predict` and `train`.
 """
 
 from __future__ import annotations
@@ -60,17 +56,12 @@ class TrajBatch:
 
 @dataclass(frozen=True)
 class ConditionSpec:
-    """The clamp set: observed history plus waypoint/goal anchors.
-
-    frames are sorted 0-based indices; the full history 0..t_obs-1 and the
-    goal frame T-1 are always present, waypoints lie strictly between.
-    values[j] is the 2-vector clamped onto frames[j].
-    """
+    """One intent's clamp set: values[j] (float64) is clamped onto frames[j]
+    (integers; a float or bool frame is rejected). Both are frozen copies;
+    whether they make a valid layout is `check_intents`'s rule."""
 
     frames: np.ndarray
     values: np.ndarray
-    t_obs: int
-    t_pred: int
 
     def __post_init__(self):
         # Copies, so that freezing them below leaves the caller's arrays writeable.
@@ -79,34 +70,44 @@ class ConditionSpec:
         if frames.size and (frames.dtype.kind not in "iu" or (
                 isinstance(self.frames, (list, tuple)) and bool in map(type, self.frames))):
             raise ValueError(f"clamp frames must be integers, got {self.frames!r}")
-        frames = frames.astype(np.intp, copy=False)
-        values = as_float_array(self.values, "clamp values", shape=(None, 2)).copy()
-        if frames.ndim != 1 or frames.size != values.shape[0]:
+        for name, arr in (("frames", frames.astype(np.intp, copy=False)),
+                          ("values", np.array(self.values, dtype=np.float64))):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+
+def check_intents(intents: list, history: np.ndarray, t_pred: int) -> tuple:
+    """The one definition of a valid clamp set, for an agent's K intents, its
+    (t_obs, 2) `history` and the horizon t_pred: one layout of sorted, distinct
+    frames in 0..T-1 holding every observed frame and the goal T-1, values
+    aligned with it and finite, and the history clamped exactly. Each distinct
+    layout is checked once, so a valid agent's rules run once. Returns the
+    layout and the (K, n, 2) values."""
+    t_obs = len(history)
+    t_total = t_obs + t_pred
+    layouts = {(spec.frames.shape, spec.frames.tobytes()): spec.frames for spec in intents}
+    for frames in layouts.values():
+        if frames.ndim != 1:
             raise ValueError("frames and values must align one-to-one")
         fl = frames.tolist()  # the checks below are cheaper on a short list
         if any(b <= a for a, b in zip(fl, fl[1:])):
             raise ValueError("clamp frames must be sorted and distinct")
-        t_total = self.t_obs + self.t_pred
         if fl and (fl[0] < 0 or fl[-1] >= t_total):
             raise IndexError(f"clamp frame out of range 0..{t_total - 1}")
-        if fl[: self.t_obs] != list(range(self.t_obs)):
+        if fl[:t_obs] != list(range(t_obs)):
             raise ValueError("every observed frame 0..t_obs-1 must be clamped")
         if t_total - 1 not in fl:
             raise ValueError("the goal frame (last frame) must be clamped")
-        frames.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "frames", frames)
-        object.__setattr__(self, "values", values)
-
-
-def check_intents(intents: list, history: np.ndarray) -> None:
-    """One agent's intents share one clamp-frame layout and each clamps its
-    observed history exactly; `history` is the agent's first t_obs frames."""
-    if len({spec.frames.tobytes() for spec in intents}) > 1:
+    if len(layouts) > 1:
         raise ValueError("intents do not share one clamp-frame layout")
-    clamped = np.stack([spec.values[: len(history)] for spec in intents])
-    if not (clamped == history).all():
+    for spec in intents:
+        if spec.values.shape != (frames.size, 2):
+            as_float_array(spec.values, "clamp values", shape=(None, 2))  # names a bad shape
+            raise ValueError("frames and values must align one-to-one")
+    values = as_float_array(np.stack([spec.values for spec in intents]), "clamp values")
+    if not (values[:, :t_obs] == history).all():
         raise ValueError("intent history does not match the record's first t_obs frames")
+    return frames, values
 
 
 def forward_noise(x0: np.ndarray, i, noise: np.ndarray, schedule: NoiseSchedule) -> np.ndarray:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .validation import as_float_array, check_positive
+from .validation import as_float_array, as_number, check_positive
 
 _BIG = 1e15  # finite sentinel; cell distances stay far below, stays exact in f64
 
@@ -345,7 +345,8 @@ def _read_map_meta(json_path) -> tuple[float, np.ndarray]:
     try:
         meta = json.loads(Path(json_path).read_text())
         resolution = check_positive(meta["resolution_m_per_px"], "resolution_m_per_px")
-        origin = as_float_array([meta["origin_x_m"], meta["origin_y_m"]], "origin")
+        origin = as_float_array(
+            [as_number(meta[key], key) for key in ("origin_x_m", "origin_y_m")], "origin")
     except KeyError as exc:
         raise ValueError(f"{json_path}: map metadata lacks {exc}") from exc
     except (ValueError, TypeError, OverflowError) as exc:

@@ -32,11 +32,7 @@ def ade_fde(predictions: TrajBatch, ground_truth) -> tuple[float, float]:
 
     The minimizing sample may differ between the two values.
     """
-    gt = as_float_array(ground_truth, "ground_truth", shape=(None, 2))
-    if gt.shape[0] != predictions.n_frames:
-        raise ValueError(
-            f"ground truth has {gt.shape[0]} frames, predictions have {predictions.n_frames}"
-        )
+    gt = as_float_array(ground_truth, "ground_truth", shape=(predictions.n_frames, 2))
     t_obs = predictions.t_obs
     diff = predictions.samples[:, t_obs:, :] - gt[None, t_obs:, :]
     dists = np.linalg.norm(diff, axis=2)  # (K, T_pred)
@@ -54,9 +50,7 @@ def kde_nll(predictions: TrajBatch, ground_truth) -> float:
     """
     if predictions.n_samples < 2:
         raise ValueError("kde_nll requires at least 2 samples")
-    gt = as_float_array(ground_truth, "ground_truth", shape=(None, 2))
-    if gt.shape[0] != predictions.n_frames:
-        raise ValueError("ground truth length does not match predictions")
+    gt = as_float_array(ground_truth, "ground_truth", shape=(predictions.n_frames, 2))
     t_obs = predictions.t_obs
     k = predictions.n_samples
     # C order keeps K innermost, so each frame's kernel mean is summed in the

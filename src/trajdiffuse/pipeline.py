@@ -52,21 +52,6 @@ class PredictionResult:
     per_sample_ecfl: np.ndarray | None  # (K,) booleans, None without an env
 
 
-def _validate_request(observed, intents: list, env: NavEnvironment | None,
-                      guidance_steps: int, desc: ArchDescriptor) -> np.ndarray:
-    observed = as_float_array(observed, "observed", shape=(desc.t_obs, 2))
-    if not intents:
-        raise ValueError("request carries no intents")
-    if any(spec.t_obs != desc.t_obs or spec.t_pred != desc.t_pred for spec in intents):
-        raise ValueError("intent frame split does not match the model")
-    check_intents(intents, observed)
-    if guidance_steps < 0:
-        raise ValueError(f"guidance_steps must be >= 0, got {guidance_steps}")
-    if guidance_steps and env is None:
-        raise ValueError("guidance requires an environment")
-    return observed
-
-
 def predict(params: DenoiserParams, observed, intents: list,
             env: NavEnvironment | None = None, *, seed: int = 0,
             guidance_steps: int) -> PredictionResult:
@@ -83,13 +68,18 @@ def predict(params: DenoiserParams, observed, intents: list,
     desc = params.arch
     if not params.all_finite():
         raise ValueError("model parameters contain non-finite values (untrained or corrupt)")
-    observed = _validate_request(observed, intents, env, guidance_steps, desc)
+    observed = as_float_array(observed, "observed", shape=(desc.t_obs, 2))
+    if not intents:
+        raise ValueError("request carries no intents")
+    frames, values_world = check_intents(intents, observed, desc.t_pred)
+    if guidance_steps < 0:
+        raise ValueError(f"guidance_steps must be >= 0, got {guidance_steps}")
+    if guidance_steps and env is None:
+        raise ValueError("guidance requires an environment")
     schedule = build_cosine_schedule(desc.n_steps)
 
     t_obs, t_total = desc.t_obs, desc.traj_len
     k = len(intents)
-    frames = intents[0].frames
-    values_world = np.stack([spec.values for spec in intents])
     center = observed[-1]
     scale = desc.coord_scale
     values_std = (values_world - center) / scale
@@ -149,10 +139,10 @@ def _collect_training_arrays(scenes: list, coord_scale: float):
             raise ValueError("all scenes must share the same frame split")
         for agent in scene.agents:
             if agent.intents:
-                if frames is None:
-                    frames = agent.intents[0].frames
-                elif not np.array_equal(frames, agent.intents[0].frames):
+                layout, _ = check_intents(agent.intents, agent.trajectory[:t_obs], t_pred)
+                if frames is not None and not np.array_equal(frames, layout):
                     raise ValueError("agents disagree on the clamp-frame layout")
+                frames = layout
             center = agent.trajectory[t_obs - 1]
             x0.append((agent.trajectory - center) / coord_scale)
     if not x0:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -339,7 +340,7 @@ def intent_oracle(trajectory: np.ndarray, t_obs: int, cfg: IntentOracleConfig,
         if cfg.diversify and k >= 1 and alt_goals:
             projected[-1] = alt_goals[(k - 1) % len(alt_goals)]
         values = np.vstack([traj[:t_obs], *projected])
-        intents.append(ConditionSpec(frames, values, t_obs=t_obs, t_pred=t_pred))
+        intents.append(ConditionSpec(frames, values))
     return intents
 
 
@@ -391,8 +392,8 @@ def write_dataset(scenes: list, out_dir) -> None:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _read_split(meta_path: Path) -> tuple:
-    """(t_obs, t_pred, frame_dt) from a dataset's dataset.json."""
+def _read_meta(meta_path: Path) -> tuple:
+    """(t_obs, t_pred, frame_dt, scene_ids) from a dataset's dataset.json."""
     try:
         meta = json.loads(meta_path.read_text())
         t_obs, t_pred = meta["t_obs"], meta["t_pred"]
@@ -400,26 +401,35 @@ def _read_split(meta_path: Path) -> tuple:
         for key, value in (("t_obs", t_obs), ("t_pred", t_pred)):
             if type(value) is not int or value < 1:
                 raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
+        scene_ids = meta["scene_ids"]
+        if type(scene_ids) is not list or not scene_ids:
+            raise ValueError(f"scene_ids must be a non-empty list, got {scene_ids!r}")
+        for sid in scene_ids:
+            if type(sid) is not str or "/" in sid or sid in ("", ".", ".."):
+                raise ValueError(f"scene id {sid!r} does not name a subdirectory")
+        if len(set(scene_ids)) < len(scene_ids):
+            raise ValueError(f"scene_ids list {Counter(scene_ids).most_common(1)[0][0]!r} twice")
     except KeyError as exc:
         raise ValueError(f"{meta_path}: lacks {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:  # not JSON, not an object, or a bad value
         raise ValueError(f"{meta_path}: {exc}") from exc
-    return t_obs, t_pred, frame_dt
+    return t_obs, t_pred, frame_dt, scene_ids
 
 
 def read_dataset(data_dir) -> list:
     """Read scenes back; raises with file/line context on malformed records.
 
-    The frame split comes from dataset.json, which every dataset carries.
-    Every record's frames must span it, and its intents must share one
-    clamp-frame layout whose history values are the record's first t_obs
-    frames.
+    The frame split and the scenes, in order, come from dataset.json. A
+    directory it does not list is ignored, and a listed scene without its
+    directory is skipped. Every record's frames must span the split, and its
+    intents must pass `check_intents`.
     """
     data_dir = Path(data_dir)
-    t_obs, t_pred, frame_dt = _read_split(data_dir / "dataset.json")
-    scene_dirs = sorted(p for p in data_dir.iterdir() if p.is_dir())
+    meta_path = data_dir / "dataset.json"
+    t_obs, t_pred, frame_dt, scene_ids = _read_meta(meta_path)
+    scene_dirs = [data_dir / sid for sid in scene_ids if (data_dir / sid).is_dir()]
     if not scene_dirs:
-        raise FileNotFoundError(f"no scene directories in {data_dir}")
+        raise FileNotFoundError(f"{meta_path}: none of its scene_ids is a directory in {data_dir}")
     envs = load_environment([(sdir / "map.pgm", sdir / "map.json") for sdir in scene_dirs])
     scenes = []
     for sdir, env in zip(scene_dirs, envs):
@@ -429,12 +439,10 @@ def read_dataset(data_dir) -> list:
         for where, record in read_jsonl(jsonl, "agent record"):
             try:
                 traj = as_float_array(record["frames"], "frames", shape=(t_obs + t_pred, 2))
-                intents = [
-                    ConditionSpec(spec["frames"], spec["values"], t_obs=t_obs, t_pred=t_pred)
-                    for spec in record["intents"]
-                ]
+                intents = [ConditionSpec(spec["frames"], spec["values"])
+                           for spec in record["intents"]]
                 if intents:
-                    check_intents(intents, traj[:t_obs])
+                    check_intents(intents, traj[:t_obs], t_pred)
                 agent_id = record["agent_id"]
                 if isinstance(agent_id, bool) or not isinstance(agent_id, int):
                     raise ValueError(f"agent_id {agent_id!r} is not an integer")

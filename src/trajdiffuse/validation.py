@@ -1,10 +1,10 @@
 """Input validation helpers shared across the package.
 
 Each input rule has one implementation here: `as_float_array` for
-trajectory and other float arrays, `check_steps` for denoising step indices,
-and `read_jsonl` for the records of a JSONL file. Errors surface with a
-usable message instead of deep inside a broadcast, and a JSONL error names
-the record's `<file>:<line>`.
+trajectory and other float arrays, `as_number` for a scalar number (never a
+bool), `check_steps` for denoising step indices, and `read_jsonl` for the
+records of a JSONL file. Errors surface with a usable message instead of
+deep inside a broadcast, and a JSONL error names the record's `<file>:<line>`.
 """
 
 from __future__ import annotations
@@ -73,15 +73,22 @@ def check_same_shape(a: np.ndarray, b: np.ndarray, name_a: str, name_b: str) -> 
         raise ValueError(f"{name_a} shape {a.shape} does not match {name_b} shape {b.shape}")
 
 
+def as_number(value, name: str) -> float:
+    """`value` as a float, refusing a bool, which float() would read as 1.0 or 0.0."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def check_positive(value: float, name: str) -> float:
-    value = float(value)
+    value = as_number(value, name)
     if not 0 < value < np.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
     return value
 
 
 def check_non_negative(value: float, name: str) -> float:
-    value = float(value)
+    value = as_number(value, name)
     if not 0 <= value < np.inf:
         raise ValueError(f"{name} must be >= 0 and finite, got {value}")
     return value

@@ -20,7 +20,7 @@ from trajdiffuse.denoiser import (
     load_checkpoint,
     save_checkpoint,
 )
-from trajdiffuse.denoiser.checkpoint import MAGIC, VERSION, _write_section
+from trajdiffuse.denoiser.checkpoint import MAGIC, VERSION, _read_section, _write_section
 from trajdiffuse.schedule import build_cosine_schedule
 
 DESC = ArchDescriptor(
@@ -74,6 +74,20 @@ def test_save_load_save_is_byte_stable(saved, tmp_path):
     path2 = tmp_path / "again.ckpt"
     save_checkpoint(loaded, schedule, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_descriptor_records_follow_the_file_format(saved):
+    # the reader and writer take this list from ArchDescriptor's fields; the
+    # file format pins it
+    _, _, path = saved
+    with open(path, "rb") as fh:
+        end = path.stat().st_size
+        fh.seek(len(MAGIC) + 4)
+        _read_section(fh, end, np.dtype("<f8"))
+        desc = _read_section(fh, end, np.dtype("<f8"))
+    assert list(desc) == ["widths", "kernel_len", "gn_groups", "emb_dim", "in_channels",
+                          "t_obs", "t_pred", "n_steps", "coord_scale"]
+    assert desc["coord_scale"].item() == 2.5 and desc["widths"].tolist() == [4.0, 6.0]
 
 
 def test_float64_tensors_round_trip_exactly_and_byte_stably(tmp_path):

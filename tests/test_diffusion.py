@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from trajdiffuse.denoiser import ArchDescriptor, forward_with_cache, init_params
 from trajdiffuse.diffusion import (
     ConditionSpec,
+    check_intents,
     clamp_frames_batch,
     forward_noise,
     loss_and_grad,
@@ -31,7 +33,7 @@ def make_cond(rng, values=None):
                              rng.normal(size=2)])
     else:
         anchors = values[frames]
-    return ConditionSpec(frames, anchors, T_OBS, T_PRED)
+    return ConditionSpec(frames, anchors)
 
 
 def clamp(traj, cond):
@@ -134,7 +136,7 @@ def test_full_clamp_overwrites_everything():
     rng = np.random.default_rng(5)
     traj = make_batch(rng)
     values = rng.normal(size=(T, 2))
-    cond = ConditionSpec(np.arange(T), values, T_OBS, T_PRED)
+    cond = ConditionSpec(np.arange(T), values)
     out = clamp(traj, cond)
     for k in range(traj.shape[0]):
         np.testing.assert_array_equal(out[k], values)
@@ -174,20 +176,23 @@ def test_conditioning_idempotence(seed):
     np.testing.assert_array_equal(once, twice)
 
 
+def check_one(frames, values, history):
+    """check_intents on a single intent."""
+    check_intents([ConditionSpec(frames, values)], history, T_PRED)
+
+
 def test_condition_spec_validation():
     rng = np.random.default_rng(8)
+    history = rng.normal(size=(T_OBS, 2))
     with pytest.raises(ValueError):
         # missing goal frame
-        ConditionSpec(np.arange(T_OBS), rng.normal(size=(T_OBS, 2)), T_OBS, T_PRED)
+        check_one(np.arange(T_OBS), rng.normal(size=(T_OBS, 2)), history)
     with pytest.raises(ValueError):
         # waypoint on the goal frame, outside the prediction window
-        ConditionSpec(list(range(T_OBS)) + [T - 1, T - 1], rng.normal(size=(T_OBS + 2, 2)),
-                      T_OBS, T_PRED)
+        check_one(list(range(T_OBS)) + [T - 1, T - 1], rng.normal(size=(T_OBS + 2, 2)), history)
     with pytest.raises(IndexError):
-        ConditionSpec(
-            np.concatenate([np.arange(T_OBS), [T + 3]]),
-            rng.normal(size=(T_OBS + 1, 2)), T_OBS, T_PRED,
-        )
+        check_one(np.concatenate([np.arange(T_OBS), [T + 3]]), rng.normal(size=(T_OBS + 1, 2)),
+                  history)
 
 
 HISTORY = list(range(T_OBS))
@@ -205,7 +210,48 @@ HISTORY = list(range(T_OBS))
 ])
 def test_condition_spec_frame_errors(frames, n_values, error, message):
     with pytest.raises(error, match=re.escape(message)):
-        ConditionSpec(np.array(frames, dtype=np.intp), np.zeros((n_values, 2)), T_OBS, T_PRED)
+        check_one(np.array(frames, dtype=np.intp), np.zeros((n_values, 2)), np.zeros((T_OBS, 2)))
+
+
+GOOD_FRAMES = HISTORY + [12, T - 1]
+
+
+@pytest.mark.parametrize("values, message", [
+    (np.zeros((len(GOOD_FRAMES), 3)), "clamp values has shape (10, 3), expected (None, 2)"),
+    (np.zeros(len(GOOD_FRAMES)), "clamp values must have 2 dimensions, got 1"),
+], ids=["three-columns", "one-dimensional"])
+def test_check_intents_names_a_bad_values_shape(values, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check_one(GOOD_FRAMES, values, np.zeros((T_OBS, 2)))
+
+
+def test_check_intents_compares_the_k_intents():
+    rng = np.random.default_rng(13)
+    values = rng.normal(size=(len(GOOD_FRAMES), 2))
+    good = ConditionSpec(GOOD_FRAMES, values)
+    history = values[:T_OBS]
+    check_intents([good] * 3, history, T_PRED)
+    other = ConditionSpec(HISTORY + [13, T - 1], values)
+    with pytest.raises(ValueError, match="intents do not share one clamp-frame layout"):
+        check_intents([good, other, good], history, T_PRED)
+    with pytest.raises(ValueError, match="intent history does not match"):
+        check_intents([good, good], history + 1e-12, T_PRED)
+    moved = values.copy()
+    moved[3] += 1.0
+    with pytest.raises(ValueError, match="intent history does not match"):
+        check_intents([good, ConditionSpec(GOOD_FRAMES, moved)], history, T_PRED)
+    # a bad layout in a later intent is named by the rule it breaks
+    late = ConditionSpec(HISTORY + [T], values)
+    with pytest.raises(IndexError, match=re.escape(f"clamp frame out of range 0..{T - 1}")):
+        check_intents([good, late], history, T_PRED)
+
+
+def test_condition_spec_holds_two_arrays_and_checks_no_layout():
+    assert [f.name for f in dataclasses.fields(ConditionSpec)] == ["frames", "values"]
+    spec = ConditionSpec([5, 3], [[1.0, 2.0, 3.0]])  # typed and frozen, not a valid layout
+    assert spec.frames.dtype == np.intp and spec.values.dtype == np.float64
+    with pytest.raises(ValueError, match="frames and values must align one-to-one"):
+        check_intents([ConditionSpec([[0, 1]], np.zeros((2, 2)))], np.zeros((2, 2)), 2)
 
 
 @pytest.mark.parametrize("frames", [
@@ -217,14 +263,14 @@ def test_condition_spec_frame_errors(frames, n_values, error, message):
 ], ids=["fraction", "integral-float", "bool-in-list", "float-array", "all-bool"])
 def test_condition_spec_frames_must_be_integers(frames):
     with pytest.raises(ValueError, match="clamp frames must be integers"):
-        ConditionSpec(frames, np.zeros((len(frames), 2)), T_OBS, T_PRED)
+        ConditionSpec(frames, np.zeros((len(frames), 2)))
 
 
 def test_condition_spec_copies_the_callers_arrays():
     rng = np.random.default_rng(12)
     frames = np.concatenate([np.arange(T_OBS), [12, T - 1]]).astype(np.intp)
     values = rng.normal(size=(frames.size, 2))
-    cond = ConditionSpec(frames, values, T_OBS, T_PRED)
+    cond = ConditionSpec(frames, values)
     assert frames.flags.writeable and values.flags.writeable
     assert not cond.frames.flags.writeable and not cond.values.flags.writeable
     kept_frames, kept_values = cond.frames.copy(), cond.values.copy()

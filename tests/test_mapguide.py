@@ -485,9 +485,15 @@ def test_pgm_format_errors_name_the_file(tmp_path, content, problem):
      "overflows the world <-> pixel transform"),
     ('{"resolution_m_per_px": 1e307, "origin_x_m": 0.0, "origin_y_m": 0.0}',
      "overflows the world <-> pixel transform"),
+    ('{"resolution_m_per_px": true, "origin_x_m": 0.0, "origin_y_m": 0.0}',
+     "resolution_m_per_px must be a number, got True"),
+    ('{"resolution_m_per_px": 0.5, "origin_x_m": false, "origin_y_m": 0.0}',
+     "origin_x_m must be a number, got False"),
+    ('{"resolution_m_per_px": 0.5, "origin_x_m": 0.0, "origin_y_m": true}',
+     "origin_y_m must be a number, got True"),
 ], ids=["not-json", "no-resolution", "negative-resolution", "infinite-resolution",
         "infinite-origin", "huge-integer-resolution", "not-utf8", "extreme-origin",
-        "extreme-far-corner"])
+        "extreme-far-corner", "bool-resolution", "bool-origin-x", "bool-origin-y"])
 def test_map_metadata_errors_name_the_file(tmp_path, meta, problem):
     save_environment(half_plane_env(), tmp_path / "m.pgm", tmp_path / "m.json")
     (tmp_path / "m.json").write_bytes(meta.encode("latin-1"))

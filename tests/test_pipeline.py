@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,7 @@ from trajdiffuse.diffusion import ConditionSpec
 from trajdiffuse.mapguide import NavEnvironment, ecfl_check
 from trajdiffuse.pipeline import TrainConfig, predict, train
 from trajdiffuse.schedule import build_cosine_schedule
-from trajdiffuse.synth import AgentTrack, Scene
+from trajdiffuse.synth import AgentTrack, Scene, read_dataset, write_dataset
 
 T_OBS, T_PRED = 4, 4
 T = T_OBS + T_PRED
@@ -28,7 +31,7 @@ def straight_track(rng, agent_id):
     step = rng.uniform(-0.5, 0.5, size=2)
     traj = start + np.arange(T)[:, None] * step
     frames = list(range(T_OBS)) + [T_OBS + 1, T - 1]
-    cond = ConditionSpec(frames, traj[frames], T_OBS, T_PRED)
+    cond = ConditionSpec(frames, traj[frames])
     return AgentTrack(agent_id, traj, [cond])
 
 
@@ -169,6 +172,93 @@ def test_predict_calls_the_names_the_benchmark_traces(fitted, monkeypatch, guide
         assert all(args[2] == T_OBS for args in calls["guidance_delta"])
     else:
         assert calls["guidance_delta"] == []
+
+
+def _set(key, index, value, intents=slice(None)):
+    """An edit that sets frames[index], or the x of values[index], in the chosen intents."""
+    def edit(raw):
+        for spec in raw[intents]:
+            if key == "frames":
+                spec["frames"][index] = value
+            else:
+                spec["values"][index][0] = value
+    return edit
+
+
+def _layout(frames, intents=slice(None)):
+    """An edit that gives the chosen intents `frames`, each keeping its value
+    of every frame it shares and taking the goal's value for a new one."""
+    def edit(raw):
+        for spec in raw[intents]:
+            by_frame = dict(zip(spec["frames"], spec["values"]))
+            spec["frames"] = list(frames)
+            spec["values"] = [by_frame.get(f, spec["values"][-1]) for f in frames]
+    return edit
+
+
+def _drop_last_value(raw):
+    for spec in raw:
+        spec["values"].pop()
+
+
+# The layout of `straight_track` is [0, 1, 2, 3, 5, 7]: history, a waypoint, the goal.
+CLAMP_SET_FAULTS = [
+    pytest.param(_set("frames", 4, 5.0), ValueError, "clamp frames must be integers",
+                 id="float-frame"),
+    pytest.param(_set("frames", 1, True), ValueError, "clamp frames must be integers",
+                 id="bool-frame"),
+    pytest.param(_drop_last_value, ValueError, "frames and values must align one-to-one",
+                 id="misaligned"),
+    pytest.param(_layout([0, 1, 2, 3, 7, 5]), ValueError,
+                 "clamp frames must be sorted and distinct", id="unsorted"),
+    pytest.param(_layout([0, 1, 2, 3, 5, 5, 7]), ValueError,
+                 "clamp frames must be sorted and distinct", id="repeated"),
+    pytest.param(_layout([0, 1, 2, 3, 5, 8]), IndexError, "clamp frame out of range 0..7",
+                 id="out-of-range"),
+    pytest.param(_layout([0, 1, 2, 5, 7]), ValueError,
+                 "every observed frame 0..t_obs-1 must be clamped", id="observed-missing"),
+    pytest.param(_layout([0, 1, 2, 3, 5, 6]), ValueError,
+                 "the goal frame (last frame) must be clamped", id="goal-missing"),
+    pytest.param(_set("values", -1, float("inf")), ValueError,
+                 "clamp values contains non-finite values", id="non-finite"),
+    pytest.param(_layout([0, 1, 2, 3, 6, 7], intents=slice(1, 2)), ValueError,
+                 "intents do not share one clamp-frame layout", id="two-layouts"),
+    pytest.param(_set("values", 2, 0.125, intents=slice(1, 2)), ValueError,
+                 "intent history does not match the record's first t_obs frames",
+                 id="history-differs"),
+    # laid out for t_obs 3 and t_pred 5: its history is one frame short
+    pytest.param(_layout([0, 1, 2, 7]), ValueError,
+                 "every observed frame 0..t_obs-1 must be clamped", id="other-split"),
+]
+
+
+@pytest.mark.parametrize("boundary", ["read_dataset", "predict", "train"])
+@pytest.mark.parametrize("edit, error, message", CLAMP_SET_FAULTS)
+def test_every_boundary_rejects_a_bad_clamp_set(fitted, tmp_path, boundary, edit, error,
+                                                message):
+    _, params = fitted
+    scenes = tiny_scenes()
+    agent = scenes[0].agents[0]
+    raw = [{"frames": spec.frames.tolist(), "values": spec.values.tolist()}
+           for spec in agent.intents * 3]
+    edit(raw)
+    if boundary == "read_dataset":
+        write_dataset(scenes, tmp_path)
+        jsonl = tmp_path / "scene_0000" / "agents.jsonl"
+        lines = jsonl.read_text().splitlines(keepends=True)
+        lines[0] = json.dumps({**json.loads(lines[0]), "intents": raw}) + "\n"
+        jsonl.write_text("".join(lines))
+        where = f"{jsonl}:1: malformed agent record: {message}"
+        with pytest.raises(ValueError, match=re.escape(where)):
+            read_dataset(tmp_path)
+        return
+    with pytest.raises(error, match=re.escape(message)):
+        intents = [ConditionSpec(spec["frames"], spec["values"]) for spec in raw]
+        if boundary == "predict":
+            predict(params, agent.trajectory[:T_OBS], intents, guidance_steps=0)
+        else:
+            agent.intents = intents
+            train(scenes, TrainConfig(**{**TINY_TRAIN, "n_epochs": 1}))
 
 
 def test_unguided_predict_matches_ddpm_oracle():

@@ -299,11 +299,71 @@ def copy_of(written, tmp_path):
     ('{"t_obs": 8, "t_pred": 12, "frame_dt": NaN}', "frame_dt must be positive and finite"),
     pytest.param('{"t_obs": 8, "t_pred": 12, "frame_dt": 1' + "0" * 400 + "}",
                  "int too large to convert to float", id="huge-integer-frame_dt"),
+    pytest.param('{"t_obs": 8, "t_pred": 12, "frame_dt": true, "scene_ids": ["scene_0000"]}',
+                 "frame_dt must be a number, got True", id="bool-frame_dt"),
+    pytest.param('{"t_obs": 8, "t_pred": 12, "frame_dt": 0.4}', "lacks 'scene_ids'",
+                 id="no-scene_ids"),
+    pytest.param('{"t_obs": 8, "t_pred": 12, "frame_dt": 0.4, "scene_ids": []}',
+                 "scene_ids must be a non-empty list, got []", id="empty-scene_ids"),
+    pytest.param('{"t_obs": 8, "t_pred": 12, "frame_dt": 0.4, "scene_ids": "scene_0000"}',
+                 "scene_ids must be a non-empty list, got 'scene_0000'", id="scene_ids-string"),
 ])
 def test_bad_dataset_json_is_named(written, tmp_path, text, problem):
     data = copy_of(written, tmp_path)
     (data / "dataset.json").write_text(text)
     with pytest.raises(ValueError, match=re.escape(f"{data / 'dataset.json'}: {problem}")):
+        read_dataset(data)
+
+
+def with_scene_ids(data, scene_ids):
+    meta = json.loads((data / "dataset.json").read_text())
+    (data / "dataset.json").write_text(json.dumps({**meta, "scene_ids": scene_ids}))
+
+
+def test_scenes_come_from_scene_ids_in_their_order(written, tmp_path):
+    data = copy_of(written, tmp_path)
+    # a directory the list does not name is not a scene, even one without a map
+    (data / "preds").mkdir()
+    (data / "preds" / "predictions.jsonl").write_text("")
+    both = read_dataset(data)
+    assert [s.scene_id for s in both] == ["scene_0000", "scene_0001"]
+    with_scene_ids(data, ["scene_0001", "scene_0000"])
+    swapped = read_dataset(data)
+    assert [s.scene_id for s in swapped] == ["scene_0001", "scene_0000"]
+    for a, b in zip(swapped, both[::-1]):
+        assert a.env.dist_field.tobytes() == b.env.dist_field.tobytes()
+        assert [x.trajectory.tobytes() for x in a.agents] == [
+            x.trajectory.tobytes() for x in b.agents]
+    with_scene_ids(data, ["scene_0001"])
+    assert [s.scene_id for s in read_dataset(data)] == ["scene_0001"]
+
+
+@pytest.mark.parametrize("scene_ids, problem", [
+    (["scene_0000", 7], "scene id 7 does not name a subdirectory"),
+    (["scene_0000/agents.jsonl"], "scene id 'scene_0000/agents.jsonl' does not name a"),
+    (["/scene_0000"], "scene id '/scene_0000' does not name a subdirectory"),
+    (["."], "scene id '.' does not name a subdirectory"),
+    ([".."], "scene id '..' does not name a subdirectory"),
+    ([""], "scene id '' does not name a subdirectory"),
+    (["scene_0000", "scene_0001", "scene_0000"], "scene_ids list 'scene_0000' twice"),
+], ids=["not-a-string", "a-path", "absolute", "dot", "dot-dot", "empty", "repeated"])
+def test_bad_scene_ids_are_named(written, tmp_path, scene_ids, problem):
+    data = copy_of(written, tmp_path)
+    with_scene_ids(data, scene_ids)
+    with pytest.raises(ValueError, match=re.escape(f"{data / 'dataset.json'}: {problem}")):
+        read_dataset(data)
+
+
+def test_listed_scenes_without_a_directory_are_skipped(written, tmp_path):
+    # a copy of dataset.json with one of its scenes reads as that scene
+    data = copy_of(written, tmp_path)
+    shutil.rmtree(data / "scene_0000")
+    (data / "scene_0002").write_text("a file, not a scene directory")
+    with_scene_ids(data, ["scene_0000", "scene_0001", "scene_0002"])
+    assert [s.scene_id for s in read_dataset(data)] == ["scene_0001"]
+    shutil.rmtree(data / "scene_0001")
+    message = f"{data / 'dataset.json'}: none of its scene_ids is a directory in {data}"
+    with pytest.raises(FileNotFoundError, match=re.escape(message)):
         read_dataset(data)
 
 
@@ -364,7 +424,9 @@ def four_scenes(written, tmp_path):
     data = copy_of(written, tmp_path)
     for i in (0, 1):
         shutil.copytree(data / f"scene_000{i}", data / f"scene_000{i + 2}")
-    return data, sorted(p for p in data.iterdir() if p.is_dir())
+    scene_ids = [f"scene_000{i}" for i in range(4)]
+    with_scene_ids(data, scene_ids)
+    return data, [data / sid for sid in scene_ids]
 
 
 def test_maps_of_several_shapes_and_resolutions_match_per_map_builds(written, tmp_path):
@@ -414,7 +476,8 @@ def test_missing_dataset_json_is_named(written, tmp_path):
 
 
 def test_handwritten_two_agent_fixture(tmp_path):
-    (tmp_path / "dataset.json").write_text('{"t_obs": 2, "t_pred": 2, "frame_dt": 0.4}')
+    (tmp_path / "dataset.json").write_text(
+        '{"t_obs": 2, "t_pred": 2, "frame_dt": 0.4, "scene_ids": ["scene_0000"]}')
     sdir = tmp_path / "scene_0000"
     sdir.mkdir()
     (sdir / "map.pgm").write_text("P2\n16 16\n255\n" + ("255 " * 256).strip() + "\n")
