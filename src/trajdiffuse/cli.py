@@ -27,7 +27,7 @@ from .diffusion import TrajBatch
 from .estimator import TrajDiffuse
 from .metrics import acfl, ade_fde, ecfl, kde_nll, mve
 from .synth import ENV_KINDS, IntentOracleConfig, generate_dataset, read_dataset, write_dataset
-from .validation import check_non_negative, check_positive, read_jsonl
+from .validation import as_int, check_non_negative, check_positive, read_jsonl
 
 log = logging.getLogger("trajdiffuse")
 
@@ -211,12 +211,17 @@ def _load_predictions(path, scenes: dict) -> list:
         missing = [key for key in _RECORD_KEYS if key not in record]
         if missing:
             raise ValueError(f"{where}: prediction record lacks {', '.join(map(repr, missing))}")
-        scene_id, agent_id = record["scene_id"], record["agent_id"]
+        scene_id = record["scene_id"]
         scene = scenes.get(scene_id) if isinstance(scene_id, str) else None
         if scene is None:
             raise ValueError(f"{where}: scene_id {scene_id!r} is not in the dataset")
+        try:
+            agent_id = as_int(record["agent_id"], "agent_id")
+            t_obs = as_int(record.get("t_obs", scene.t_obs), "t_obs")
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
         agent = next((a for a in scene.agents if a.agent_id == agent_id), None)
-        if agent is None or type(agent_id) is not int:  # a JSON true equals 1
+        if agent is None:
             raise ValueError(f"{where}: agent_id {agent_id!r} is not in scene {scene_id!r}")
         if (scene_id, agent_id) in first_seen:
             raise ValueError(
@@ -224,8 +229,7 @@ def _load_predictions(path, scenes: dict) -> list:
                 f"at {first_seen[scene_id, agent_id]}"
             )
         first_seen[scene_id, agent_id] = where
-        t_obs = record.get("t_obs", scene.t_obs)
-        if type(t_obs) is not int or t_obs != scene.t_obs:  # a JSON 8.0 or true is no int
+        if t_obs != scene.t_obs:
             raise ValueError(f"{where}: t_obs {t_obs!r} differs from the scene's {scene.t_obs}")
         try:
             batch = TrajBatch(record["trajectories"], scene.t_obs, scene.t_pred)

@@ -33,7 +33,7 @@ from .layers import (
     upsample2_backward,
     upsample2_forward,
 )
-from ..validation import check_positive, check_steps
+from ..validation import as_int, as_int_array, check_positive, check_steps
 
 
 @dataclass(frozen=True)
@@ -51,10 +51,13 @@ class ArchDescriptor:
     coord_scale: float = 5.0
 
     def __post_init__(self):
-        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
-        if len(self.widths) < 1 or any(w < 1 for w in self.widths):
+        widths = as_int_array(self.widths, "widths", shape=(None,))
+        if widths.min() < 1:
             raise ValueError("widths must be a non-empty tuple of positive ints")
-        for name in ("kernel_len", "gn_groups", "in_channels", "t_obs", "t_pred", "n_steps"):
+        object.__setattr__(self, "widths", tuple(widths.tolist()))
+        for name in ("kernel_len", "gn_groups", "emb_dim", "in_channels", "t_obs", "t_pred",
+                     "n_steps"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.kernel_len % 2 != 1:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedule import NoiseSchedule
-from .validation import as_float_array, check_same_shape, check_steps
+from .validation import as_float_array, as_int_array, as_numbers, check_same_shape, check_steps
 
 
 @dataclass
@@ -54,26 +54,27 @@ class TrajBatch:
         return self.samples.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ConditionSpec:
-    """One intent's clamp set: values[j] (float64) is clamped onto frames[j]
-    (integers; a float or bool frame is rejected). Both are frozen copies;
+    """One intent's clamp set: values[j] (float64, by the number rule) is
+    clamped onto frames[j] (intp, by the integer rule). Both are frozen copies;
     whether they make a valid layout is `check_intents`'s rule."""
 
     frames: np.ndarray
     values: np.ndarray
 
-    def __post_init__(self):
-        # Copies, so that freezing them below leaves the caller's arrays writeable.
-        frames = np.array(self.frames)
-        # numpy promotes a list that mixes bools into ints to int, so look at the list too
-        if frames.size and (frames.dtype.kind not in "iu" or (
-                isinstance(self.frames, (list, tuple)) and bool in map(type, self.frames))):
-            raise ValueError(f"clamp frames must be integers, got {self.frames!r}")
-        for name, arr in (("frames", frames.astype(np.intp, copy=False)),
-                          ("values", np.array(self.values, dtype=np.float64))):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+    def __init__(self, frames, values):  # sets each field once: read_dataset makes many
+        checked_frames = as_int_array(frames, "clamp frames")
+        checked_values = as_numbers(values, "clamp values")
+        # copy a caller's array, so that freezing ours leaves theirs writeable
+        if isinstance(frames, np.ndarray):
+            checked_frames = checked_frames.copy()
+        if isinstance(values, np.ndarray):
+            checked_values = checked_values.copy()
+        checked_frames.setflags(write=False)
+        checked_values.setflags(write=False)
+        object.__setattr__(self, "frames", checked_frames)
+        object.__setattr__(self, "values", checked_values)
 
 
 def check_intents(intents: list, history: np.ndarray, t_pred: int) -> tuple:

@@ -18,7 +18,7 @@ onto the clean trajectory over future frames (`loss_and_grad`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -107,10 +107,6 @@ def predict(params: DenoiserParams, observed, intents: list,
 
 # ----------------------------------------------------------------- training
 
-# The TrainConfig fields that are ArchDescriptor fields of the same name.
-ARCH_FIELDS = ("widths", "kernel_len", "gn_groups", "emb_dim", "n_steps", "coord_scale")
-
-
 @dataclass(eq=False, kw_only=True)
 class TrainConfig:
     n_epochs: int = 200
@@ -125,6 +121,11 @@ class TrainConfig:
     emb_dim: int = ArchDescriptor.emb_dim
     coord_scale: float = ArchDescriptor.coord_scale
     cosine_offset: ClassVar[float] = DEFAULT_COSINE_OFFSET  # fixed, as in Improved DDPM
+
+
+# The TrainConfig fields that are ArchDescriptor fields of the same name, in its order.
+ARCH_FIELDS = tuple(f.name for f in fields(ArchDescriptor)
+                    if f.name in {g.name for g in fields(TrainConfig)})
 
 
 def _collect_training_arrays(scenes: list, coord_scale: float):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .diffusion import ConditionSpec, check_intents
 from .mapguide import NavEnvironment, ecfl_check, load_environment, save_environment
-from .validation import as_float_array, check_positive, read_jsonl
+from .validation import as_float_array, as_int, check_positive, read_jsonl
 
 ENV_KINDS = ("corridor", "rooms", "maze")
 MIN_COVERAGE = 0.20
@@ -365,14 +365,18 @@ def generate_dataset(kinds, n_scenes: int, n_agents: int, size, resolution,
 
 
 def write_dataset(scenes: list, out_dir) -> None:
+    """Write scenes under `out_dir`. dataset.json holds one frame split and
+    frame_dt, so every scene must share the first's; a scene that does not is
+    refused before anything is written."""
+    split = {key: getattr(scenes[0], key) for key in ("t_obs", "t_pred", "frame_dt")}
+    for scene in scenes:
+        theirs = {key: getattr(scene, key) for key in split}
+        if theirs != split:
+            raise ValueError(f"scene {scene.scene_id!r} has {theirs}, not the {split} of scene "
+                             f"{scenes[0].scene_id!r}: dataset.json holds one split")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "t_obs": scenes[0].t_obs,
-        "t_pred": scenes[0].t_pred,
-        "frame_dt": scenes[0].frame_dt,
-        "scene_ids": [s.scene_id for s in scenes],
-    }
+    meta = {**split, "scene_ids": [s.scene_id for s in scenes]}
     (out_dir / "dataset.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
     for scene in scenes:
         sdir = out_dir / scene.scene_id
@@ -396,10 +400,10 @@ def _read_meta(meta_path: Path) -> tuple:
     """(t_obs, t_pred, frame_dt, scene_ids) from a dataset's dataset.json."""
     try:
         meta = json.loads(meta_path.read_text())
-        t_obs, t_pred = meta["t_obs"], meta["t_pred"]
+        t_obs, t_pred = (as_int(meta[key], key) for key in ("t_obs", "t_pred"))
         frame_dt = check_positive(meta["frame_dt"], "frame_dt")
         for key, value in (("t_obs", t_obs), ("t_pred", t_pred)):
-            if type(value) is not int or value < 1:
+            if value < 1:
                 raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
         scene_ids = meta["scene_ids"]
         if type(scene_ids) is not list or not scene_ids:
@@ -443,9 +447,7 @@ def read_dataset(data_dir) -> list:
                            for spec in record["intents"]]
                 if intents:
                     check_intents(intents, traj[:t_obs], t_pred)
-                agent_id = record["agent_id"]
-                if isinstance(agent_id, bool) or not isinstance(agent_id, int):
-                    raise ValueError(f"agent_id {agent_id!r} is not an integer")
+                agent_id = as_int(record["agent_id"], "agent_id")
                 first = first_seen.setdefault(agent_id, where)
                 if first != where:
                     raise ValueError(f"agent_id {agent_id} repeats the record on line "

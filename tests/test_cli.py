@@ -274,7 +274,8 @@ def test_eval_report_matches_metrics_module(workspace, tmp_path):
 def test_eval_unknown_id_names_file_line_and_id(workspace, tmp_path, capsys, field, value):
     _, data, _, preds = workspace
     bad = _bad_predictions(preds, tmp_path, lambda r: r.update({field: value}))
-    _assert_eval_and_render_reject(data, bad, f"{bad}:2: {field} {value!r}", capsys)
+    problem = f"{field} {value!r}" if value != 1.5 else f"{field} must be an integer, got 1.5"
+    _assert_eval_and_render_reject(data, bad, f"{bad}:2: {problem}", capsys)
 
 
 def _bad_predictions(preds, tmp_path, edit, line=2):
@@ -321,15 +322,14 @@ def test_eval_record_missing_key_names_file_line_and_key(workspace, tmp_path, ca
 
 def test_eval_record_t_obs_mismatch_is_rejected(workspace, tmp_path, capsys):
     _, data, _, preds = workspace
-    for t_obs in (7, 8.0):  # t_obs is a JSON integer, like agent_id
+    for t_obs, problem in ((7, "t_obs 7 differs from the scene's 8"),
+                           (8.0, "t_obs must be an integer, got 8.0")):  # like agent_id
 
         def edit(record):
             record["t_obs"] = t_obs
 
         bad = _bad_predictions(preds, tmp_path, edit)
-        _assert_eval_and_render_reject(
-            data, bad, f"{bad}:2: t_obs {t_obs!r} differs from the scene's 8", capsys,
-        )
+        _assert_eval_and_render_reject(data, bad, f"{bad}:2: {problem}", capsys)
 
 
 @pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank-lines"])

@@ -4,6 +4,7 @@ Every corrupt input either loads or raises a ValueError (FileNotFoundError
 for a missing sidecar) whose message names the file, and for JSONL files the
 line. Inputs start from valid files and are corrupted two ways: byte edits
 and truncation, or, for JSON, one value swapped for an arbitrary JSON value.
+A number swapped for a bool or a string never loads: the reader raises.
 """
 
 import json
@@ -61,6 +62,40 @@ def corrupt_json(data, record):
         else:
             node[key] = data.draw(json_values, label="value")
         return record
+
+
+# a bool, or a string that may spell a number ("0.4", "nan")
+not_numbers = st.booleans() | st.text(max_size=4) | st.floats().map(str)
+
+
+def number_paths(node, path=()) -> list:
+    """The path to every number of a parsed JSON value; a bool is not a number."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return [path] if type(node) in (int, float) else []
+    return [p for key, child in children for p in number_paths(child, path + (key,))]
+
+
+def swap_number(data, record):
+    """A copy of `record` with one number, at any depth, swapped for a bool or a string."""
+    record = json.loads(json.dumps(record))
+    *parents, key = data.draw(st.sampled_from(number_paths(record)), label="number")
+    node = record
+    for parent in parents:
+        node = node[parent]
+    node[key] = data.draw(not_numbers, label="value")
+    return record
+
+
+def swap_number_in_jsonl(data, good: bytes) -> tuple:
+    """`good` with one number of one record swapped, and that record's 1-based line."""
+    lines = good.splitlines(keepends=True)
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    lines[i] = json.dumps(swap_number(data, json.loads(lines[i]))).encode() + b"\n"
+    return b"".join(lines), i + 1
 
 
 def corrupt_jsonl(data, good: bytes) -> bytes:
@@ -145,6 +180,29 @@ def test_corrupt_agents_jsonl_loads_or_names_file_and_line(dataset, data):
         assert_names(exc, path, line=True)
 
 
+@FUZZ
+@given(data=st.data())
+def test_a_number_swapped_in_map_json_never_loads(dataset, data):
+    sdir = fresh_copy(dataset)
+    path = sdir / "map.json"
+    path.write_text(json.dumps(swap_number(data, json.loads(path.read_bytes()))))
+    with pytest.raises(ValueError) as info:
+        load_environment([(sdir / "map.pgm", path)])
+    assert_names(info.value, path)
+
+
+@FUZZ
+@given(data=st.data())
+def test_a_number_swapped_in_agents_jsonl_never_loads(dataset, data):
+    sdir = fresh_copy(dataset)
+    path = sdir / "agents.jsonl"
+    bad, line = swap_number_in_jsonl(data, path.read_bytes())
+    path.write_bytes(bad)
+    with pytest.raises(ValueError) as info:
+        read_dataset(sdir.parent)
+    assert_names(info.value, f"{path}:{line}")
+
+
 @pytest.fixture(scope="module")
 def predictions(dataset, tmp_path_factory):
     """A predictions file for the pristine dataset, its good bytes and the
@@ -170,3 +228,14 @@ def test_corrupt_predictions_load_or_name_file_and_line(predictions, data):
         _load_predictions(path, scenes)  # checks each record against the dataset too
     except ValueError as exc:
         assert_names(exc, path, line=True)
+
+
+@FUZZ
+@given(data=st.data())
+def test_a_number_swapped_in_predictions_never_loads(predictions, data):
+    path, good, scenes = predictions
+    bad, line = swap_number_in_jsonl(data, good)
+    path.write_bytes(bad)
+    with pytest.raises(ValueError) as info:
+        _load_predictions(path, scenes)
+    assert_names(info.value, f"{path}:{line}")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import shutil
@@ -258,6 +259,17 @@ def test_dataset_round_trip(tmp_path):
                 np.testing.assert_array_equal(sa.values, sb.values)
 
 
+@pytest.mark.parametrize("change", [{"t_obs": 10, "t_pred": 10}, {"t_pred": 13}, {"frame_dt": 0.5}],
+                         ids=["10+10", "t_pred", "frame_dt"])
+def test_write_dataset_refuses_scenes_of_another_split(tmp_path, change):
+    scenes = small_dataset()
+    scenes[1] = dataclasses.replace(scenes[1], **change)
+    theirs = {"t_obs": T_OBS, "t_pred": T_PRED, "frame_dt": DT, **change}
+    with pytest.raises(ValueError, match=re.escape(f"scene 'scene_0001' has {theirs}, not the")):
+        write_dataset(scenes, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_map_sidecar_is_reported(tmp_path):
     scenes = small_dataset()
     write_dataset(scenes, tmp_path)
@@ -294,7 +306,7 @@ def copy_of(written, tmp_path):
     ('[8, 12, 0.4]', "list indices must be integers"),
     ('{"t_obs": 0, "t_pred": 12, "frame_dt": 0.4}', "t_obs must be an integer >= 1, got 0"),
     ('{"t_obs": 8, "t_pred": 0, "frame_dt": 0.4}', "t_pred must be an integer >= 1, got 0"),
-    ('{"t_obs": 8.5, "t_pred": 12, "frame_dt": 0.4}', "t_obs must be an integer >= 1, got 8.5"),
+    ('{"t_obs": 8.5, "t_pred": 12, "frame_dt": 0.4}', "t_obs must be an integer, got 8.5"),
     ('{"t_obs": 8, "t_pred": 12, "frame_dt": -0.4}', "frame_dt must be positive and finite"),
     ('{"t_obs": 8, "t_pred": 12, "frame_dt": NaN}', "frame_dt must be positive and finite"),
     pytest.param('{"t_obs": 8, "t_pred": 12, "frame_dt": 1' + "0" * 400 + "}",
@@ -391,9 +403,9 @@ def test_agent_frames_must_span_the_split(written, tmp_path, edit, problem):
 
 @pytest.mark.parametrize("agent_id, problem", [
     pytest.param(0, "agent_id 0 repeats the record on line 1", id="repeated"),
-    pytest.param(1.7, "agent_id 1.7 is not an integer", id="float"),
-    pytest.param("1", "agent_id '1' is not an integer", id="string"),
-    pytest.param(True, "agent_id True is not an integer", id="bool"),
+    pytest.param(1.7, "agent_id must be an integer, got 1.7", id="float"),
+    pytest.param("1", "agent_id must be an integer, got '1'", id="string"),
+    pytest.param(True, "agent_id must be an integer, got True", id="bool"),
 ])
 def test_agent_id_is_a_unique_integer(written, tmp_path, agent_id, problem):
     data = copy_of(written, tmp_path)
