@@ -26,7 +26,9 @@ import numpy as np
 from .diffusion import TrajBatch
 from .estimator import TrajDiffuse
 from .metrics import acfl, ade_fde, ecfl, kde_nll, mve
-from .synth import ENV_KINDS, IntentOracleConfig, generate_dataset, read_dataset, write_dataset
+from .synth import (
+    ENV_KINDS, MIN_SIZE, IntentOracleConfig, generate_dataset, read_dataset, write_dataset,
+)
 from .validation import as_int, check_non_negative, check_positive, read_jsonl
 
 log = logging.getLogger("trajdiffuse")
@@ -37,8 +39,9 @@ def _size_type(text: str) -> tuple:
         h, w = (int(p) for p in text.lower().split("x"))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"--size must look like 32x32, got {text!r}") from exc
-    if h < 16 or w < 16:
-        raise argparse.ArgumentTypeError(f"--size must be at least 16x16, got {text}")
+    if h < MIN_SIZE or w < MIN_SIZE:
+        raise argparse.ArgumentTypeError(
+            f"--size must be at least {MIN_SIZE}x{MIN_SIZE}, got {text}")
     return h, w
 
 
@@ -368,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="environment kind(s), comma-separated; scenes cycle through them")
     p.add_argument("--n-scenes", type=_int_flag("--n-scenes"), default=8)
     p.add_argument("--agents-per-scene", type=_int_flag("--agents-per-scene"), default=3)
-    p.add_argument("--size", type=_size_type, default=(32, 32), help="grid size HxW, min 16x16")
+    p.add_argument("--size", type=_size_type, default=(32, 32),
+                   help=f"grid size HxW, min {MIN_SIZE}x{MIN_SIZE}")
     p.add_argument("--resolution", type=_float_flag("--resolution"), default=0.5,
                    help="meters per pixel")
     p.add_argument("--t-obs", type=_int_flag("--t-obs"), default=8)

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedule import NoiseSchedule
-from .validation import as_float_array, as_int_array, as_numbers, check_same_shape, check_steps
+from .validation import (
+    as_float_array, as_int, as_int_array, as_numbers, check_same_shape, check_steps,
+)
 
 
 @dataclass
@@ -37,6 +39,7 @@ class TrajBatch:
 
     def __post_init__(self):
         self.samples = as_float_array(self.samples, "samples", shape=(None, None, 2))
+        self.t_obs, self.t_pred = as_int(self.t_obs, "t_obs"), as_int(self.t_pred, "t_pred")
         if self.t_obs < 1 or self.t_pred < 1:
             raise ValueError("t_obs and t_pred must each be >= 1")
         if self.samples.shape[1] != self.t_obs + self.t_pred:

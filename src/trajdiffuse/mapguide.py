@@ -24,87 +24,56 @@ import numpy as np
 
 from .validation import as_float_array, as_number, check_positive
 
-_BIG = 1e15  # finite sentinel; cell distances stay far below, stays exact in f64
-
-
-def _envelope_rows(f: np.ndarray) -> np.ndarray:
-    """Felzenszwalb-Huttenlocher 1-D squared distance transform of every row of `f`.
-
-    The lower envelope of parabolas runs on all rows in lockstep: each row
-    keeps its own parabola stack (v, z, k), the sweeps over q and p advance
-    every row together, and the pop / advance loops repeat only on the rows
-    that still need a step. Each row sees exactly the arithmetic of the
-    textbook scalar envelope, so the result is the same to the bit.
-    """
-    m, n = f.shape
-    rows = np.arange(m)
-    v = np.zeros((m, n), dtype=np.intp)  # parabola vertices, per row
-    z = np.empty((m, n + 1))  # boundaries between parabolas, per row
-    z[:, 0], z[:, 1] = -np.inf, np.inf
-    k = np.zeros(m, dtype=np.intp)  # index of each row's top parabola
-    for q in range(1, n):
-        fq = f[:, q] + q * q
-        vk = v[rows, k]
-        s = (fq - (f[rows, vk] + vk * vk)) / (2 * q - 2 * vk)
-        pop = np.flatnonzero(s <= z[rows, k])
-        while pop.size:
-            k[pop] -= 1
-            vk = v[pop, k[pop]]
-            s[pop] = (fq[pop] - (f[pop, vk] + vk * vk)) / (2 * q - 2 * vk)
-            pop = pop[s[pop] <= z[pop, k[pop]]]
-        k += 1
-        v[rows, k] = q
-        z[rows, k] = s
-        z[rows, k + 1] = np.inf
-    d = np.empty((m, n))
-    k[:] = 0
-    for p in range(n):
-        step = np.flatnonzero(z[rows, k + 1] < p)
-        while step.size:
-            k[step] += 1
-            step = step[z[step, k[step] + 1] < p]
-        vk = v[rows, k]
-        d[:, p] = (p - vk) ** 2 + f[rows, vk]
-    return d
-
 
 def _column_sq_dist(nav: np.ndarray) -> np.ndarray:
-    """Squared pixel distance to the nearest navigable pixel in the same column.
-
-    `nav` is an (..., H, W) boolean stack. The nearest navigable row at or
-    above each pixel is a running maximum down the column, the nearest at or
-    below a running minimum up it; a column with no navigable pixel gets _BIG.
-    Integer arithmetic throughout, so the result is exact.
-    """
-    h = nav.shape[-2]
+    """Squared pixel distance to the nearest navigable pixel in the same column
+    of the (H, W) map `nav`: the nearest navigable row above is a running
+    maximum down the column, the nearest below a running minimum up it. A
+    column with no navigable pixel gets H**2 + W**2, above any true value."""
+    h, w = nav.shape
     rows = np.arange(h).reshape(h, 1)
-    above = np.maximum.accumulate(np.where(nav, rows, -h), axis=-2)
-    below = np.flip(np.minimum.accumulate(np.flip(np.where(nav, rows, 2 * h), axis=-2),
-                                          axis=-2), axis=-2)
+    above = np.maximum.accumulate(np.where(nav, rows, -h), axis=0)
+    below = np.minimum.accumulate(np.where(nav, rows, 2 * h)[::-1], axis=0)[::-1]
     gap = np.minimum(rows - above, below - rows)  # >= h only where the column is all blocked
-    return np.where(gap < h, np.square(gap, dtype=np.float64), _BIG)
+    return np.where(gap < h, gap * gap, h * h + w * w)
+
+
+def _row_sq_dist(col_d2: np.ndarray) -> np.ndarray:
+    """min over columns c' of col_d2[r, c'] + (c - c')**2, one offset
+    d = c - c' at a time from each side. A row is done once d**2 reaches its
+    largest value, as no farther column can lower it; the rows still running
+    are gathered every 4 offsets."""
+    out = col_d2.copy()
+    live = np.arange(out.shape[0])  # rows still running
+    f, g = col_d2, out  # their column pass and their values so far
+    d = 1
+    while live.size and d < out.shape[1]:
+        if d % 4 == 1:
+            done = g.max(axis=1) <= d * d
+            out[live[done]] = g[done]
+            live, f, g = live[~done], f[~done], g[~done]
+        np.minimum(g[:, d:], f[:, :-d] + d * d, out=g[:, d:])
+        np.minimum(g[:, :-d], f[:, d:] + d * d, out=g[:, :-d])
+        d += 1
+    out[live] = g
+    return out
 
 
 def distance_transform(nav_grid: np.ndarray, resolution: float) -> np.ndarray:
-    """Exact Euclidean distance (meters) to the nearest navigable pixel center.
-
-    `nav_grid` is one (H, W) map or an (N, H, W) stack of maps of one shape;
-    the result has the same shape. The column pass is two cumulative scans
-    per column; the row pass is one Felzenszwalb-Huttenlocher lower envelope
-    over all N * H rows in lockstep, about 2 * W Python iterations of vector
-    operations for the whole stack.
+    """Exact Euclidean distance (meters) to the nearest navigable pixel center
+    of one (H, W) map. Two cumulative scans per column, then a shifted
+    minimum along the rows, all in integers. The row pass costs O(H * W * D),
+    D the largest distance on the map in pixels, so a large map with few
+    navigable pixels is slow.
     """
     nav_grid = np.asarray(nav_grid, dtype=bool)
     check_positive(resolution, "resolution")
-    if nav_grid.ndim not in (2, 3) or nav_grid.size == 0:
-        raise ValueError("nav_grid must be a non-empty (H, W) or (N, H, W) boolean array")
-    blocked = np.flatnonzero(~nav_grid.any(axis=(-2, -1)))
-    if blocked.size:
-        where = "" if nav_grid.ndim == 2 else f" (map {blocked[0]} of the stack)"
-        raise ValueError(f"nav_grid has no navigable pixel{where}")
-    d2 = _column_sq_dist(nav_grid)
-    d2 = _envelope_rows(d2.reshape(-1, d2.shape[-1])).reshape(d2.shape)
-    return np.sqrt(d2) * resolution
+    if nav_grid.ndim != 2 or nav_grid.size == 0:
+        raise ValueError("nav_grid must be a non-empty (H, W) boolean array, "
+                         f"got shape {nav_grid.shape}")
+    if not nav_grid.any():
+        raise ValueError("nav_grid has no navigable pixel")
+    return np.sqrt(_row_sq_dist(_column_sq_dist(nav_grid))) * resolution
 
 
 def gradient_field(dist_field: np.ndarray, resolution: float) -> np.ndarray:
@@ -155,21 +124,11 @@ class NavEnvironment:
     @classmethod
     def from_grid(cls, nav_grid, resolution: float, origin=(0.0, 0.0)) -> "NavEnvironment":
         nav_grid = np.array(nav_grid, dtype=bool)
-        if nav_grid.ndim != 2:
-            raise ValueError(f"nav_grid must be a 2-D boolean array, got shape {nav_grid.shape}")
         resolution = check_positive(resolution, "resolution")
+        dist = distance_transform(nav_grid, resolution)  # checks the map's shape
         origin = np.array(origin, dtype=np.float64).reshape(2)
         _check_extent(nav_grid.shape, resolution, origin)
-        return cls._from_stack(nav_grid[None], resolution, [origin])[0]
-
-    @classmethod
-    def _from_stack(cls, nav_grids: np.ndarray, resolution: float, origins) -> list:
-        """One environment per map of an (N, H, W) boolean stack the caller hands
-        over (the maps become views of it); one distance_transform call builds
-        every distance field."""
-        dist = distance_transform(nav_grids, resolution)
-        return [cls(grid, resolution, origin, d, gradient_field(d, resolution))
-                for grid, origin, d in zip(nav_grids, origins, dist)]
+        return cls(nav_grid, resolution, origin, dist, gradient_field(dist, resolution))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -358,8 +317,7 @@ def load_environment(maps) -> list:
     """The NavEnvironments of a sequence of (pgm_path, json_path) pairs, in order.
 
     Every file is read and checked before any field is built, so each error
-    names its file. Maps that share a shape and a resolution get their
-    distance fields from one distance_transform call.
+    names its file; then each map's fields are built by `from_grid`.
     """
     loaded = []  # (nav_grid, resolution, origin) per map
     for pgm_path, json_path in maps:
@@ -372,13 +330,4 @@ def load_environment(maps) -> list:
         if not nav_grid.any():
             raise ValueError(f"{pgm_path}: nav_grid has no navigable pixel")
         loaded.append((nav_grid, resolution, origin))
-    groups: dict = {}  # (shape, resolution) -> indices of its maps
-    for i, (nav_grid, resolution, _) in enumerate(loaded):
-        groups.setdefault((nav_grid.shape, resolution), []).append(i)
-    envs = [None] * len(loaded)
-    for (_, resolution), members in groups.items():
-        stack = np.stack([loaded[i][0] for i in members])
-        built = NavEnvironment._from_stack(stack, resolution, [loaded[i][2] for i in members])
-        for i, env in zip(members, built):
-            envs[i] = env
-    return envs
+    return [NavEnvironment.from_grid(*map_) for map_ in loaded]

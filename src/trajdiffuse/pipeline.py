@@ -43,7 +43,7 @@ from .denoiser import (
 )
 from .mapguide import NavEnvironment, ecfl_check, guidance_delta
 from .schedule import DEFAULT_COSINE_OFFSET, build_cosine_schedule
-from .validation import as_float_array
+from .validation import as_float_array, as_int
 
 
 @dataclass
@@ -72,7 +72,7 @@ def predict(params: DenoiserParams, observed, intents: list,
     if not intents:
         raise ValueError("request carries no intents")
     frames, values_world = check_intents(intents, observed, desc.t_pred)
-    if guidance_steps < 0:
+    if as_int(guidance_steps, "guidance_steps") < 0:
         raise ValueError(f"guidance_steps must be >= 0, got {guidance_steps}")
     if guidance_steps and env is None:
         raise ValueError("guidance requires an environment")
@@ -161,6 +161,9 @@ def train(scenes: list, config: TrainConfig,
     Steps with non-finite gradients are skipped and counted; a non-finite
     loss aborts with a diagnostic.
     """
+    for name, minimum in (("n_epochs", 1), ("batch_size", 1), ("seed", 0)):
+        if as_int(getattr(config, name), name) < minimum:
+            raise ValueError(f"{name} must be at least {minimum}, got {getattr(config, name)}")
     if not scenes:
         raise ValueError("training dataset is empty")
     x0_all, frames, t_obs, t_pred = _collect_training_arrays(scenes, config.coord_scale)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .validation import check_positive
+from .validation import as_int, check_positive
 
 # Per-step retention is clipped away from 0 and 1 so posterior denominators
 # (1 - alpha_bar_i) never vanish at the ends of the schedule.
@@ -90,7 +90,7 @@ def build_cosine_schedule(n_steps: int, offset: float = DEFAULT_COSINE_OFFSET) -
     the profile's ratios, clipped to [ALPHA_MIN, ALPHA_MAX], and all derived
     vectors are recomputed from the clipped alphas.
     """
-    n_steps = int(n_steps)
+    n_steps = as_int(n_steps, "n_steps")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     check_positive(offset, "offset")

@@ -30,6 +30,7 @@ from .validation import as_float_array, as_int, check_positive, read_jsonl
 
 ENV_KINDS = ("corridor", "rooms", "maze")
 MIN_COVERAGE = 0.20
+MIN_SIZE = 16  # smallest map side, in pixels
 PROJECTION_RADIUS_CELLS = 10
 TRAJECTORY_RETRIES = 50
 
@@ -168,8 +169,8 @@ def _maze_grid(h, w, rng):
 def generate_environment(kind: str, size: tuple, resolution: float, seed: int) -> NavEnvironment:
     """Deterministic synthetic environment; connected, >= 20% navigable."""
     h, w = int(size[0]), int(size[1])
-    if h < 16 or w < 16:
-        raise ValueError(f"environment size must be at least 16x16, got {h}x{w}")
+    if h < MIN_SIZE or w < MIN_SIZE:
+        raise ValueError(f"environment size must be at least {MIN_SIZE}x{MIN_SIZE}, got {h}x{w}")
     if kind not in ENV_KINDS:
         raise ValueError(f"unknown environment kind {kind!r}; pick one of {ENV_KINDS}")
     rng = np.random.default_rng(np.random.SeedSequence([ENV_KINDS.index(kind), seed]))

@@ -93,34 +93,38 @@ def random_stack(rng, n, h, w):
     return stack
 
 
-def test_stacked_distance_matches_brute_force():
+def test_distance_matches_brute_force_per_map():
     rng = np.random.default_rng(21)
     shapes = [(1, 1), (1, 9), (12, 1), (2, 3), (7, 7), (13, 5), (6, 31)]
     for trial in range(40):
         h, w = shapes[trial] if trial < len(shapes) else rng.integers(1, 20, 2)
         stack = random_stack(rng, int(rng.integers(1, 6)), int(h), int(w))
         res = float(rng.uniform(0.1, 2.0))
-        got = distance_transform(stack, res)
-        assert got.shape == stack.shape
         for i, grid in enumerate(stack):
-            np.testing.assert_array_equal(got[i], brute_force_distance(grid, res),
+            np.testing.assert_array_equal(distance_transform(grid, res),
+                                          brute_force_distance(grid, res),
                                           err_msg=f"trial {trial}, map {i}")
 
 
-def test_stacked_distance_equals_per_map_calls():
-    rng = np.random.default_rng(22)
-    for _ in range(10):
-        stack = random_stack(rng, 6, *rng.integers(2, 40, 2))
-        got = distance_transform(stack, 0.37)
-        for grid, field in zip(stack, got):
-            assert field.tobytes() == distance_transform(grid, 0.37).tobytes()
+@pytest.mark.parametrize("corner", [(0, 0), (0, -1), (-1, 0), (-1, -1)])
+def test_distance_from_one_corner_pixel_of_a_non_square_map(corner):
+    # the largest distance a map of this shape can hold: the row pass runs longest
+    grid = np.zeros((23, 37), dtype=bool)
+    grid[corner] = True
+    np.testing.assert_array_equal(distance_transform(grid, 0.7), brute_force_distance(grid, 0.7))
 
 
-def test_stack_with_a_blocked_map_names_its_index():
-    stack = np.ones((3, 4, 5), dtype=bool)
-    stack[1] = False
-    with pytest.raises(ValueError, match=re.escape("no navigable pixel (map 1 of the stack)")):
-        distance_transform(stack, 1.0)
+@pytest.mark.parametrize("col", [0, 9, 30])
+def test_distance_from_one_navigable_column(col):
+    # every row reaches its largest distance at the far end of the row
+    grid = np.zeros((14, 31), dtype=bool)
+    grid[:, col] = True
+    np.testing.assert_array_equal(distance_transform(grid, 0.4), brute_force_distance(grid, 0.4))
+
+
+def test_a_stack_of_maps_is_rejected():
+    with pytest.raises(ValueError, match=re.escape("(H, W) boolean array, got shape (3, 4, 5)")):
+        distance_transform(np.ones((3, 4, 5), dtype=bool), 1.0)
 
 
 def test_all_blocked_grid_rejected():

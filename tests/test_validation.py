@@ -4,7 +4,9 @@ Integers (`as_int_array`) refuse a bool, also inside a list, a float, a
 string and a value past intp's range. Numbers (`as_numbers`) refuse a bool,
 a string and null, also inside a list. Each field a file reads is checked
 with a numeric string and a bool, and the error names the file, and for a
-JSONL file the line.
+JSONL file the line. The counts the library takes without a file (a
+trajectory batch's split, the training loop's, guidance's and the
+schedule's) follow the integer rule too.
 """
 
 import json
@@ -16,9 +18,10 @@ import pytest
 
 from trajdiffuse import TrajDiffuse
 from trajdiffuse.cli import _load_predictions
-from trajdiffuse.denoiser import ArchDescriptor
-from trajdiffuse.diffusion import ConditionSpec, forward_noise
+from trajdiffuse.denoiser import ArchDescriptor, init_params
+from trajdiffuse.diffusion import ConditionSpec, TrajBatch, forward_noise
 from trajdiffuse.mapguide import load_environment
+from trajdiffuse.pipeline import TrainConfig, predict, train
 from trajdiffuse.schedule import build_cosine_schedule
 from trajdiffuse.synth import IntentOracleConfig, generate_dataset, read_dataset, write_dataset
 from trajdiffuse.validation import (
@@ -262,3 +265,57 @@ def test_prediction_numbers_refuse_strings_and_bools(written, tmp_path):
             preds = shutil.copy(written / "preds.jsonl", tmp_path / "preds.jsonl")
             edit_jsonl_line2(preds, setter(*keys), value)
             assert_refused(lambda: _load_predictions(preds, scenes), f"{preds}:2", name)
+
+
+# ---------------------------------------------------- counts on the library path
+
+TINY_ARCH = dict(widths=(4,), kernel_len=3, gn_groups=2, emb_dim=8, n_steps=5)
+
+
+@pytest.mark.parametrize("t_obs, t_pred, name", [
+    (True, 19, "t_obs"), (8.0, 12, "t_obs"), (8, np.float64(12.0), "t_pred"), ("8", 12, "t_obs"),
+], ids=["bool", "float", "numpy-float", "string"])
+def test_a_trajectory_batch_split_is_integers(t_obs, t_pred, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got "):
+        TrajBatch(np.zeros((2, 20, 2)), t_obs, t_pred)
+    batch = TrajBatch(np.zeros((2, 20, 2)), np.int32(8), 12)
+    assert type(batch.t_obs) is int and batch.t_obs == 8
+
+
+@pytest.mark.parametrize("name, value, error", [
+    ("n_epochs", True, "n_epochs must be an integer, got True"),
+    ("n_epochs", 2.0, "n_epochs must be an integer, got 2.0"),
+    ("n_epochs", 0, "n_epochs must be at least 1, got 0"),
+    ("batch_size", True, "batch_size must be an integer, got True"),
+    ("batch_size", 0, "batch_size must be at least 1, got 0"),
+    ("seed", True, "seed must be an integer, got True"),
+    ("seed", -1, "seed must be at least 0, got -1"),
+])
+def test_training_counts_are_checked_before_training(written, name, value, error):
+    scenes = read_dataset(written / "data")
+    settings = {"n_epochs": 1, "batch_size": 4, **TINY_ARCH, name: value}
+    with pytest.raises(ValueError, match=re.escape(error)):
+        train(scenes, TrainConfig(**settings))
+    model = TrajDiffuse(**{**settings, name: 1}).set_params(**{name: value})
+    with pytest.raises(ValueError, match=re.escape(error)):
+        model.fit(scenes)
+    assert not hasattr(model, "model_params_")
+
+
+@pytest.mark.parametrize("value", [True, 2.5, "3"], ids=["bool", "float", "string"])
+def test_guidance_steps_are_an_integer(written, value):
+    scene = read_dataset(written / "data")[0]
+    agent = scene.agents[0]
+    params = init_params(ArchDescriptor(t_obs=T_OBS, t_pred=T_PRED, **TINY_ARCH))
+    with pytest.raises(ValueError, match=re.escape(f"guidance_steps must be an integer, "
+                                                   f"got {value!r}")):
+        predict(params, agent.trajectory[:T_OBS], agent.intents, scene.env,
+                guidance_steps=value)
+
+
+@pytest.mark.parametrize("n_steps", [2.7, True, 3.0, "3"], ids=["fraction", "bool",
+                                                                 "integral-float", "string"])
+def test_a_schedule_length_is_an_integer(n_steps):
+    with pytest.raises(ValueError, match=re.escape(f"n_steps must be an integer, got {n_steps!r}")):
+        build_cosine_schedule(n_steps)
+    assert build_cosine_schedule(np.int64(3)).n_steps == 3
