@@ -4,7 +4,8 @@ Each layer is a forward/backward function pair. Forwards return (y, cache);
 backwards take the upstream gradient plus the cache and return the input
 gradient along with gradients for every parameter used. Everything runs in
 float64; reductions use BLAS matmuls where shapes allow:
-- conv1d is one im2col GEMM per pass;
+- conv1d is one im2col GEMM per pass; it caches its zero-padded input and
+  the backward rebuilds the columns from it;
 - attention runs its projections, scores and weighted sums as (batched)
   GEMMs and its weight gradients as one reshaped GEMM each, with the softmax
   done in place on the (B, C, C) scores;
@@ -18,46 +19,57 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 # ------------------------------------------------------------------ conv1d
+
+def _im2col(xp, k, stride):
+    """(C_in * k, B * L_out) columns of the padded (B, C_in, L_p) input.
+
+    The windows are one strided view of `xp`; the reshape copies them once.
+    """
+    bsz, n_in, length = xp.shape
+    l_out = (length - k) // stride + 1
+    s_b, s_c, s_l = xp.strides
+    win = np.ndarray((bsz, n_in, l_out, k), xp.dtype, xp, 0,
+                     (s_b, s_c, stride * s_l, s_l))  # (B, Cin, Lo, k)
+    return win.transpose(1, 3, 0, 2).reshape(n_in * k, bsz * l_out)
+
 
 def conv1d_forward(x, w, b, stride=1):
     """1-D convolution over (B, C_in, L) with symmetric zero padding.
 
     w: (C_out, C_in, k) with odd k; output length is L for stride 1 and
-    L // stride when L divides evenly.
+    L // stride when L divides evenly. The cache is the zero-padded input,
+    k times smaller than its im2col columns, which the backward rebuilds.
     """
     n_out, n_in, k = w.shape
     pad = (k - 1) // 2
     bsz, _, length = x.shape
     xp = np.zeros((bsz, n_in, length + 2 * pad))
     xp[:, :, pad:pad + length] = x
-    win = sliding_window_view(xp, k, axis=2)[:, :, ::stride, :]  # (B, Cin, Lo, k)
-    l_out = win.shape[2]
-    xcol = win.transpose(1, 3, 0, 2).reshape(n_in * k, bsz * l_out)
+    xcol = _im2col(xp, k, stride)
+    l_out = (xp.shape[2] - k) // stride + 1
     y = (w.reshape(n_out, n_in * k) @ xcol).reshape(n_out, bsz, l_out)
     y = y.transpose(1, 0, 2) + b[None, :, None]
-    cache = (xcol, x.shape, w.shape, stride)
-    return y, cache
+    return y, (xp, stride)
 
 
 def conv1d_backward(dy, w, cache):
-    xcol, x_shape, w_shape, stride = cache
-    n_out, n_in, k = w_shape
+    xp, stride = cache
+    n_out, n_in, k = w.shape
     pad = (k - 1) // 2
-    bsz, _, length = x_shape
+    bsz, _, l_pad = xp.shape
     l_out = dy.shape[2]
     dy2 = dy.transpose(1, 0, 2).reshape(n_out, bsz * l_out)
-    dw = (dy2 @ xcol.T).reshape(n_out, n_in, k)
+    dw = (dy2 @ _im2col(xp, k, stride).T).reshape(n_out, n_in, k)
     db = dy2.sum(axis=1)
     dxcol = (w.reshape(n_out, n_in * k).T @ dy2).reshape(n_in, k, bsz, l_out)
-    dxp = np.zeros((bsz, n_in, length + 2 * pad))
+    dxp = np.zeros((bsz, n_in, l_pad))
     dxw = dxcol.transpose(2, 0, 1, 3)  # (B, Cin, k, Lo)
     for j in range(k):
         dxp[:, :, j:j + stride * (l_out - 1) + 1:stride] += dxw[:, :, j, :]
-    dx = dxp[:, :, pad:pad + length]
+    dx = dxp[:, :, pad:l_pad - pad]
     return dx, dw, db
 
 

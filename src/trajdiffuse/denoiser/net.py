@@ -245,11 +245,12 @@ def _check_input(desc: ArchDescriptor, x: np.ndarray) -> np.ndarray:
 def forward_with_cache(params: DenoiserParams, x: np.ndarray, i, *, keep_cache: bool = True):
     """Network forward on (B, T, 2) inputs; i is an int or a (B,) int array.
 
-    Returns (y, cache) for `backward_from_cache`. The cache is (x.shape,
-    tape): the tape holds every layer's cache in forward order, and the
-    backward pops it in reverse. With keep_cache=False the forward keeps no
-    cache: each block's is dropped as soon as the block returns, and the
-    cache returned is None. The output is the same.
+    Returns (y, cache) for one `backward_from_cache`. The cache is (x.shape,
+    tape): the tape holds every layer's cache in forward order (a conv's is
+    its zero-padded input), and the backward pops it in reverse, so the cache
+    serves one backward. With keep_cache=False the forward keeps no cache:
+    each block's is dropped as soon as the block returns, and the cache
+    returned is None. The output is the same.
     """
     desc = params.arch
     p = params.tensors
@@ -298,7 +299,13 @@ def forward_with_cache(params: DenoiserParams, x: np.ndarray, i, *, keep_cache: 
 
 
 def backward_from_cache(params: DenoiserParams, cache, upstream: np.ndarray):
-    """Reverse-mode pass; returns (grads, d_input) with grads keyed like tensors."""
+    """Reverse-mode pass; returns (grads, d_input) with grads keyed like tensors.
+
+    It consumes the cache: each layer's entry is popped off the caller's
+    tape, and so freed, once its gradient is done. The upstream shape is
+    checked first, with the tape untouched; a cache that an earlier backward
+    used raises ValueError.
+    """
     desc = params.arch
     p = params.tensors
     last = desc.n_levels - 1
@@ -312,7 +319,9 @@ def backward_from_cache(params: DenoiserParams, cache, upstream: np.ndarray):
             f"upstream gradient shape {upstream.shape} does not match the forward "
             f"output {shape}"
         )
-    tape = list(tape)  # popped below; the caller's cache stays whole
+    if not tape:
+        raise ValueError("the cache was consumed by an earlier backward; "
+                         "run the forward again")
     dy = upstream.transpose(0, 2, 1)
 
     grads: dict = {}

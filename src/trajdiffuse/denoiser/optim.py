@@ -35,10 +35,14 @@ class AdamState:
 
 def adam_update(tensors: dict, grads: dict, state: AdamState,
                 lr: float) -> tuple[dict, AdamState]:
-    """One Adam step; returns updated tensors and state (inputs untouched).
+    """One Adam step, in place; returns the same `tensors` and `state`.
 
-    `grads` holds a gradient for every tensor. Non-finite gradients raise
-    NonFiniteGradientError so the caller can skip and report the step.
+    Every tensor and both its moments are updated in place (the step counter
+    too), with the operation order of the out-of-place formulas, so the
+    values are bit-identical to them; a caller that needs the old tensors
+    copies them first. `grads` holds a gradient for every tensor. Non-finite
+    gradients raise NonFiniteGradientError before anything is changed, so
+    the caller can skip and report the step.
     """
     check_non_negative(lr, "lr")
     b1, b2 = BETAS
@@ -46,14 +50,15 @@ def adam_update(tensors: dict, grads: dict, state: AdamState,
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradientError(f"non-finite gradient for {name!r}")
     t = state.step + 1
-    new_tensors, new_m, new_v = {}, {}, {}
     for name, p in tensors.items():
         g = grads[name]
-        m = b1 * state.m[name] + (1 - b1) * g
-        v = b2 * state.v[name] + (1 - b2) * g * g
+        m, v = state.m[name], state.v[name]
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
         m_hat = m / (1 - b1**t)
         v_hat = v / (1 - b2**t)
-        new_tensors[name] = p - lr * m_hat / (np.sqrt(v_hat) + EPS)
-        new_m[name] = m
-        new_v[name] = v
-    return new_tensors, AdamState(m=new_m, v=new_v, step=t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + EPS)
+    state.step = t
+    return tensors, state

@@ -72,6 +72,9 @@ def predict(params: DenoiserParams, observed, intents: list,
     if not intents:
         raise ValueError("request carries no intents")
     frames, values_world = check_intents(intents, observed, desc.t_pred)
+    seed = as_int(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if as_int(guidance_steps, "guidance_steps") < 0:
         raise ValueError(f"guidance_steps must be >= 0, got {guidance_steps}")
     if guidance_steps and env is None:
@@ -84,7 +87,7 @@ def predict(params: DenoiserParams, observed, intents: list,
     scale = desc.coord_scale
     values_std = (values_world - center) / scale
 
-    streams = [np.random.default_rng(np.random.SeedSequence([int(seed), j])) for j in range(k)]
+    streams = [np.random.default_rng(np.random.SeedSequence([seed, j])) for j in range(k)]
     tau = np.stack([rng.standard_normal((t_total, 2)) for rng in streams])
     tau = clamp_frames_batch(tau, frames, values_std)
     for i in range(schedule.n_steps, 0, -1):
@@ -153,6 +156,22 @@ def _collect_training_arrays(scenes: list, coord_scale: float):
     return np.stack(x0), frames, t_obs, t_pred
 
 
+def _train_step(params, state, x_i, x0, i_steps, t_obs, schedule, config):
+    """Forward, loss, backward and an in-place Adam step on one batch.
+
+    Returns the loss; a non-finite loss returns before the backward, and a
+    non-finite gradient raises NonFiniteGradientError with nothing updated.
+    The forward's tape and the gradients are locals, freed on return, so the
+    next batch's forward never runs beside them.
+    """
+    pred, cache = forward_with_cache(params, x_i, i_steps)
+    loss, dpred = loss_and_grad(pred, x0, t_obs, i_steps, schedule, config.weighting)
+    if np.isfinite(loss):
+        grads, _ = backward_from_cache(params, cache, dpred)
+        adam_update(params.tensors, grads, state, config.lr)
+    return loss
+
+
 def train(scenes: list, config: TrainConfig,
           init: DenoiserParams | None = None) -> tuple[DenoiserParams, list]:
     """Train the denoiser on ground-truth trajectories; returns (params, log).
@@ -196,19 +215,16 @@ def train(scenes: list, config: TrainConfig,
             eps = rng.standard_normal(x0.shape)
             x_i = forward_noise(x0, i_steps, eps, schedule)
             x_i = clamp_frames_batch(x_i, frames, x0[:, frames, :])  # clean values, as at inference
-            pred, cache = forward_with_cache(params, x_i, i_steps)
-            loss, dpred = loss_and_grad(pred, x0, t_obs, i_steps, schedule, config.weighting)
+            try:
+                loss = _train_step(params, state, x_i, x0, i_steps, t_obs, schedule, config)
+            except NonFiniteGradientError:
+                skipped += 1
+                continue
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"non-finite training loss at epoch {epoch} (lr={config.lr}, "
                     f"weighting={config.weighting}); aborting"
                 )
-            grads, _ = backward_from_cache(params, cache, dpred)
-            try:
-                params.tensors, state = adam_update(params.tensors, grads, state, config.lr)
-            except NonFiniteGradientError:
-                skipped += 1
-                continue
             losses.append(loss)
             weights.append(bsz)
         mean_loss = float(np.average(losses, weights=weights)) if losses else float("nan")

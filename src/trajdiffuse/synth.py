@@ -26,7 +26,7 @@ import numpy as np
 
 from .diffusion import ConditionSpec, check_intents
 from .mapguide import NavEnvironment, ecfl_check, load_environment, save_environment
-from .validation import as_float_array, as_int, check_positive, read_jsonl
+from .validation import as_float_array, as_int, as_int_array, check_positive, read_jsonl
 
 ENV_KINDS = ("corridor", "rooms", "maze")
 MIN_COVERAGE = 0.20
@@ -168,7 +168,7 @@ def _maze_grid(h, w, rng):
 
 def generate_environment(kind: str, size: tuple, resolution: float, seed: int) -> NavEnvironment:
     """Deterministic synthetic environment; connected, >= 20% navigable."""
-    h, w = int(size[0]), int(size[1])
+    h, w = as_int_array(size, "size", shape=(2,)).tolist()
     if h < MIN_SIZE or w < MIN_SIZE:
         raise ValueError(f"environment size must be at least {MIN_SIZE}x{MIN_SIZE}, got {h}x{w}")
     if kind not in ENV_KINDS:

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 from hypothesis import settings
 
@@ -6,6 +7,20 @@ from hypothesis import settings
 # blob that replays a failure locally (@reproduce_failure). Local runs keep
 # hypothesis's default, randomized profile.
 settings.register_profile("ci", derandomize=True, print_blob=True)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that Python and numpy allocate while fn() runs.
+
+    tracemalloc counts each allocation exactly, so a bound on it holds on any
+    machine, unlike one on the process's resident set.
+    """
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def pytest_runtest_logreport(report):

@@ -269,3 +269,22 @@ def test_backward_needs_a_kept_cache():
     _, cache = forward_with_cache(params, x, 3, keep_cache=False)
     with pytest.raises(ValueError, match="the forward kept none"):
         backward_from_cache(params, cache, np.zeros_like(x))
+
+
+def test_backward_consumes_the_tape():
+    rng = np.random.default_rng(21)
+    params = init_params(TINY, seed=22)
+    x = tiny_batch(rng)
+    upstream = rng.normal(size=x.shape)
+    _, cache = forward_with_cache(params, x, 3)
+    _, tape = cache
+    assert tape
+    first, _ = backward_from_cache(params, cache, upstream)
+    assert tape == []  # every layer's cache was freed
+    with pytest.raises(ValueError, match="upstream gradient shape"):  # checked first
+        backward_from_cache(params, cache, np.zeros((1, 2, 2)))
+    with pytest.raises(ValueError, match="consumed by an earlier backward"):
+        backward_from_cache(params, cache, upstream)
+    _, cache = forward_with_cache(params, x, 3)
+    again, _ = backward_from_cache(params, cache, upstream)
+    assert all(again[k].tobytes() == first[k].tobytes() for k in first)

@@ -121,3 +121,13 @@ def test_estimator_is_a_keyword_only_train_config_with_identity_equality():
     assert len({model, TrajDiffuse()}) == 2
     with pytest.raises(TypeError):
         TrajDiffuse(25)
+
+
+def test_fit_from_init_leaves_init_untouched():
+    # training updates its tensors in place, on a copy of `init`
+    scenes = tiny_scenes()
+    init = tiny_model(n_epochs=1).fit(scenes).model_params_
+    before = {k: t.tobytes() for k, t in init.tensors.items()}
+    tuned = tiny_model(n_epochs=2).fit(scenes, init=init).model_params_
+    assert {k: t.tobytes() for k, t in init.tensors.items()} == before
+    assert any(tuned.tensors[k].tobytes() != before[k] for k in before)

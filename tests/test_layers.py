@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from trajdiffuse.denoiser.layers import (
+    _im2col,
     attention_backward,
     attention_forward,
     conv1d_backward,
@@ -94,6 +96,30 @@ def test_conv1d_output_lengths():
     b = np.zeros(3)
     assert conv1d_forward(x, w, b)[0].shape == (1, 3, 20)
     assert conv1d_forward(x, w, b, stride=2)[0].shape == (1, 3, 10)
+
+
+CONV_SHAPES = [(5, 1), (5, 2), (3, 1), (3, 2), (1, 1)]  # (k, stride)
+
+
+@pytest.mark.parametrize("k, stride", CONV_SHAPES)
+def test_conv1d_caches_no_array_larger_than_its_padded_input(k, stride):
+    rng = np.random.default_rng(k + 10 * stride)
+    x = rng.normal(size=(2, 3, 12))
+    _, cache = conv1d_forward(x, rng.normal(size=(4, 3, k)), np.zeros(4), stride=stride)
+    arrays = [c for c in cache if isinstance(c, np.ndarray)]
+    assert arrays
+    assert max(a.size for a in arrays) <= x.shape[0] * x.shape[1] * (x.shape[2] + k - 1)
+
+
+@pytest.mark.parametrize("k, stride", CONV_SHAPES)
+def test_im2col_equals_the_sliding_window_columns(k, stride):
+    # the GEMM operands of both conv passes stay what the windowed view built
+    xp = np.random.default_rng(k).normal(size=(3, 4, 11 + k))
+    want = sliding_window_view(xp, k, axis=2)[:, :, ::stride, :]
+    want = want.transpose(1, 3, 0, 2).reshape(4 * k, -1)
+    got = _im2col(xp, k, stride)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
 
 
 def test_groupnorm_gradients():

@@ -1,9 +1,11 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from trajdiffuse.denoiser import ArchDescriptor, forward_with_cache, init_params
 from trajdiffuse.diffusion import ConditionSpec
 from trajdiffuse.mapguide import NavEnvironment, ecfl_check
@@ -132,6 +134,17 @@ def test_predict_validation_errors(fitted):
     nan_params.tensors["out.w"][0, 0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         predict(nan_params, **make_request(scenes))
+
+
+@pytest.mark.parametrize("seed, error", [
+    (2.7, "seed must be an integer, got 2.7"),
+    (True, "seed must be an integer, got True"),
+    (-1, "seed must be >= 0, got -1"),
+])
+def test_predict_seed_is_a_non_negative_integer(fitted, seed, error):
+    scenes, params = fitted
+    with pytest.raises(ValueError, match=re.escape(error)):
+        predict(params, **make_request(scenes, seed=seed))
 
 
 def test_unguided_predict_flags_samples_and_needs_no_environment(fitted):
@@ -381,3 +394,40 @@ def test_resume_continues_from_checkpoint(fitted):
         not np.array_equal(resumed.tensors[k], params.tensors[k]) for k in params.tensors
     )
     assert changed
+
+
+TRAIN_32 = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "train-32"
+
+
+def _distinct_bytes(obj) -> int:
+    """Bytes of the distinct buffers behind the arrays of a nested tuple/list."""
+    owners = {}
+    stack = [obj]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (tuple, list)):
+            stack.extend(item)
+        elif isinstance(item, np.ndarray):
+            while isinstance(item.base, np.ndarray):
+                item = item.base
+            owners[id(item)] = item.nbytes
+    return sum(owners.values())
+
+
+@pytest.mark.parametrize("widths", [(16, 32, 64), (32, 64, 128)])
+def test_a_training_epoch_holds_one_tape(widths):
+    """Beyond the parameters, Adam's two moments and one set of gradients
+    (4x the parameter bytes), training holds about one batch's tape: a loop
+    that keeps the last step's tape while the next forward builds its own
+    reads about 2 tapes, and so does a conv that caches its im2col columns."""
+    scenes = read_dataset(TRAIN_32)
+    cfg = TrainConfig(n_epochs=1, widths=widths)
+    desc = ArchDescriptor(widths=widths, t_obs=scenes[0].t_obs, t_pred=scenes[0].t_pred)
+    params = init_params(desc)
+    x = np.random.default_rng(0).normal(size=(cfg.batch_size, desc.traj_len, 2))
+    _, cache = forward_with_cache(params, x, 3)
+    tape = _distinct_bytes(cache)
+    del cache
+    param_bytes = sum(t.nbytes for t in params.tensors.values())
+    peak = traced_peak(lambda: train(scenes, cfg))
+    assert peak - 4 * param_bytes <= 1.5 * tape, (peak, param_bytes, tape)

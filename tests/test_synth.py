@@ -91,6 +91,17 @@ def test_environment_size_and_kind_validation():
         generate_environment("swamp", (32, 32), 0.5, 0)
 
 
+@pytest.mark.parametrize("size, error", [
+    ((16.7, 20.9), "size must be integers, got 16.7"),
+    ((32, 32.0), "size must be integers, got 32.0"),
+    ((True, 32), "size must be integers, got True"),
+    ((32, 32, 32), "size has shape (3,), expected (2,)"),
+])
+def test_environment_size_is_two_integers(size, error):
+    with pytest.raises(ValueError, match=re.escape(error)):
+        generate_environment("corridor", size, 0.5, 0)
+
+
 # -------------------------------------------------------------- trajectories
 
 def test_trajectories_are_navigable_and_right_length():
