@@ -57,12 +57,15 @@ def _kinds_type(text: str) -> list:
     return kinds
 
 
-def _int_flag(flag: str, minimum: int = 1):
-    """An argparse type for `flag`: an int of at least `minimum`."""
+def _int_flag(flag: str, minimum: int = 1, maximum: int | None = None):
+    """An argparse type for `flag`: an int of at least `minimum` (and at most
+    `maximum` when one is given)."""
     def parse(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"{flag} must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"{flag} must be <= {maximum}, got {value}")
         return value
     parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
     return parse
@@ -91,6 +94,11 @@ def _float_flag(flag: str, check=check_positive):
 def _echo_config(args: argparse.Namespace, target: Path) -> None:
     resolved = {k: v for k, v in vars(args).items() if k != "func"}
     target.write_text(json.dumps(resolved, sort_keys=True, default=str) + "\n")
+
+
+# the largest predict --seed: base * 1_000_003 then leaves 2**62 of the int64
+# range for the scene and agent terms of _agent_seed
+MAX_PREDICT_SEED = 2**62 // 1_000_003
 
 
 def _agent_seed(base: int, scene_idx: int, agent_id: int) -> int:
@@ -414,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--guidance", choices=("on", "off"), default="on")
     p.add_argument("--grad-steps", type=_int_flag("--grad-steps"),
                    default=TrajDiffuse.guidance_steps)
-    p.add_argument("--seed", type=_int_flag("--seed", 0), default=0)
+    p.add_argument("--seed", type=_int_flag("--seed", 0, MAX_PREDICT_SEED), default=0)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("eval", help="score predictions against ground truth")

@@ -6,12 +6,20 @@ gradient along with gradients for every parameter used. Everything runs in
 float64; reductions use BLAS matmuls where shapes allow:
 - conv1d is one im2col GEMM per pass; it caches its zero-padded input and
   the backward rebuilds the columns from it;
-- attention runs its projections, scores and weighted sums as (batched)
-  GEMMs and its weight gradients as one reshaped GEMM each, with the softmax
-  done in place on the (B, C, C) scores;
-- Mish takes one exponential, e = exp(min(x, 20)), and caches it with x, so
-  the backward rebuilds tanh(softplus(x)) and sigmoid(x) from e alone;
+- attention runs its projections and weight gradients as whole-batch GEMMs.
+  In both passes its (n, C, C) score blocks run over batch slices of
+  n = max(1, 2**17 // C**2) samples, at most 1 MiB each while C <= 362. It
+  caches q, k and v, not the softmax weights, and the backward recomputes
+  each slice's weights. Every op on a slice is per sample (stacked GEMMs,
+  row reductions), so the slicing changes no bit;
+- Mish takes one exponential, e = exp(min(x, 20)), and caches only x; the
+  backward takes e again and rebuilds tanh(softplus(x)) and sigmoid(x) from it;
 - group norm forms x - mean once and takes the variance from it.
+
+The private helpers `_pad`, `_affine` and `_mish` are the math of a conv's
+padding, group norm's scale and shift, and Mish's value. The layers call
+them, and so does a caller that rebuilds one of their inputs in a backward
+instead of keeping it.
 """
 
 from __future__ import annotations
@@ -36,6 +44,14 @@ def _im2col(xp, k, stride):
     return win.transpose(1, 3, 0, 2).reshape(n_in * k, bsz * l_out)
 
 
+def _pad(x, pad):
+    """(B, C, L) zero-padded to (B, C, L + 2 * pad) on both ends of L."""
+    bsz, n_in, length = x.shape
+    xp = np.zeros((bsz, n_in, length + 2 * pad))
+    xp[:, :, pad:pad + length] = x
+    return xp
+
+
 def conv1d_forward(x, w, b, stride=1):
     """1-D convolution over (B, C_in, L) with symmetric zero padding.
 
@@ -44,10 +60,8 @@ def conv1d_forward(x, w, b, stride=1):
     k times smaller than its im2col columns, which the backward rebuilds.
     """
     n_out, n_in, k = w.shape
-    pad = (k - 1) // 2
-    bsz, _, length = x.shape
-    xp = np.zeros((bsz, n_in, length + 2 * pad))
-    xp[:, :, pad:pad + length] = x
+    bsz = x.shape[0]
+    xp = _pad(x, (k - 1) // 2)
     xcol = _im2col(xp, k, stride)
     l_out = (xp.shape[2] - k) // stride + 1
     y = (w.reshape(n_out, n_in * k) @ xcol).reshape(n_out, bsz, l_out)
@@ -75,6 +89,11 @@ def conv1d_backward(dy, w, cache):
 
 # --------------------------------------------------------------- group norm
 
+def _affine(xhat, gamma, beta):
+    """Group norm's per-channel scale and shift of the normalized (B, C, L)."""
+    return gamma[None, :, None] * xhat + beta[None, :, None]
+
+
 def groupnorm_forward(x, gamma, beta, groups, eps=1e-5):
     """Group normalization over (B, C, L); groups must divide C."""
     bsz, c, length = x.shape
@@ -86,8 +105,7 @@ def groupnorm_forward(x, gamma, beta, groups, eps=1e-5):
     inv = 1.0 / np.sqrt(var + eps)
     d *= inv
     xhat = d.reshape(bsz, c, length)
-    y = gamma[None, :, None] * xhat + beta[None, :, None]
-    return y, (xhat, inv, gamma, groups)
+    return _affine(xhat, gamma, beta), (xhat, inv, gamma, groups)
 
 
 def groupnorm_backward(dy, cache):
@@ -113,21 +131,29 @@ def _tanh_softplus(e):
     return t
 
 
-def mish_forward(x):
-    """x * tanh(softplus(x)) from one exponential; caches (x, e).
-
-    The exponent is clamped at 20: beyond it tanh(softplus(x)) rounds to 1.0
-    and 1 - t*t in the backward is exactly 0, so the clamp loses nothing.
-    """
+def _exp_clamped(x):
+    """exp(min(x, 20)): beyond 20, tanh(softplus(x)) rounds to 1.0 and
+    1 - t*t in the backward is exactly 0, so the clamp loses nothing."""
     e = np.minimum(x, 20.0)
     np.exp(e, out=e)
-    y = _tanh_softplus(e)
+    return e
+
+
+def _mish(x):
+    """x * tanh(softplus(x)) from one exponential."""
+    y = _tanh_softplus(_exp_clamped(x))
     y *= x
-    return y, (x, e)
+    return y
+
+
+def mish_forward(x):
+    """Mish; the cache is x alone, from which the backward takes e again."""
+    return _mish(x), x
 
 
 def mish_backward(dy, cache):
-    x, e = cache
+    x = cache
+    e = _exp_clamped(x)
     t = _tanh_softplus(e)
     sig = e / (1.0 + e)
     return dy * (t + x * (1.0 - t * t) * sig)
@@ -157,11 +183,36 @@ def upsample2_backward(dy, cache):
 
 # ------------------------------------------------------ channel attention
 
+# floats per (n, C, C) score block (1 MiB); a block is one sample when C**2 is larger
+_SCORE_BLOCK = 2 ** 17
+
+
+def _batch_slices(bsz, c):
+    """Slices of n = max(1, _SCORE_BLOCK // c**2) samples covering range(bsz)."""
+    n = max(1, _SCORE_BLOCK // (c * c))
+    return [slice(s, s + n) for s in range(0, bsz, n)]
+
+
+def _softmax_scores(q, k, width):
+    """softmax(q k^T / sqrt(width)) over the last axis for (n, C, W) q and k.
+
+    Done in place on the (n, C, C) scores: each step is bit-identical to its
+    out-of-place form, without allocating three more such arrays.
+    """
+    attn = q @ k.transpose(0, 2, 1)
+    attn /= math.sqrt(width)
+    attn -= attn.max(axis=2, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=2, keepdims=True)
+    return attn
+
+
 def attention_forward(x, p, prefix):
     """Single-head self-attention with channels as tokens, plus residual.
 
     x: (B, C, W). Queries/keys/values are per-token projections of the W-dim
-    token vectors; scores are scaled by 1/sqrt(W).
+    token vectors; scores are scaled by 1/sqrt(W). The cache is
+    (x, q, k, v, o); the backward recomputes the softmax weights from q, k.
     """
     wq, bq = p[prefix + ".wq"], p[prefix + ".bq"]
     wk, bk = p[prefix + ".wk"], p[prefix + ".bk"]
@@ -171,32 +222,30 @@ def attention_forward(x, p, prefix):
     q = x @ wq + bq
     k = x @ wk + bk
     v = x @ wv + bv
-    # softmax in place on the (B, C, C) scores: each step is bit-identical
-    # to its out-of-place form, without allocating three more such arrays
-    attn = q @ k.transpose(0, 2, 1)
-    attn /= math.sqrt(width)
-    attn -= attn.max(axis=2, keepdims=True)
-    np.exp(attn, out=attn)
-    attn /= attn.sum(axis=2, keepdims=True)
-    o = attn @ v
+    o = np.empty_like(v)
+    for s in _batch_slices(*x.shape[:2]):
+        o[s] = _softmax_scores(q[s], k[s], width) @ v[s]
     y = o @ wo + bo
-    return y + x, (x, q, k, v, attn, o)
+    return y + x, (x, q, k, v, o)
 
 
 def attention_backward(dy, p, prefix, cache, grads):
-    x, q, k, v, attn, o = cache
+    x, q, k, v, o = cache
     wq, wk, wv, wo = (p[prefix + s] for s in (".wq", ".wk", ".wv", ".wo"))
     width = x.shape[2]
     grads[prefix + ".wo"] = o.reshape(-1, width).T @ dy.reshape(-1, width)
     grads[prefix + ".bo"] = dy.sum(axis=(0, 1))
     do = dy @ wo.T
-    dv = attn.transpose(0, 2, 1) @ do
-    dscores = do @ v.transpose(0, 2, 1)  # d attn, turned into d scores in place
-    dscores -= (dscores * attn).sum(axis=2, keepdims=True)
-    dscores *= attn
-    dscores /= math.sqrt(width)
-    dq = dscores @ k
-    dk = dscores.transpose(0, 2, 1) @ q
+    dq, dk, dv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
+    for s in _batch_slices(*x.shape[:2]):
+        attn = _softmax_scores(q[s], k[s], width)
+        dv[s] = attn.transpose(0, 2, 1) @ do[s]
+        dscores = do[s] @ v[s].transpose(0, 2, 1)  # d attn, turned into d scores in place
+        dscores -= (dscores * attn).sum(axis=2, keepdims=True)
+        dscores *= attn
+        dscores /= math.sqrt(width)
+        dq[s] = dscores @ k[s]
+        dk[s] = dscores.transpose(0, 2, 1) @ q[s]
     x2 = x.reshape(-1, width)
     dx = dy.copy()  # residual branch
     for dt, w, tag in ((dq, wq, "q"), (dk, wk, "k"), (dv, wv, "v")):

@@ -19,6 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import (
+    _affine,
+    _mish,
+    _pad,
     attention_backward,
     attention_forward,
     conv1d_backward,
@@ -196,31 +199,52 @@ def _conv_back(p, name, dy, cache, grads):
 
 
 def _res_forward(p, prefix, x, emb, desc):
+    """The block's output and its tape entry.
+
+    The tape keeps conv1's padded input, the two group-norm caches and the
+    step projection (its input and output): the backward rebuilds both Mish
+    inputs, conv2's padded input and the skip conv's input from them.
+    """
     c_out = p[f"{prefix}.conv1.w"].shape[0]
     groups = desc.groups_for(c_out)
     h, c_conv1 = conv1d_forward(x, p[f"{prefix}.conv1.w"], p[f"{prefix}.conv1.b"])
     h, c_gn1 = groupnorm_forward(h, p[f"{prefix}.gn1.g"], p[f"{prefix}.gn1.b"], groups)
     eb, c_emb = linear_forward(emb, p[f"{prefix}.emb.w"], p[f"{prefix}.emb.b"])
     h = h + eb[:, :, None]
-    h, c_m1 = mish_forward(h)
-    h, c_conv2 = conv1d_forward(h, p[f"{prefix}.conv2.w"], p[f"{prefix}.conv2.b"])
+    h, _ = mish_forward(h)
+    h, _ = conv1d_forward(h, p[f"{prefix}.conv2.w"], p[f"{prefix}.conv2.b"])
     h, c_gn2 = groupnorm_forward(h, p[f"{prefix}.gn2.g"], p[f"{prefix}.gn2.b"], groups)
-    h, c_m2 = mish_forward(h)
+    h, _ = mish_forward(h)
     if f"{prefix}.skip.w" in p:
-        s, c_skip = conv1d_forward(x, p[f"{prefix}.skip.w"], p[f"{prefix}.skip.b"])
+        s, _ = conv1d_forward(x, p[f"{prefix}.skip.w"], p[f"{prefix}.skip.b"])
     else:
-        s, c_skip = x, None
-    return h + s, (c_conv1, c_gn1, c_emb, c_m1, c_conv2, c_gn2, c_m2, c_skip)
+        s = x
+    return h + s, (c_conv1, c_gn1, c_emb, eb, c_gn2)
 
 
 def _res_backward(p, prefix, dy, cache, grads):
-    """Returns (dx, d_emb); parameter gradients land in `grads`."""
-    c_conv1, c_gn1, c_emb, c_m1, c_conv2, c_gn2, c_m2, c_skip = cache
-    dx_skip = dy if c_skip is None else _conv_back(p, f"{prefix}.skip", dy, c_skip, grads)
-    dh = mish_backward(dy, c_m2)
+    """Returns (dx, d_emb); parameter gradients land in `grads`.
+
+    Each input the tape dropped is rebuilt by the forward's own ops, so its
+    bits are the forward's: a Mish input from its group norm's xhat (plus the
+    step projection for Mish 1), conv2's padded input from Mish 1's output,
+    the skip conv's input from the interior of conv1's padded input.
+    """
+    c_conv1, c_gn1, c_emb, eb, c_gn2 = cache
+    xp = c_conv1[0]
+    pad = (xp.shape[2] - dy.shape[2]) // 2  # conv1 and conv2 share the kernel length
+    if f"{prefix}.skip.w" in p:
+        x = _pad(xp[:, :, pad:xp.shape[2] - pad], 0)
+        dx_skip = _conv_back(p, f"{prefix}.skip", dy, (x, 1), grads)
+        del x
+    else:
+        dx_skip = dy
+    dh = mish_backward(dy, _affine(c_gn2[0], p[f"{prefix}.gn2.g"], p[f"{prefix}.gn2.b"]))
     dh, grads[f"{prefix}.gn2.g"], grads[f"{prefix}.gn2.b"] = groupnorm_backward(dh, c_gn2)
-    dh = _conv_back(p, f"{prefix}.conv2", dh, c_conv2, grads)
-    dh = mish_backward(dh, c_m1)
+    a1 = _affine(c_gn1[0], p[f"{prefix}.gn1.g"], p[f"{prefix}.gn1.b"]) + eb[:, :, None]
+    dh = _conv_back(p, f"{prefix}.conv2", dh, (_pad(_mish(a1), pad), 1), grads)
+    dh = mish_backward(dh, a1)
+    del a1
     d_eb = dh.sum(axis=2)
     d_emb, grads[f"{prefix}.emb.w"], grads[f"{prefix}.emb.b"] = linear_backward(
         d_eb, p[f"{prefix}.emb.w"], c_emb)
@@ -246,9 +270,13 @@ def forward_with_cache(params: DenoiserParams, x: np.ndarray, i, *, keep_cache: 
     """Network forward on (B, T, 2) inputs; i is an int or a (B,) int array.
 
     Returns (y, cache) for one `backward_from_cache`. The cache is (x.shape,
-    tape): the tape holds every layer's cache in forward order (a conv's is
-    its zero-padded input), and the backward pops it in reverse, so the cache
-    serves one backward. With keep_cache=False the forward keeps no cache:
+    tape): the tape holds one entry per layer or residual block in forward
+    order, and the backward pops it in reverse, so the cache serves one
+    backward. An entry keeps only what the backward cannot rebuild exactly:
+    a conv's zero-padded input, Mish's input, attention's (x, q, k, v, o),
+    and for a residual block conv1's padded input, both group-norm caches
+    and the step projection (see `_res_backward` for what it rebuilds).
+    With keep_cache=False the forward keeps no cache:
     each block's is dropped as soon as the block returns, and the cache
     returned is None. The output is the same.
     """

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trajdiffuse.cli import build_parser, main
+from trajdiffuse.cli import MAX_PREDICT_SEED, _agent_seed, build_parser, main
 
 
 def run(*argv):
@@ -177,6 +177,24 @@ def test_predict_guidance_off_differs_only_in_unclamped_frames(workspace, tmp_pa
         np.testing.assert_array_equal(on[:, clamped], offv[:, clamped])
 
 
+@pytest.mark.parametrize("seed", [MAX_PREDICT_SEED + 1, 10_000_000_000_000])
+def test_predict_seed_beyond_the_per_agent_range_is_a_usage_error(tmp_path, capsys, seed):
+    # each agent's seed is seed * 1_000_003 + scene and agent terms, an int64
+    _assert_rejected_before_reading(tmp_path, capsys, "predict", "--seed", seed,
+                                    f"--seed must be <= {MAX_PREDICT_SEED}, got {seed}")
+
+
+def test_predict_accepts_the_largest_seed(workspace, tmp_path):
+    _, data, model, _ = workspace
+    assert _agent_seed(MAX_PREDICT_SEED, 10**6, 10**9) < 2**63
+    out = tmp_path / "largest.jsonl"
+    assert run(
+        "predict", "--checkpoint", model / "model.ckpt", "--data", data,
+        "--out", out, "--k", 1, "--seed", MAX_PREDICT_SEED,
+    ) == 0
+    assert len(read_jsonl(out)) == 6
+
+
 def test_predict_rejects_k_beyond_stored_intents(workspace, tmp_path, capsys):
     _, data, model, _ = workspace
     code = run(
@@ -191,7 +209,6 @@ def test_predict_records_equal_estimator_predictions(workspace):
     # the CLI writes exactly what TrajDiffuse.predict returns, agent by agent
     _, data, model, preds = workspace
     from trajdiffuse import TrajDiffuse
-    from trajdiffuse.cli import _agent_seed
     from trajdiffuse.synth import read_dataset
 
     estimator = TrajDiffuse.load(model / "model.ckpt")

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from conftest import traced_peak
 from numpy.lib.stride_tricks import sliding_window_view
 
 from trajdiffuse.denoiser.layers import (
     _im2col,
+    _softmax_scores,
     attention_backward,
     attention_forward,
     conv1d_backward,
@@ -217,8 +221,8 @@ def test_attention_single_token():
     w = 5
     x = rng.normal(size=(1, 1, w))
     p = _attention_params(rng, w)
-    y, cache = attention_forward(x, p, "attn")
-    attn = cache[4]
+    y, (_, q, k, _, _) = attention_forward(x, p, "attn")
+    attn = _softmax_scores(q, k, w)
     assert attn.shape == (1, 1, 1) and attn[0, 0, 0] == 1.0
     v = x[0] @ p["attn.wv"] + p["attn.bv"]
     np.testing.assert_allclose(y[0], v @ p["attn.wo"] + p["attn.bo"] + x[0], rtol=1e-12)
@@ -230,8 +234,8 @@ def test_attention_uniform_weights_for_identical_channels():
     row = rng.normal(size=w)
     x = np.tile(row, (1, c, 1))
     p = _attention_params(rng, w)
-    _, cache = attention_forward(x, p, "attn")
-    attn = cache[4]
+    _, (_, q, k, _, _) = attention_forward(x, p, "attn")
+    attn = _softmax_scores(q, k, w)
     np.testing.assert_allclose(attn, 1.0 / c, rtol=0, atol=1e-12)
 
 
@@ -336,7 +340,9 @@ def test_attention_matches_einsum_oracle_at_predict_shapes(shape):
     y, cache = attention_forward(x, p, "attn")
     y_ref, cache_ref = _oracle_attention_forward(x, p, "attn")
     np.testing.assert_allclose(y, y_ref, rtol=0, atol=1e-12)
-    for got, ref in zip(cache, cache_ref):
+    x_ref, q_ref, k_ref, v_ref, _, o_ref = cache_ref
+    assert len(cache) == 5
+    for got, ref in zip(cache, (x_ref, q_ref, k_ref, v_ref, o_ref)):
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
     grads, grads_ref = {}, {}
     dx = attention_backward(up, p, "attn", cache, grads)
@@ -370,7 +376,7 @@ def test_mish_extreme_inputs_match_oracle():
     dy = mish_backward(np.ones_like(x), cache)
     assert np.all(np.isfinite(dy))
     np.testing.assert_allclose(dy, _oracle_mish_grad(x), rtol=1e-14, atol=1e-300)
-    assert len(cache) == 2  # (x, e): no third cached array
+    assert cache is x  # the backward takes e again: nothing else is cached
 
 
 @pytest.mark.parametrize("shape", PREDICT_SHAPES)
@@ -406,3 +412,72 @@ def test_attention_gradients_at_bottleneck_shape():
     assert_close(dx, fd_grad(loss, x), tol=5e-6, atol=atol)
     for name in p:
         assert_close(grads[name], fd_grad(loss, p[name]), tol=5e-6, atol=atol)
+
+
+# ------------------------------------------- attention's batch slices: same bits, less memory
+
+def _whole_batch_attention_forward(x, p, prefix):
+    """attention_forward with the (B, C, C) softmax weights of the whole batch at once."""
+    width = x.shape[2]
+    q = x @ p[prefix + ".wq"] + p[prefix + ".bq"]
+    k = x @ p[prefix + ".wk"] + p[prefix + ".bk"]
+    v = x @ p[prefix + ".wv"] + p[prefix + ".bv"]
+    attn = q @ k.transpose(0, 2, 1)
+    attn /= math.sqrt(width)
+    attn -= attn.max(axis=2, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=2, keepdims=True)
+    o = attn @ v
+    return o @ p[prefix + ".wo"] + p[prefix + ".bo"] + x, (x, q, k, v, attn, o)
+
+
+def _whole_batch_attention_backward(dy, p, prefix, cache, grads):
+    x, q, k, v, attn, o = cache
+    width = x.shape[2]
+    grads[prefix + ".wo"] = o.reshape(-1, width).T @ dy.reshape(-1, width)
+    grads[prefix + ".bo"] = dy.sum(axis=(0, 1))
+    do = dy @ p[prefix + ".wo"].T
+    dv = attn.transpose(0, 2, 1) @ do
+    dscores = do @ v.transpose(0, 2, 1)
+    dscores -= (dscores * attn).sum(axis=2, keepdims=True)
+    dscores *= attn
+    dscores /= math.sqrt(width)
+    dq = dscores @ k
+    dk = dscores.transpose(0, 2, 1) @ q
+    dx = dy.copy()
+    for dt, tag in ((dq, "q"), (dk, "k"), (dv, "v")):
+        grads[prefix + ".w" + tag] = x.reshape(-1, width).T @ dt.reshape(-1, width)
+        grads[prefix + ".b" + tag] = dt.sum(axis=(0, 1))
+        dx += dt @ p[prefix + ".w" + tag].T
+    return dx
+
+
+@pytest.mark.parametrize("bsz, c", [(13, 128), (20, 64)])  # slices of 8 and 5; one slice
+def test_sliced_attention_is_bit_identical_to_the_whole_batch(bsz, c):
+    rng = np.random.default_rng(15)
+    x = rng.normal(size=(bsz, c, 5))
+    p = _attention_params(rng, 5)
+    up = rng.normal(size=x.shape)
+    y, cache = attention_forward(x, p, "attn")
+    y_ref, cache_ref = _whole_batch_attention_forward(x, p, "attn")
+    assert y.tobytes() == y_ref.tobytes()
+    grads, grads_ref = {}, {}
+    dx = attention_backward(up, p, "attn", cache, grads)
+    dx_ref = _whole_batch_attention_backward(up, p, "attn", cache_ref, grads_ref)
+    assert dx.tobytes() == dx_ref.tobytes()
+    assert set(grads) == set(grads_ref) == set(p)
+    for name in p:
+        assert grads[name].tobytes() == grads_ref[name].tobytes(), name
+
+
+def test_attention_backward_holds_three_score_blocks_at_most():
+    """Three (n, C, C) blocks of 2**17 floats (the weights, their gradient and
+    one product) plus the (B, C, W) gradients; whole-batch score arrays read
+    8.35 MB here."""
+    rng = np.random.default_rng(16)
+    x = rng.normal(size=(32, 128, 5))
+    p = _attention_params(rng, 5)
+    up = rng.normal(size=x.shape)
+    _, cache = attention_forward(x, p, "attn")
+    peak = traced_peak(lambda: attention_backward(up, p, "attn", cache, {}))
+    assert peak <= 3 * 2**17 * 8 + 8 * x.nbytes, peak

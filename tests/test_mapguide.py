@@ -66,7 +66,7 @@ def test_distance_matches_brute_force_on_random_grids():
 
     blocked_lines = rng.random((9, 11)) < 0.4
     blocked_lines[4, :] = False
-    blocked_lines[:, 6] = False  # still all _BIG after the column pass
+    blocked_lines[:, 6] = False  # no navigable pixel: H**2 + W**2 after the column pass
     blocked_lines[0, 0] = True
     corner = np.zeros((40, 150), dtype=bool)
     corner[39, 149] = True

@@ -431,3 +431,14 @@ def test_a_training_epoch_holds_one_tape(widths):
     param_bytes = sum(t.nbytes for t in params.tensors.values())
     peak = traced_peak(lambda: train(scenes, cfg))
     assert peak - 4 * param_bytes <= 1.5 * tape, (peak, param_bytes, tape)
+
+
+def test_a_forward_tape_keeps_only_what_the_backward_cannot_rebuild():
+    """A B = 32 tape at widths 32/64/128 holds, per residual block, conv1's
+    padded input and the two group-norm xhat arrays; it read 24.0 MB when it
+    also kept both Mish inputs and their exponentials, conv2's padded input,
+    the skip conv's input and attention's softmax weights."""
+    desc = ArchDescriptor(widths=(32, 64, 128))
+    x = np.random.default_rng(0).normal(size=(32, desc.traj_len, 2))
+    _, cache = forward_with_cache(init_params(desc), x, 3)
+    assert _distinct_bytes(cache) <= 10.5 * 2**20
