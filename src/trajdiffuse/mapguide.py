@@ -16,13 +16,14 @@ the grid count as collisions.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .validation import as_float_array, as_number, check_positive
+from .validation import as_float_array, as_int, as_number, check_positive
 
 
 def _column_sq_dist(nav: np.ndarray) -> np.ndarray:
@@ -105,6 +106,14 @@ def _round_half_away(v: np.ndarray) -> np.ndarray:
     return np.copysign(np.floor(np.abs(v) + 0.5), v)
 
 
+def _round_half_away_int(v: float) -> int:
+    """`_round_half_away` of one float, as an int, by the same IEEE ops. NaN
+    raises ValueError and +-inf OverflowError, as int() of the array rule's
+    result does."""
+    r = math.floor(abs(v) + 0.5)
+    return -r if v < 0 else r
+
+
 @dataclass(frozen=True)
 class NavEnvironment:
     """Immutable navigability grid with precomputed distance and gradient fields."""
@@ -142,10 +151,18 @@ class NavEnvironment:
         """World (x, y) of pixel centers; row and col may be equal-shape arrays."""
         return self.origin + self.resolution * np.stack([col, row], axis=-1, dtype=np.float64)
 
+    def _pixel_floats(self, pos) -> tuple[float, float]:
+        """`world_to_pixel` of one (x, y) point as two Python floats, by the
+        same IEEE ops; a float at a time costs a fraction of numpy's per-call
+        overhead on a 2-element array."""
+        x, y = np.asarray(pos, dtype=np.float64).tolist()
+        ox, oy = self.origin.tolist()
+        return (x - ox) / self.resolution, (y - oy) / self.resolution
+
     def nearest_pixel(self, pos) -> tuple[int, int]:
         """(row, col) of the nearest pixel center, halves rounded away from zero."""
-        px, py = _round_half_away(self.world_to_pixel(pos))
-        return int(py), int(px)
+        px, py = self._pixel_floats(pos)
+        return _round_half_away_int(py), _round_half_away_int(px)
 
     def in_bounds(self, row: int, col: int) -> bool:
         h, w = self.nav_grid.shape
@@ -153,7 +170,7 @@ class NavEnvironment:
 
     def is_navigable_point(self, pos) -> bool:
         row, col = self.nearest_pixel(pos)
-        return self.in_bounds(row, col) and bool(self.nav_grid[row, col])
+        return self.in_bounds(row, col) and self.nav_grid.item(row, col)
 
     def navigable_mask_for(self, positions: np.ndarray) -> np.ndarray:
         """Vectorized nearest-pixel navigability; out of bounds counts as blocked."""
@@ -177,24 +194,34 @@ def sample_gradient(env: NavEnvironment, pos) -> np.ndarray:
     """
     pos = np.asarray(pos, dtype=np.float64).reshape(2)
     h, w = env.shape
-    px, py = env.world_to_pixel(pos)
+    px, py = env._pixel_floats(pos)
     if not (0.0 <= px <= w - 1 and 0.0 <= py <= h - 1):
         center = env.pixel_to_world((h - 1) / 2.0, (w - 1) / 2.0)
         delta = pos - center
         return delta / np.linalg.norm(delta)
-    c0 = int(np.floor(px))
-    r0 = int(np.floor(py))
+    c0 = math.floor(px)
+    r0 = math.floor(py)
     c1 = min(c0 + 1, w - 1)
     r1 = min(r0 + 1, h - 1)
     fx = px - c0
     fy = py - r0
-    g = env.grad_field
-    return (
-        (1 - fx) * (1 - fy) * g[r0, c0]
-        + fx * (1 - fy) * g[r0, c1]
-        + (1 - fx) * fy * g[r1, c0]
-        + fx * fy * g[r1, c1]
-    )
+    # the four weights and the left-to-right sum of the (2,)-array formula
+    # (1-fx)(1-fy) g[r0,c0] + fx(1-fy) g[r0,c1] + (1-fx)fy g[r1,c0] + fx fy g[r1,c1],
+    # one component at a time: the same IEEE ops in the same order
+    w00, w01, w10, w11 = (1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy
+    g = env.grad_field.item
+    return np.array([
+        w00 * g(r0, c0, 0) + w01 * g(r0, c1, 0) + w10 * g(r1, c0, 0) + w11 * g(r1, c1, 0),
+        w00 * g(r0, c0, 1) + w01 * g(r0, c1, 1) + w10 * g(r1, c0, 1) + w11 * g(r1, c1, 1),
+    ])
+
+
+def _check_t_obs(t_obs, t_total: int) -> int:
+    """`t_obs` by the integer rule, in 0..t_total (t_total: no future frame)."""
+    t_obs = as_int(t_obs, "t_obs")
+    if not 0 <= t_obs <= t_total:
+        raise ValueError(f"t_obs {t_obs} out of range for {t_total} frames")
+    return t_obs
 
 
 def guidance_delta(env: NavEnvironment, traj: np.ndarray, t_obs: int,
@@ -207,12 +234,12 @@ def guidance_delta(env: NavEnvironment, traj: np.ndarray, t_obs: int,
     downstream shape is preserved. Frames whose nearest cell is already
     navigable take no step; observed frames are untouched.
     """
+    n_grad_steps = as_int(n_grad_steps, "n_grad_steps")
     if n_grad_steps < 1:
-        raise ValueError("n_grad_steps must be >= 1")
+        raise ValueError(f"n_grad_steps must be >= 1, got {n_grad_steps}")
     traj = as_float_array(traj, "trajectory", shape=(None, 2))
     t_total = traj.shape[0]
-    if not 0 <= t_obs <= t_total:
-        raise ValueError(f"t_obs {t_obs} out of range for {t_total} frames")
+    t_obs = _check_t_obs(t_obs, t_total)
     step = env.resolution
     work = traj.copy()
     for f in range(t_obs, t_total):
@@ -230,7 +257,7 @@ def ecfl_check(env: NavEnvironment, trajs, t_obs: int = 0) -> np.ndarray:
     trajs = as_float_array(trajs, "trajectories")
     if trajs.ndim < 2 or trajs.shape[-1] != 2 or trajs.shape[-2] < 1:
         raise ValueError(f"trajectories must have shape (..., T >= 1, 2), got {trajs.shape}")
-    future = trajs[..., t_obs:, :]
+    future = trajs[..., _check_t_obs(t_obs, trajs.shape[-2]):, :]
     return env.navigable_mask_for(future).reshape(future.shape[:-1]).all(axis=-1)
 
 

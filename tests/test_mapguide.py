@@ -1,4 +1,5 @@
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -211,6 +212,138 @@ def test_pixel_world_transforms_take_arrays_of_points():
     np.testing.assert_array_equal(env.world_to_pixel(points), np.column_stack([cols, rows]))
 
 
+# ------------------------------------ the one-point rules against the array rules
+
+def array_nearest_pixel(env, pos):
+    """nearest_pixel in (2,)-array arithmetic: the array rule of
+    navigable_mask_for, and the reference for the float-at-a-time one."""
+    v = env.world_to_pixel(pos)
+    px, py = np.copysign(np.floor(np.abs(v) + 0.5), v)
+    return int(py), int(px)
+
+
+def array_sample_gradient(env, pos):
+    """sample_gradient in (2,)-array arithmetic, the reference for the
+    float-at-a-time one."""
+    pos = np.asarray(pos, dtype=np.float64).reshape(2)
+    h, w = env.shape
+    px, py = env.world_to_pixel(pos)
+    if not (0.0 <= px <= w - 1 and 0.0 <= py <= h - 1):
+        center = env.pixel_to_world((h - 1) / 2.0, (w - 1) / 2.0)
+        delta = pos - center
+        return delta / np.linalg.norm(delta)
+    c0 = int(np.floor(px))
+    r0 = int(np.floor(py))
+    c1 = min(c0 + 1, w - 1)
+    r1 = min(r0 + 1, h - 1)
+    fx = px - c0
+    fy = py - r0
+    g = env.grad_field
+    return (
+        (1 - fx) * (1 - fy) * g[r0, c0]
+        + fx * (1 - fy) * g[r0, c1]
+        + (1 - fx) * fy * g[r1, c0]
+        + fx * fy * g[r1, c1]
+    )
+
+
+def lattice_envs():
+    """A 7x9 map at an exact and at an inexact resolution and origin, and at the origin."""
+    grid = np.random.default_rng(8).random((7, 9)) < 0.5
+    grid[3, 4] = True
+    return [NavEnvironment.from_grid(grid, res, origin)
+            for res, origin in ((0.5, (-1.0, 2.0)), (0.1, (0.3, -0.7)), (0.25, (0.0, 0.0)))]
+
+
+LATTICE_ENVS = lattice_envs()
+
+
+def lattice_points(env):
+    """Pixel coordinates every quarter pixel from 3 px before the map to 3 px
+    past it (so every half, on both signs, and every edge), their neighbouring
+    floats, and far off-grid points, as world positions; with -0.0 and the
+    origin's own neighbours."""
+    h, w = env.shape
+    px = np.arange(-12, 4 * (w + 2) + 1) / 4
+    py = np.arange(-12, 4 * (h + 2) + 1) / 4
+    px = np.concatenate([px, np.nextafter(px, -np.inf), np.nextafter(px, np.inf),
+                         [-1e15, -1e6, 1e6, 1e15]])
+    py = np.concatenate([py, np.nextafter(py, -np.inf), np.nextafter(py, np.inf),
+                         [-1e15, 1e6]])
+    xx, yy = np.meshgrid(env.origin[0] + env.resolution * px,
+                         env.origin[1] + env.resolution * py)
+    ox, oy = env.origin
+    extra = [[-0.0, -0.0], [-0.0, 0.0], [ox, oy], [np.nextafter(ox, -1), np.nextafter(oy, -1)]]
+    return np.concatenate([np.column_stack([xx.ravel(), yy.ravel()]), extra])
+
+
+@pytest.mark.parametrize("env", LATTICE_ENVS, ids=["exact", "inexact", "at-origin"])
+def test_point_rule_equals_the_array_rule_on_a_dense_lattice(env):
+    points = lattice_points(env)
+    mask = env.navigable_mask_for(points)
+    assert mask.any() and not mask.all()
+    for pos, navigable in zip(points, mask):
+        row, col = env.nearest_pixel(pos)
+        assert (row, col) == array_nearest_pixel(env, pos)
+        assert type(row) is int and type(col) is int
+        assert env.is_navigable_point(pos) is bool(navigable)
+
+
+@given(x=st.floats(-3.0, 12.0), y=st.floats(-3.0, 10.0))
+@settings(max_examples=200, deadline=None)
+def test_point_rule_equals_the_array_rule_anywhere_near_the_map(x, y):
+    for env in LATTICE_ENVS:
+        assert env.nearest_pixel([x, y]) == array_nearest_pixel(env, [x, y])
+        assert env.is_navigable_point([x, y]) is bool(env.navigable_mask_for([[x, y]])[0])
+
+
+def bits(a) -> bytes:
+    a = np.asarray(a)
+    assert a.shape == (2,) and a.dtype == np.float64
+    return a.tobytes()
+
+
+@pytest.mark.parametrize("env", LATTICE_ENVS, ids=["exact", "inexact", "at-origin"])
+def test_sample_gradient_equals_the_array_formula_bit_for_bit(env):
+    rng = np.random.default_rng(9)
+    h, w = env.shape
+    pixels = [rng.uniform([0, 0], [w - 1, h - 1]) for _ in range(300)]
+    pixels += [[w - 1, h - 1], [0, 0], [w - 1, 0], [0, h - 1]]  # corners: c1/r1 clamps
+    pixels += [[w - 1, y] for y in rng.uniform(0, h - 1, 20)]  # last column
+    pixels += [[x, h - 1] for x in rng.uniform(0, w - 1, 20)]  # last row
+    pixels += [[np.nextafter(w - 1, np.inf), 2.0], [2.0, np.nextafter(h - 1, np.inf)],
+               [np.nextafter(0, -1), 2.0], [-30.0, 50.0], [1e6, -1e6]]  # just past, far off
+    points = [env.origin + env.resolution * np.asarray(p, dtype=np.float64) for p in pixels]
+    points += [rng.uniform(-5, 10, 2) for _ in range(100)]
+    for pos in points:
+        assert bits(sample_gradient(env, pos)) == bits(array_sample_gradient(env, pos))
+    assert bits(sample_gradient(env, list(points[0]))) == bits(array_sample_gradient(env, points[0]))
+
+
+@given(x=st.floats(-3.0, 12.0), y=st.floats(-3.0, 10.0))
+@settings(max_examples=200, deadline=None)
+def test_sample_gradient_equals_the_array_formula_anywhere_near_the_map(x, y):
+    for env in LATTICE_ENVS:
+        assert bits(sample_gradient(env, [x, y])) == bits(array_sample_gradient(env, [x, y]))
+
+
+@pytest.mark.parametrize("pos, error", [
+    ((np.nan, 0.5), ValueError), ((0.5, np.nan), ValueError), ((np.nan, np.nan), ValueError),
+    ((np.inf, 0.5), OverflowError), ((-np.inf, 0.5), OverflowError),
+    ((0.5, np.inf), OverflowError), ((0.5, -np.inf), OverflowError),
+    ((np.inf, -np.inf), OverflowError), ((1e308, 0.5), OverflowError),  # /0.1 overflows
+    ((np.nan, np.inf), OverflowError), ((np.inf, np.nan), ValueError),  # the row comes first
+])
+def test_non_finite_positions_fail_as_the_array_rule_does(pos, error):
+    env = LATTICE_ENVS[1]
+    for rule in (partial(array_nearest_pixel, env), env.nearest_pixel, env.is_navigable_point):
+        with pytest.raises(error) as got, np.errstate(over="ignore"):
+            rule(pos)
+        assert type(got.value) is error
+    with np.errstate(over="ignore", invalid="ignore"):  # both take the off-grid branch
+        assert bits(sample_gradient(env, pos)) == bits(array_sample_gradient(env, pos))
+
+
 # ------------------------------------------------------------ sample_gradient
 
 def test_sample_gradient_at_pixel_center():
@@ -273,6 +406,26 @@ def test_guidance_rejects_fewer_than_one_step(n_grad_steps):
     traj = np.array([[-2.0, 0.0], [3.0, 0.0]])
     with pytest.raises(ValueError, match="n_grad_steps must be >= 1"):
         guidance_delta(env, traj, 1, n_grad_steps)
+
+
+@pytest.mark.parametrize("t_obs, n_grad_steps, problem", [
+    (1, True, "n_grad_steps must be an integer, got True"),
+    (1, 2.0, "n_grad_steps must be an integer, got 2.0"),
+    (1, "3", "n_grad_steps must be an integer, got '3'"),
+    (True, 3, "t_obs must be an integer, got True"),
+    (1.0, 3, "t_obs must be an integer, got 1.0"),
+    (-1, 3, "t_obs -1 out of range for 2 frames"),
+    (3, 3, "t_obs 3 out of range for 2 frames"),
+])
+def test_guidance_counts_follow_the_integer_rule(t_obs, n_grad_steps, problem):
+    env = half_plane_env()
+    traj = np.array([[-2.0, 0.0], [3.0, 0.0]])
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        guidance_delta(env, traj, t_obs, n_grad_steps)
+    # numpy integers are integers, and t_obs = T leaves no frame to correct
+    reference = guidance_delta(env, traj, 1, 3)
+    assert np.array_equal(guidance_delta(env, traj, np.int64(1), np.int32(3)), reference)
+    assert not guidance_delta(env, traj, 2, 3).any()
 
 
 def test_half_plane_descent_matches_scalar_oracle():
@@ -424,6 +577,14 @@ def test_batched_ecfl_check_equals_per_trajectory_calls():
                 assert one == all(env.is_navigable_point(p) for p in trajs[a, k, t_obs:])
     flags = ecfl_check(env, trajs, 3)
     assert flags.any() and not flags.all()
+    for t_obs, problem in ((7, "t_obs 7 out of range for 6 frames"),
+                           (99, "t_obs 99 out of range for 6 frames"),
+                           (-1, "t_obs -1 out of range for 6 frames"),
+                           (True, "t_obs must be an integer, got True"),
+                           (2.0, "t_obs must be an integer, got 2.0")):
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            ecfl_check(env, trajs, t_obs)
+    assert np.array_equal(ecfl_check(env, trajs, np.int64(3)), flags)
     for bad in (np.zeros(2), np.zeros((0, 2)), np.zeros((4, 3)), np.full((2, 2), np.nan)):
         with pytest.raises(ValueError, match="trajectories"):
             ecfl_check(env, bad)

@@ -161,20 +161,26 @@ def test_unguided_predict_flags_samples_and_needs_no_environment(fitted):
 @pytest.mark.parametrize("guided", [True, False], ids=["guided", "unguided"])
 def test_predict_calls_the_names_the_benchmark_traces(fitted, monkeypatch, guided):
     """perfbench times predict by rebinding `pipeline.forward_with_cache` and
-    `pipeline.guidance_delta`, reading x from args[1] and t_obs from args[2];
-    a predict that bypassed either name would leave its spans empty."""
+    `pipeline.guidance_delta`, reading x from args[1] and t_obs from args[2],
+    and counts guidance's checks and descent steps by rebinding
+    `NavEnvironment.is_navigable_point` and `mapguide.sample_gradient`; a
+    predict that bypassed any of these names would leave its spans or
+    counters empty."""
+    import trajdiffuse.mapguide as mapguide
     import trajdiffuse.pipeline as pipeline
 
     scenes, params = fitted
-    calls = {"forward_with_cache": [], "guidance_delta": []}
-    for name in calls:
-        original = getattr(pipeline, name)
+    traced = {"forward_with_cache": pipeline, "guidance_delta": pipeline,
+              "is_navigable_point": NavEnvironment, "sample_gradient": mapguide}
+    calls = {name: [] for name in traced}
+    for name, owner in traced.items():
+        original = getattr(owner, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
             calls[_name].append(args)
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, name, counting)
+        monkeypatch.setattr(owner, name, counting)
     k, n_steps = 3, params.arch.n_steps
     predict(params, **make_request(scenes, guidance=guided, k=k))
 
@@ -183,8 +189,10 @@ def test_predict_calls_the_names_the_benchmark_traces(fitted, monkeypatch, guide
     if guided:
         assert len(calls["guidance_delta"]) == k * n_steps
         assert all(args[2] == T_OBS for args in calls["guidance_delta"])
+        assert calls["is_navigable_point"] and calls["sample_gradient"]
     else:
-        assert calls["guidance_delta"] == []
+        assert calls["guidance_delta"] == calls["is_navigable_point"] == []
+        assert calls["sample_gradient"] == []
 
 
 def _set(key, index, value, intents=slice(None)):
