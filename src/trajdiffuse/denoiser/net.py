@@ -7,9 +7,9 @@ conv upsampling with channel-concatenated skips, cross-channel attention at
 the bottleneck, and a zero-initialized output conv on top of a global
 residual, so the untrained network is the identity map.
 
-Forward and backward are hand-written; the backward pass produces exact
-reverse-mode gradients for every tensor and is checked against central
-finite differences in the test suite.
+The U-Net is written once, as one recursive level (`_level_specs`,
+`_level_forward`, `_level_backward`). Forward and backward are hand-written;
+the backward's exact gradients are checked against central finite differences.
 """
 
 from __future__ import annotations
@@ -131,39 +131,44 @@ def _res_block_specs(prefix, c_in, c_out, k, emb_dim):
     return specs
 
 
-def param_specs(desc: ArchDescriptor):
-    """Full list of (name, shape, init kind) for the architecture."""
+def _level_specs(desc: ArchDescriptor, lvl: int):
+    """Specs of U-Net level `lvl` and every level below it, in forward order."""
     w = desc.widths
     k = desc.kernel_len
     e = desc.emb_dim
-    last = desc.n_levels - 1
-    specs = [
+    c_in = desc.in_channels if lvl == 0 else w[lvl]
+    specs = _res_block_specs(f"enc.{lvl}.0", c_in, w[lvl], k, e)
+    specs += _res_block_specs(f"enc.{lvl}.1", w[lvl], w[lvl], k, e)
+    if lvl == desc.n_levels - 1:
+        width = desc.bottleneck_len
+        for tag in ("q", "k", "v", "o"):
+            specs.append((f"attn.w{tag}", (width, width), "linear"))
+            specs.append((f"attn.b{tag}", (width,), "zeros"))
+        c_dec = w[lvl]
+    else:
+        specs.append((f"down.{lvl}.w", (w[lvl + 1], w[lvl], k), "conv"))
+        specs.append((f"down.{lvl}.b", (w[lvl + 1],), "zeros"))
+        specs += _level_specs(desc, lvl + 1)
+        specs.append((f"up.{lvl}.w", (w[lvl], w[lvl + 1], k), "conv"))
+        specs.append((f"up.{lvl}.b", (w[lvl],), "zeros"))
+        c_dec = 2 * w[lvl]
+    specs += _res_block_specs(f"dec.{lvl}.0", c_dec, w[lvl], k, e)
+    specs += _res_block_specs(f"dec.{lvl}.1", w[lvl], w[lvl], k, e)
+    return specs
+
+
+def param_specs(desc: ArchDescriptor):
+    """Full list of (name, shape, init kind) for the architecture."""
+    e = desc.emb_dim
+    return [
         ("time_mlp.fc1.w", (e, e), "linear"),
         ("time_mlp.fc1.b", (e,), "zeros"),
         ("time_mlp.fc2.w", (e, e), "linear"),
         ("time_mlp.fc2.b", (e,), "zeros"),
+        *_level_specs(desc, 0),
+        ("out.w", (desc.in_channels, desc.widths[0], desc.kernel_len), "zeros"),
+        ("out.b", (desc.in_channels,), "zeros"),
     ]
-    for lvl in range(desc.n_levels):
-        c_in = desc.in_channels if lvl == 0 else w[lvl]
-        specs += _res_block_specs(f"enc.{lvl}.0", c_in, w[lvl], k, e)
-        specs += _res_block_specs(f"enc.{lvl}.1", w[lvl], w[lvl], k, e)
-        if lvl < last:
-            specs.append((f"down.{lvl}.w", (w[lvl + 1], w[lvl], k), "conv"))
-            specs.append((f"down.{lvl}.b", (w[lvl + 1],), "zeros"))
-    width = desc.bottleneck_len
-    for tag in ("q", "k", "v", "o"):
-        specs.append((f"attn.w{tag}", (width, width), "linear"))
-        specs.append((f"attn.b{tag}", (width,), "zeros"))
-    specs += _res_block_specs(f"dec.{last}.0", w[last], w[last], k, e)
-    specs += _res_block_specs(f"dec.{last}.1", w[last], w[last], k, e)
-    for lvl in range(last - 1, -1, -1):
-        specs.append((f"up.{lvl}.w", (w[lvl], w[lvl + 1], k), "conv"))
-        specs.append((f"up.{lvl}.b", (w[lvl],), "zeros"))
-        specs += _res_block_specs(f"dec.{lvl}.0", 2 * w[lvl], w[lvl], k, e)
-        specs += _res_block_specs(f"dec.{lvl}.1", w[lvl], w[lvl], k, e)
-    specs.append(("out.w", (desc.in_channels, w[0], k), "zeros"))
-    specs.append(("out.b", (desc.in_channels,), "zeros"))
-    return specs
 
 
 def init_params(desc: ArchDescriptor, seed: int = 0) -> DenoiserParams:
@@ -222,8 +227,8 @@ def _res_forward(p, prefix, x, emb, desc):
     return h + s, (c_conv1, c_gn1, c_emb, eb, c_gn2)
 
 
-def _res_backward(p, prefix, dy, cache, grads):
-    """Returns (dx, d_emb); parameter gradients land in `grads`.
+def _res_backward(p, prefix, dy, cache, grads, d_emb):
+    """Returns (dx, d_emb + the block's step gradient); parameter gradients land in `grads`.
 
     Each input the tape dropped is rebuilt by the forward's own ops, so its
     bits are the forward's: a Mish input from its group norm's xhat (plus the
@@ -246,14 +251,52 @@ def _res_backward(p, prefix, dy, cache, grads):
     dh = mish_backward(dh, a1)
     del a1
     d_eb = dh.sum(axis=2)
-    d_emb, grads[f"{prefix}.emb.w"], grads[f"{prefix}.emb.b"] = linear_backward(
+    de, grads[f"{prefix}.emb.w"], grads[f"{prefix}.emb.b"] = linear_backward(
         d_eb, p[f"{prefix}.emb.w"], c_emb)
     dh, grads[f"{prefix}.gn1.g"], grads[f"{prefix}.gn1.b"] = groupnorm_backward(dh, c_gn1)
     dx = _conv_back(p, f"{prefix}.conv1", dh, c_conv1, grads)
+    d_emb += de  # in place after the first block: the levels' frames share one array
     return dx + dx_skip, d_emb
 
 
 # ------------------------------------------------------------- whole network
+
+def _level_forward(run, p, desc, lvl, h, emb):
+    """U-Net level `lvl` on h, the levels below it included; `run` tapes each
+    layer. No frame holds the down conv's output while the levels below run."""
+    for blk in (0, 1):
+        h = run(_res_forward, p, f"enc.{lvl}.{blk}", h, emb, desc)
+    if lvl == desc.n_levels - 1:
+        h = run(attention_forward, h, p, "attn")
+    else:
+        inner = _level_forward(
+            run, p, desc, lvl + 1,
+            run(conv1d_forward, h, p[f"down.{lvl}.w"], p[f"down.{lvl}.b"], stride=2), emb)
+        h = np.concatenate([run(conv1d_forward, run(upsample2_forward, inner),
+                                p[f"up.{lvl}.w"], p[f"up.{lvl}.b"]), h], axis=1)
+    for blk in (0, 1):
+        h = run(_res_forward, p, f"dec.{lvl}.{blk}", h, emb, desc)
+    return h
+
+
+def _level_backward(p, desc, lvl, dh, tape, grads, d_emb):
+    """Reverse of `_level_forward`: returns (dx, d_emb), the step-embedding
+    gradient `d_emb` summed in backward order."""
+    for blk in (1, 0):
+        dh, d_emb = _res_backward(p, f"dec.{lvl}.{blk}", dh, tape.pop(), grads, d_emb)
+    if lvl == desc.n_levels - 1:
+        dh = attention_backward(dh, p, "attn", tape.pop(), grads)
+    else:
+        d_up, d_skip = np.split(dh, [desc.widths[lvl]], axis=1)
+        dh, d_emb = _level_backward(
+            p, desc, lvl + 1,
+            upsample2_backward(_conv_back(p, f"up.{lvl}", d_up, tape.pop(), grads), tape.pop()),
+            tape, grads, d_emb)
+        dh = _conv_back(p, f"down.{lvl}", dh, tape.pop(), grads) + d_skip
+    for blk in (1, 0):
+        dh, d_emb = _res_backward(p, f"enc.{lvl}.{blk}", dh, tape.pop(), grads, d_emb)
+    return dh, d_emb
+
 
 def _check_input(desc: ArchDescriptor, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
@@ -300,27 +343,7 @@ def forward_with_cache(params: DenoiserParams, x: np.ndarray, i, *, keep_cache: 
     tm = run(mish_forward, t1)
     emb = run(linear_forward, tm, p["time_mlp.fc2.w"], p["time_mlp.fc2.b"])
 
-    last = desc.n_levels - 1
-    h = x_cf
-    skips = []
-    for lvl in range(desc.n_levels):
-        for blk in (0, 1):
-            h = run(_res_forward, p, f"enc.{lvl}.{blk}", h, emb, desc)
-        if lvl < last:
-            skips.append(h)
-            h = run(conv1d_forward, h, p[f"down.{lvl}.w"], p[f"down.{lvl}.b"], stride=2)
-
-    h = run(attention_forward, h, p, "attn")
-
-    for blk in (0, 1):
-        h = run(_res_forward, p, f"dec.{last}.{blk}", h, emb, desc)
-    for lvl in range(last - 1, -1, -1):
-        h = run(upsample2_forward, h)
-        h = run(conv1d_forward, h, p[f"up.{lvl}.w"], p[f"up.{lvl}.b"])
-        h = np.concatenate([h, skips[lvl]], axis=1)
-        for blk in (0, 1):
-            h = run(_res_forward, p, f"dec.{lvl}.{blk}", h, emb, desc)
-
+    h = _level_forward(run, p, desc, 0, x_cf, emb)
     yc = run(conv1d_forward, h, p["out.w"], p["out.b"])
     y = np.ascontiguousarray((x_cf + yc).transpose(0, 2, 1))
     return y, ((x.shape, tape) if keep_cache else None)
@@ -336,7 +359,6 @@ def backward_from_cache(params: DenoiserParams, cache, upstream: np.ndarray):
     """
     desc = params.arch
     p = params.tensors
-    last = desc.n_levels - 1
     if cache is None:
         raise ValueError("no cache to run the backward from: the forward kept none "
                          "(keep_cache=False)")
@@ -353,39 +375,14 @@ def backward_from_cache(params: DenoiserParams, cache, upstream: np.ndarray):
     dy = upstream.transpose(0, 2, 1)
 
     grads: dict = {}
-    d_emb_total = 0.0
-
-    dh = _conv_back(p, "out", dy, tape.pop(), grads)
-    dx_residual = dy  # global residual branch straight to the input
-
-    d_skips = {}
-    # decoder levels 0 .. last-1 were run last; unwind them first
-    for lvl in range(last):
-        for blk in (1, 0):
-            dh, de = _res_backward(p, f"dec.{lvl}.{blk}", dh, tape.pop(), grads)
-            d_emb_total += de
-        n_up = p[f"up.{lvl}.w"].shape[0]
-        d_skips[lvl] = dh[:, n_up:, :]
-        dh = _conv_back(p, f"up.{lvl}", dh[:, :n_up, :], tape.pop(), grads)
-        dh = upsample2_backward(dh, tape.pop())
-    for blk in (1, 0):
-        dh, de = _res_backward(p, f"dec.{last}.{blk}", dh, tape.pop(), grads)
-        d_emb_total += de
-
-    dh = attention_backward(dh, p, "attn", tape.pop(), grads)
-
-    for lvl in range(last, -1, -1):
-        if lvl < last:
-            dh = _conv_back(p, f"down.{lvl}", dh, tape.pop(), grads) + d_skips[lvl]
-        for blk in (1, 0):
-            dh, de = _res_backward(p, f"enc.{lvl}.{blk}", dh, tape.pop(), grads)
-            d_emb_total += de
+    dh, d_emb = _level_backward(p, desc, 0, _conv_back(p, "out", dy, tape.pop(), grads),
+                                tape, grads, 0.0)
 
     dt, grads["time_mlp.fc2.w"], grads["time_mlp.fc2.b"] = linear_backward(
-        d_emb_total, p["time_mlp.fc2.w"], tape.pop())
+        d_emb, p["time_mlp.fc2.w"], tape.pop())
     dt = mish_backward(dt, tape.pop())
     _, grads["time_mlp.fc1.w"], grads["time_mlp.fc1.b"] = linear_backward(
         dt, p["time_mlp.fc1.w"], tape.pop())
 
-    dx = (dx_residual + dh).transpose(0, 2, 1)
+    dx = (dy + dh).transpose(0, 2, 1)  # the global residual plus the trunk
     return grads, np.ascontiguousarray(dx)

@@ -190,12 +190,14 @@ def sample_gradient(env: NavEnvironment, pos) -> np.ndarray:
     gradient field. Outside it, where the distance grows with the distance
     from the map, it is the unit vector from the grid center to the point.
     Either way, stepping along the negative gradient heads for navigable
-    ground.
+    ground. A non-finite pixel position raises what `nearest_pixel` raises.
     """
     pos = np.asarray(pos, dtype=np.float64).reshape(2)
     h, w = env.shape
     px, py = env._pixel_floats(pos)
     if not (0.0 <= px <= w - 1 and 0.0 <= py <= h - 1):
+        if not (math.isfinite(px) and math.isfinite(py)):
+            env.nearest_pixel(pos)  # ValueError for NaN, OverflowError for inf
         center = env.pixel_to_world((h - 1) / 2.0, (w - 1) / 2.0)
         delta = pos - center
         return delta / np.linalg.norm(delta)

@@ -70,6 +70,30 @@ def test_internal_lengths_follow_stride_arithmetic(monkeypatch):
     assert down_lengths == [20, 10]
 
 
+class _ReadOrder(dict):
+    """A tensor dict that records each name the first time it is read."""
+
+    def __init__(self, tensors):
+        super().__init__(tensors)
+        self.reads = []
+
+    def __getitem__(self, name):
+        if name not in self.reads:
+            self.reads.append(name)
+        return super().__getitem__(name)
+
+
+@pytest.mark.parametrize("widths", [(4,), (4, 6), (4, 6, 8), (4, 6, 8, 10)])
+def test_param_specs_list_the_tensors_in_the_order_the_forward_reads_them(widths):
+    # the spec order is init_params' RNG order, so the forward's walk fixes it
+    desc = ArchDescriptor(widths=widths, kernel_len=3, gn_groups=2, emb_dim=8,
+                          t_obs=2, t_pred=6, n_steps=5)
+    params = init_params(desc, seed=1)
+    params.tensors = _ReadOrder(params.tensors)
+    forward_with_cache(params, np.zeros((1, desc.traj_len, 2)), 3)
+    assert params.tensors.reads == [name for name, _, _ in param_specs(desc)]
+
+
 TRACED_LAYERS = ("conv1d", "groupnorm", "mish", "attention", "linear")
 
 
@@ -184,30 +208,32 @@ def test_whole_net_gradients_match_finite_differences():
 
 
 def test_multi_level_gradients_match_finite_differences():
-    small3 = ArchDescriptor(
-        widths=(3, 4, 5), kernel_len=3, gn_groups=1, emb_dim=4,
-        t_obs=2, t_pred=6, n_steps=6, coord_scale=1.0,
-    )
-    worst = _fd_check(small3, seed=12)
-    assert worst < 1e-4
+    for widths in ((3, 4), (3, 4, 5), (3, 4, 5, 3)):  # 2**(levels - 1) divides 2 + 6
+        small = ArchDescriptor(
+            widths=widths, kernel_len=3, gn_groups=1, emb_dim=4,
+            t_obs=2, t_pred=6, n_steps=6, coord_scale=1.0,
+        )
+        worst = _fd_check(small, seed=12)
+        assert worst < 1e-4
 
 
 def test_input_gradient_matches_finite_differences():
-    rng = np.random.default_rng(13)
-    params = init_params(TINY, seed=13)
-    params.tensors["out.w"] += 0.1
-    x = rng.normal(size=(1, TINY.traj_len, 2))
-    upstream = rng.normal(size=x.shape)
-    _, cache = forward_with_cache(params, x, 5)
-    _, dx = backward_from_cache(params, cache, upstream)
-    h = 1e-6
-    for idx in [(0, 0, 0), (0, 3, 1), (0, 7, 0)]:
-        xp = x.copy(); xp[idx] += h
-        xm = x.copy(); xm[idx] -= h
-        fp, _ = forward_with_cache(params, xp, 5)
-        fm, _ = forward_with_cache(params, xm, 5)
-        fd = float(((fp - fm) * upstream).sum()) / (2 * h)
-        assert dx[idx] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+    for desc in (TINY, THREE_LEVEL):  # THREE_LEVEL's runs through the down and up convs
+        rng = np.random.default_rng(13)
+        params = init_params(desc, seed=13)
+        params.tensors["out.w"] += 0.1
+        x = rng.normal(size=(1, desc.traj_len, 2))
+        upstream = rng.normal(size=x.shape)
+        _, cache = forward_with_cache(params, x, 5)
+        _, dx = backward_from_cache(params, cache, upstream)
+        h = 1e-6
+        for idx in [(0, 0, 0), (0, 3, 1), (0, 7, 0), (0, desc.traj_len - 1, 1)]:
+            xp = x.copy(); xp[idx] += h
+            xm = x.copy(); xm[idx] -= h
+            fp, _ = forward_with_cache(params, xp, 5)
+            fm, _ = forward_with_cache(params, xm, 5)
+            fd = float(((fp - fm) * upstream).sum()) / (2 * h)
+            assert dx[idx] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
 def test_backward_rejects_bad_upstream_shape():

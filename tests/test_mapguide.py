@@ -336,12 +336,11 @@ def test_sample_gradient_equals_the_array_formula_anywhere_near_the_map(x, y):
 ])
 def test_non_finite_positions_fail_as_the_array_rule_does(pos, error):
     env = LATTICE_ENVS[1]
-    for rule in (partial(array_nearest_pixel, env), env.nearest_pixel, env.is_navigable_point):
+    for rule in (partial(array_nearest_pixel, env), env.nearest_pixel, env.is_navigable_point,
+                 partial(sample_gradient, env)):
         with pytest.raises(error) as got, np.errstate(over="ignore"):
             rule(pos)
         assert type(got.value) is error
-    with np.errstate(over="ignore", invalid="ignore"):  # both take the off-grid branch
-        assert bits(sample_gradient(env, pos)) == bits(array_sample_gradient(env, pos))
 
 
 # ------------------------------------------------------------ sample_gradient

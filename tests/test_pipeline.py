@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 from pathlib import Path
@@ -6,7 +7,12 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak
-from trajdiffuse.denoiser import ArchDescriptor, forward_with_cache, init_params
+from trajdiffuse.denoiser import (
+    ArchDescriptor,
+    backward_from_cache,
+    forward_with_cache,
+    init_params,
+)
 from trajdiffuse.diffusion import ConditionSpec
 from trajdiffuse.mapguide import NavEnvironment, ecfl_check
 from trajdiffuse.pipeline import TrainConfig, predict, train
@@ -450,3 +456,23 @@ def test_a_forward_tape_keeps_only_what_the_backward_cannot_rebuild():
     x = np.random.default_rng(0).normal(size=(32, desc.traj_len, 2))
     _, cache = forward_with_cache(init_params(desc), x, 3)
     assert _distinct_bytes(cache) <= 10.5 * 2**20
+
+
+def test_the_denoiser_and_training_leave_no_reference_cycles():
+    """A cycle keeps its arrays, a step's gradients among them, until the cycle
+    collector runs; a self-recursive closure for the U-Net level is one."""
+    desc = ArchDescriptor(widths=(4, 6, 8), kernel_len=3, gn_groups=2, emb_dim=8,
+                          t_obs=T_OBS, t_pred=T_PRED, n_steps=5)
+    params = init_params(desc, seed=1)
+    x = np.random.default_rng(1).normal(size=(3, desc.traj_len, 2))
+    scenes = tiny_scenes()
+    gc.collect()
+    gc.disable()
+    try:
+        _, cache = forward_with_cache(params, x, 2)
+        backward_from_cache(params, cache, x)
+        forward_with_cache(params, x, 2, keep_cache=False)
+        train(scenes, TrainConfig(**{**TINY_TRAIN, "n_epochs": 1, "widths": (4, 6, 8)}))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
