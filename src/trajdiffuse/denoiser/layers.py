@@ -4,8 +4,8 @@ Each layer is a forward/backward function pair. Forwards return (y, cache);
 backwards take the upstream gradient plus the cache and return the input
 gradient along with gradients for every parameter used. Everything runs in
 float64; reductions use BLAS matmuls where shapes allow:
-- conv1d is one im2col GEMM per pass; it caches its zero-padded input and
-  the backward rebuilds the columns from it;
+- conv1d is im2col GEMMs. It caches its zero-padded input, the backward
+  rebuilds dw's columns from it, and dx is a conv of dy with the flipped kernel;
 - attention runs its projections and weight gradients as whole-batch GEMMs.
   In both passes its (n, C, C) score blocks run over batch slices of
   n = max(1, 2**17 // C**2) samples, at most 1 MiB each while C <= 362. It
@@ -70,21 +70,20 @@ def conv1d_forward(x, w, b, stride=1):
 
 
 def conv1d_backward(dy, w, cache):
+    """dx is the stride-1 conv of dy, spread onto the input grid, with the flipped kernel."""
     xp, stride = cache
     n_out, n_in, k = w.shape
-    pad = (k - 1) // 2
     bsz, _, l_pad = xp.shape
     l_out = dy.shape[2]
     dy2 = dy.transpose(1, 0, 2).reshape(n_out, bsz * l_out)
     dw = (dy2 @ _im2col(xp, k, stride).T).reshape(n_out, n_in, k)
     db = dy2.sum(axis=1)
-    dxcol = (w.reshape(n_out, n_in * k).T @ dy2).reshape(n_in, k, bsz, l_out)
-    dxp = np.zeros((bsz, n_in, l_pad))
-    dxw = dxcol.transpose(2, 0, 1, 3)  # (B, Cin, k, Lo)
-    for j in range(k):
-        dxp[:, :, j:j + stride * (l_out - 1) + 1:stride] += dxw[:, :, j, :]
-    dx = dxp[:, :, pad:l_pad - pad]
-    return dx, dw, db
+    pad = (k - 1) // 2
+    dyp = np.zeros((bsz, n_out, l_pad))
+    dyp[:, :, pad:pad + stride * l_out:stride] = dy
+    w_flip = w[:, :, ::-1].transpose(1, 0, 2).reshape(n_in, n_out * k)
+    dx = (w_flip @ _im2col(dyp, k, 1)).reshape(n_in, bsz, l_pad - 2 * pad)
+    return dx.transpose(1, 0, 2), dw, db
 
 
 # --------------------------------------------------------------- group norm

@@ -66,20 +66,22 @@ def test_conv1d_gradients_stride1():
 
 def test_conv1d_gradients_stride2():
     rng = np.random.default_rng(1)
-    x = rng.normal(size=(2, 3, 8))
-    w = rng.normal(size=(5, 3, 5))
-    b = rng.normal(size=5)
-    up = rng.normal(size=(2, 5, 4))
+    for length in (8, 9):  # at 9, odd, the last output is centred on the last input
+        x = rng.normal(size=(2, 3, length))
+        w = rng.normal(size=(5, 3, 5))
+        b = rng.normal(size=5)
+        up = rng.normal(size=(2, 5, (length + 1) // 2))
 
-    def loss():
-        y, _ = conv1d_forward(x, w, b, stride=2)
-        return float((y * up).sum())
+        def loss():
+            y, _ = conv1d_forward(x, w, b, stride=2)
+            return float((y * up).sum())
 
-    _, cache = conv1d_forward(x, w, b, stride=2)
-    dx, dw, db = conv1d_backward(up, w, cache)
-    assert_close(dx, fd_grad(loss, x))
-    assert_close(dw, fd_grad(loss, w))
-    assert_close(db, fd_grad(loss, b))
+        _, cache = conv1d_forward(x, w, b, stride=2)
+        dx, dw, db = conv1d_backward(up, w, cache)
+        assert dx.shape == x.shape
+        assert_close(dx, fd_grad(loss, x))
+        assert_close(dw, fd_grad(loss, w))
+        assert_close(db, fd_grad(loss, b))
 
 
 def test_conv1d_bias_grad_is_summed_upstream():
