@@ -10,8 +10,7 @@ metric suite (ADE/FDE, KDE-NLL, ECFL, MVE, ACFL) and a CLI.
 from .diffusion import ConditionSpec, TrajBatch
 from .estimator import NotFittedError, TrajDiffuse
 from .mapguide import NavEnvironment
-from .pipeline import PredictionResult, TrainConfig, predict, train
-from .schedule import NoiseSchedule, build_cosine_schedule
+from .pipeline import PredictionResult
 from .synth import IntentOracleConfig, Scene
 
 __version__ = "0.1.0"
@@ -20,15 +19,10 @@ __all__ = [
     "ConditionSpec",
     "IntentOracleConfig",
     "NavEnvironment",
-    "NoiseSchedule",
     "NotFittedError",
     "PredictionResult",
     "Scene",
-    "TrainConfig",
     "TrajBatch",
     "TrajDiffuse",
-    "build_cosine_schedule",
-    "predict",
-    "train",
     "__version__",
 ]

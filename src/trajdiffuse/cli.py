@@ -448,7 +448,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:  # runtime failure: report and exit 1
-        log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

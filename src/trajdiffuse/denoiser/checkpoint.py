@@ -2,9 +2,9 @@
 
 Layout (version 2): magic "TDFK", then a u32 little-endian format version,
 then two count-prefixed record lists (parameter tensors, architecture
-descriptor fields). A record is: u32 name length, UTF-8 name, u32 rank,
-rank u64 dims, then float64 values little-endian. Values round-trip
-exactly, so a loaded model predicts what the saved one did.
+descriptor fields), each name once per list. A record is: u32 name length,
+UTF-8 name, u32 rank, rank u64 dims, then float64 values little-endian.
+Values round-trip exactly, so a loaded model predicts what the saved one did.
 
 The noise schedule is not stored: it is build_cosine_schedule(n_steps),
 rebuilt from the descriptor wherever it is needed.
@@ -52,7 +52,7 @@ class TruncatedCheckpointError(CheckpointError):
 
 
 class DescriptorMismatchError(CheckpointError):
-    """Stored tensors are inconsistent with the stored architecture."""
+    """Stored records are inconsistent with the stored architecture."""
 
 
 def _write_record(fh, name: str, array: np.ndarray) -> None:
@@ -110,6 +110,8 @@ def _read_section(fh, end: int, dtype: np.dtype) -> dict:
     out = {}
     for _ in range(count):
         name, arr = _read_record(fh, end, dtype)
+        if name in out:
+            raise DescriptorMismatchError(f"{fh.name}: record {name!r} repeats in its section")
         out[name] = arr
     return out
 
@@ -176,6 +178,8 @@ def load_checkpoint(path) -> DenoiserParams:
                 f"{path}: {trailing} trailing bytes after the descriptor section"
             )
 
+    if unknown := sorted(set(desc_fields) - {"widths", *_DESC_SCALARS}):
+        raise DescriptorMismatchError(f"{path}: unknown descriptor field(s) {unknown}")
     try:
         widths = tuple(_integral(path, "widths", w) for w in desc_fields["widths"].tolist())
         kwargs = {name: desc_fields[name].item() for name in _DESC_SCALARS}

@@ -426,8 +426,8 @@ def read_dataset(data_dir) -> list:
 
     The frame split and the scenes, in order, come from dataset.json. A
     directory it does not list is ignored, and a listed scene without its
-    directory is skipped. Every record's frames must span the split, and its
-    intents must pass `check_intents`.
+    directory is skipped. Every record's `scene_id` must name its directory,
+    its frames must span the split, and its intents must pass `check_intents`.
     """
     data_dir = Path(data_dir)
     meta_path = data_dir / "dataset.json"
@@ -453,6 +453,8 @@ def read_dataset(data_dir) -> list:
                 if first != where:
                     raise ValueError(f"agent_id {agent_id} repeats the record on line "
                                      f"{first.rpartition(':')[2]}")
+                if record["scene_id"] != sdir.name:
+                    raise ValueError(f"scene_id {record['scene_id']!r} is not {sdir.name!r}")
                 agents.append(AgentTrack(agent_id, traj, intents))
             except (LookupError, ValueError, TypeError, OverflowError, RecursionError) as exc:
                 raise ValueError(f"{where}: malformed agent record: {exc}") from exc

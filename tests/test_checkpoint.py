@@ -395,3 +395,31 @@ def test_save_rejects_a_schedule_the_loader_would_not_rebuild(tmp_path):
     with pytest.raises(ValueError, match=r"must be build_cosine_schedule\(8\)"):
         save_checkpoint(params, build_cosine_schedule(DESC.n_steps, 0.02), tmp_path / "x.ckpt")
     assert not (tmp_path / "x.ckpt").exists()
+
+
+@pytest.mark.parametrize("section, record, problem", [
+    (0, "out.w", "record 'out.w' repeats in its section"),  # a dict would keep the last copy
+    (1, "n_steps", "record 'n_steps' repeats in its section"),
+    (1, "bogus_field", "unknown descriptor field(s) ['bogus_field']"),
+], ids=["tensor-twice", "descriptor-twice", "unknown-descriptor"])
+def test_a_repeated_or_unknown_record_is_reported_with_path(tmp_path, section, record, problem):
+    params = init_params(DESC, seed=0)
+    sections = [sorted(params.tensors.items()), [("widths", np.asarray(DESC.widths, float))]
+                + [(name, np.asarray(float(getattr(DESC, name))))
+                   for name in ("kernel_len", "gn_groups", "emb_dim", "in_channels", "t_obs",
+                                "t_pred", "n_steps", "coord_scale")]]
+    sections[section].append((record, params.tensors["out.w"] + 1.0 if section == 0
+                              else np.asarray(16.0)))
+    path = tmp_path / "bad.ckpt"
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<I", VERSION))
+        for records in sections:
+            _write_section(fh, records)
+    with pytest.raises(DescriptorMismatchError, match=re.escape(f"{path}: {problem}")):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name", ["toy-16-32-64.ckpt", "wide-32-64-128.ckpt"])
+def test_the_frozen_benchmark_checkpoints_pass_the_record_checks(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / name
+    assert len(load_checkpoint(path).tensors) == 148

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -11,6 +14,22 @@ from trajdiffuse.cli import MAX_PREDICT_SEED, _agent_seed, build_parser, main
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def test_a_runtime_failure_is_reported_once(tmp_path):
+    # in a subprocess: in-process, logging.basicConfig binds the stream of
+    # the first test that calls main, and keeps it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "trajdiffuse", "train", "--data", tmp_path / "missing",
+         "--out", out], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        f"error: [Errno 2] No such file or directory: '{tmp_path / 'missing' / 'dataset.json'}'"]
+    assert not out.exists()
 
 
 GEN_FLAGS = [

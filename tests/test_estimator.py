@@ -1,11 +1,27 @@
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
 
+import trajdiffuse
 from trajdiffuse import NotFittedError, TrajDiffuse
 from trajdiffuse.pipeline import TrainConfig, train
 from tests.test_pipeline import T_OBS, T_PRED, TINY_TRAIN, tiny_scenes
+
+
+def test_the_package_root_offers_the_estimator_and_its_types():
+    # one front door: `predict` and `train` at the root would be a second
+    # entry point beside TrajDiffuse, with another contract
+    assert sorted(trajdiffuse.__all__) == sorted([
+        "TrajDiffuse", "NotFittedError", "PredictionResult", "TrajBatch", "ConditionSpec",
+        "NavEnvironment", "Scene", "IntentOracleConfig", "__version__"])
+    assert all(hasattr(trajdiffuse, name) for name in trajdiffuse.__all__)
+    for module, name in [("pipeline", "predict"), ("pipeline", "train"),
+                         ("pipeline", "TrainConfig"), ("schedule", "NoiseSchedule"),
+                         ("schedule", "build_cosine_schedule")]:
+        assert not hasattr(trajdiffuse, name)
+        assert hasattr(importlib.import_module(f"trajdiffuse.{module}"), name)
 
 
 def tiny_model(**overrides):

@@ -311,6 +311,24 @@ def copy_of(written, tmp_path):
     return Path(shutil.copytree(written, tmp_path / "data"))
 
 
+@pytest.mark.parametrize("edit, problem", [
+    (lambda rec: rec.update(scene_id="scene_9999"),
+     "scene_id 'scene_9999' is not 'scene_0000'"),
+    (lambda rec: rec.pop("scene_id"), "malformed agent record: 'scene_id'"),
+    (lambda rec: rec.update(scene_id=0), "scene_id 0 is not 'scene_0000'"),
+], ids=["another-scene", "no-scene_id", "not-a-string"])
+def test_a_record_must_name_its_scene_directory(written, tmp_path, edit, problem):
+    data = copy_of(written, tmp_path)
+    jsonl = data / "scene_0000" / "agents.jsonl"
+    lines = jsonl.read_text().splitlines()
+    record = json.loads(lines[1])
+    edit(record)
+    lines[1] = json.dumps(record)
+    jsonl.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{jsonl}:2: ") + ".*" + re.escape(problem)):
+        read_dataset(data)
+
+
 @pytest.mark.parametrize("text, problem", [
     ("{not json", "Expecting property name"),
     ('{"t_pred": 12, "frame_dt": 0.4}', "lacks 't_obs'"),
@@ -447,6 +465,8 @@ def four_scenes(written, tmp_path):
     data = copy_of(written, tmp_path)
     for i in (0, 1):
         shutil.copytree(data / f"scene_000{i}", data / f"scene_000{i + 2}")
+        jsonl = data / f"scene_000{i + 2}" / "agents.jsonl"  # records name their directory
+        jsonl.write_text(jsonl.read_text().replace(f'"scene_000{i}"', f'"scene_000{i + 2}"'))
     scene_ids = [f"scene_000{i}" for i in range(4)]
     with_scene_ids(data, scene_ids)
     return data, [data / sid for sid in scene_ids]
