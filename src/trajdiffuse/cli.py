@@ -218,10 +218,7 @@ def _load_predictions(path, scenes: dict) -> list:
     """
     records = []
     first_seen = {}
-    for where, record in read_jsonl(path, "prediction record"):
-        missing = [key for key in _RECORD_KEYS if key not in record]
-        if missing:
-            raise ValueError(f"{where}: prediction record lacks {', '.join(map(repr, missing))}")
+    for where, record in read_jsonl(path, "prediction record", _RECORD_KEYS):
         scene_id = record["scene_id"]
         scene = scenes.get(scene_id) if isinstance(scene_id, str) else None
         if scene is None:

@@ -342,21 +342,15 @@ def _read_map_meta(json_path) -> tuple[float, np.ndarray]:
     return resolution, origin
 
 
-def load_environment(maps) -> list:
-    """The NavEnvironments of a sequence of (pgm_path, json_path) pairs, in order.
-
-    Every file is read and checked before any field is built, so each error
-    names its file; then each map's fields are built by `from_grid`.
-    """
-    loaded = []  # (nav_grid, resolution, origin) per map
-    for pgm_path, json_path in maps:
-        resolution, origin = _read_map_meta(json_path)
-        nav_grid = read_pgm(pgm_path)
-        try:
-            _check_extent(nav_grid.shape, resolution, origin)
-        except ValueError as exc:
-            raise ValueError(f"{json_path}: bad map metadata: {exc}") from exc
-        if not nav_grid.any():
-            raise ValueError(f"{pgm_path}: nav_grid has no navigable pixel")
-        loaded.append((nav_grid, resolution, origin))
-    return [NavEnvironment.from_grid(*map_) for map_ in loaded]
+def load_environment(pgm_path, json_path) -> NavEnvironment:
+    """The NavEnvironment that `save_environment` wrote to these two files. Both
+    are read and checked before `from_grid` builds its fields, so each error names its file."""
+    resolution, origin = _read_map_meta(json_path)
+    nav_grid = read_pgm(pgm_path)
+    try:
+        _check_extent(nav_grid.shape, resolution, origin)
+    except ValueError as exc:
+        raise ValueError(f"{json_path}: bad map metadata: {exc}") from exc
+    if not nav_grid.any():
+        raise ValueError(f"{pgm_path}: nav_grid has no navigable pixel")
+    return NavEnvironment.from_grid(nav_grid, resolution, origin)

@@ -368,7 +368,9 @@ def generate_dataset(kinds, n_scenes: int, n_agents: int, size, resolution,
 def write_dataset(scenes: list, out_dir) -> None:
     """Write scenes under `out_dir`. dataset.json holds one frame split and
     frame_dt, so every scene must share the first's; a scene that does not is
-    refused before anything is written."""
+    refused before anything is written, and so is an empty list."""
+    if not scenes:
+        raise ValueError("no scene to write: read_dataset needs at least one scene")
     split = {key: getattr(scenes[0], key) for key in ("t_obs", "t_pred", "frame_dt")}
     for scene in scenes:
         theirs = {key: getattr(scene, key) for key in split}
@@ -425,23 +427,22 @@ def read_dataset(data_dir) -> list:
     """Read scenes back; raises with file/line context on malformed records.
 
     The frame split and the scenes, in order, come from dataset.json. A
-    directory it does not list is ignored, and a listed scene without its
-    directory is skipped. Every record's `scene_id` must name its directory,
-    its frames must span the split, and its intents must pass `check_intents`.
+    directory it does not list is ignored, a listed scene without its
+    directory is skipped, and each scene (map, then agents.jsonl) is read
+    before the next, so the first fault in scene order is raised. Every
+    record's `scene_id` must name its directory, its frames must span the
+    split, and its intents must pass `check_intents`.
     """
     data_dir = Path(data_dir)
     meta_path = data_dir / "dataset.json"
     t_obs, t_pred, frame_dt, scene_ids = _read_meta(meta_path)
-    scene_dirs = [data_dir / sid for sid in scene_ids if (data_dir / sid).is_dir()]
-    if not scene_dirs:
-        raise FileNotFoundError(f"{meta_path}: none of its scene_ids is a directory in {data_dir}")
-    envs = load_environment([(sdir / "map.pgm", sdir / "map.json") for sdir in scene_dirs])
     scenes = []
-    for sdir, env in zip(scene_dirs, envs):
+    for sdir in filter(Path.is_dir, (data_dir / sid for sid in scene_ids)):
+        env = load_environment(sdir / "map.pgm", sdir / "map.json")
         agents = []
         first_seen = {}  # agent_id -> "<file>:<line>" of its record
-        jsonl = sdir / "agents.jsonl"
-        for where, record in read_jsonl(jsonl, "agent record"):
+        for where, record in read_jsonl(sdir / "agents.jsonl", "agent record",
+                                        ("scene_id", "agent_id", "frames", "intents")):
             try:
                 traj = as_float_array(record["frames"], "frames", shape=(t_obs + t_pred, 2))
                 intents = [ConditionSpec(spec["frames"], spec["values"])
@@ -459,4 +460,6 @@ def read_dataset(data_dir) -> list:
             except (LookupError, ValueError, TypeError, OverflowError, RecursionError) as exc:
                 raise ValueError(f"{where}: malformed agent record: {exc}") from exc
         scenes.append(Scene(sdir.name, env, agents, t_obs, t_pred, frame_dt))
+    if not scenes:
+        raise FileNotFoundError(f"{meta_path}: none of its scene_ids is a directory in {data_dir}")
     return scenes

@@ -125,12 +125,12 @@ def check_steps(steps, n_steps: int, shape: tuple = ()) -> np.ndarray:
     return steps
 
 
-def read_jsonl(path, kind: str):
+def read_jsonl(path, kind: str, keys):
     """Yield ("<path>:<line>", record) for each non-blank line of a JSONL file.
 
-    A line that is not UTF-8, not JSON or not a JSON object raises a
-    ValueError that names its file and line; `kind` names the record in the
-    message.
+    A line that is not UTF-8, not JSON, not a JSON object or without one of
+    `keys` raises a ValueError that names its file and line; `kind` names the
+    record in the message, as in "<path>:<line>: <kind> lacks 'key'".
     """
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -144,6 +144,8 @@ def read_jsonl(path, kind: str):
                 raise ValueError(f"{where}: malformed {kind}: {exc}") from exc
             if not isinstance(record, dict):
                 raise ValueError(f"{where}: {kind} is not a JSON object")
+            if missing := [key for key in keys if key not in record]:
+                raise ValueError(f"{where}: {kind} lacks {', '.join(map(repr, missing))}")
             yield where, record
 
 

@@ -147,7 +147,7 @@ def test_corrupt_pgm_loads_or_names_the_file(dataset, binary, data):
         good = f"P2\n# a comment\n{w} {h}\n255\n{pixels}\n".encode()
     path.write_bytes(corrupt_bytes(data, good))
     try:
-        load_environment([(path, sdir / "map.json")])  # read_pgm, then the grid's own checks
+        load_environment(path, sdir / "map.json")  # read_pgm, then the grid's own checks
     except ValueError as exc:
         assert_names(exc, path)
 
@@ -163,7 +163,7 @@ def test_corrupt_map_json_loads_or_names_the_file(dataset, data):
     else:
         path.write_text(json.dumps(corrupt_json(data, json.loads(good))))
     try:
-        load_environment([(sdir / "map.pgm", path)])
+        load_environment(sdir / "map.pgm", path)
     except ValueError as exc:
         assert_names(exc, path)
 
@@ -187,7 +187,7 @@ def test_a_number_swapped_in_map_json_never_loads(dataset, data):
     path = sdir / "map.json"
     path.write_text(json.dumps(swap_number(data, json.loads(path.read_bytes()))))
     with pytest.raises(ValueError) as info:
-        load_environment([(sdir / "map.pgm", path)])
+        load_environment(sdir / "map.pgm", path)
     assert_names(info.value, path)
 
 

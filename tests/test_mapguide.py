@@ -662,7 +662,7 @@ def test_map_metadata_errors_name_the_file(tmp_path, meta, problem):
     save_environment(half_plane_env(), tmp_path / "m.pgm", tmp_path / "m.json")
     (tmp_path / "m.json").write_bytes(meta.encode("latin-1"))
     with pytest.raises(ValueError) as info:
-        load_environment([(tmp_path / "m.pgm", tmp_path / "m.json")])
+        load_environment(tmp_path / "m.pgm", tmp_path / "m.json")
     assert str(info.value).startswith(f"{tmp_path / 'm.json'}: ")
     assert problem in str(info.value)
 
@@ -672,15 +672,15 @@ def test_map_without_a_navigable_pixel_names_the_pgm(tmp_path):
     write_pgm(tmp_path / "m.pgm", np.zeros((4, 5), dtype=bool))
     with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'm.pgm'}: nav_grid has no "
                                                    "navigable pixel")):
-        load_environment([(tmp_path / "m.pgm", tmp_path / "m.json")])
+        load_environment(tmp_path / "m.pgm", tmp_path / "m.json")
 
 
 def test_environment_round_trip_and_missing_sidecar(tmp_path):
     env = half_plane_env()
     save_environment(env, tmp_path / "m.pgm", tmp_path / "m.json")
-    loaded = load_environment([(tmp_path / "m.pgm", tmp_path / "m.json")])[0]
+    loaded = load_environment(tmp_path / "m.pgm", tmp_path / "m.json")
     np.testing.assert_array_equal(loaded.nav_grid, env.nav_grid)
     np.testing.assert_array_equal(loaded.origin, env.origin)
     assert loaded.resolution == env.resolution
     with pytest.raises(FileNotFoundError, match="map metadata"):
-        load_environment([(tmp_path / "m.pgm", tmp_path / "missing.json")])
+        load_environment(tmp_path / "m.pgm", tmp_path / "missing.json")

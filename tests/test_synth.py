@@ -314,7 +314,7 @@ def copy_of(written, tmp_path):
 @pytest.mark.parametrize("edit, problem", [
     (lambda rec: rec.update(scene_id="scene_9999"),
      "scene_id 'scene_9999' is not 'scene_0000'"),
-    (lambda rec: rec.pop("scene_id"), "malformed agent record: 'scene_id'"),
+    (lambda rec: rec.pop("scene_id"), "agent record lacks 'scene_id'"),
     (lambda rec: rec.update(scene_id=0), "scene_id 0 is not 'scene_0000'"),
 ], ids=["another-scene", "no-scene_id", "not-a-string"])
 def test_a_record_must_name_its_scene_directory(written, tmp_path, edit, problem):
@@ -499,6 +499,49 @@ def test_blocked_map_in_the_middle_of_a_dataset_names_its_pgm(written, tmp_path)
     write_pgm(pgm, np.zeros((32, 32), dtype=bool))
     with pytest.raises(ValueError, match=re.escape(f"{pgm}: nav_grid has no navigable pixel")):
         read_dataset(data)
+
+
+def test_the_first_fault_in_scene_order_is_raised(written, tmp_path):
+    """Each scene is read whole, map then records, before the next one."""
+    data = copy_of(written, tmp_path)
+    jsonl = data / "scene_0000" / "agents.jsonl"
+    pgm = data / "scene_0001" / "map.pgm"
+    jsonl.write_text("[1, 2]\n")
+    write_pgm(pgm, np.zeros((32, 32), dtype=bool))
+    with pytest.raises(ValueError, match=re.escape(f"{jsonl}:1: agent record is not a JSON")):
+        read_dataset(data)
+    with_scene_ids(data, ["scene_0001", "scene_0000"])
+    with pytest.raises(ValueError, match=re.escape(f"{pgm}: nav_grid has no navigable pixel")):
+        read_dataset(data)
+
+
+def test_read_dataset_loads_each_map_through_the_name_the_benchmark_traces(
+        written, tmp_path, monkeypatch):
+    """perfbench times map loading by rebinding `synth.load_environment`; a
+    read_dataset that built its maps another way would leave that span empty."""
+    import trajdiffuse.synth as synth
+
+    calls = []
+    original = synth.load_environment
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(synth, "load_environment", counting)
+    data = copy_of(written, tmp_path)
+    with_scene_ids(data, ["scene_0001", "scene_9999", "scene_0000"])  # scene_9999 has no directory
+    scenes = read_dataset(data)
+    assert [s.scene_id for s in scenes] == ["scene_0001", "scene_0000"]
+    assert calls == [(data / sid / "map.pgm", data / sid / "map.json")
+                     for sid in ("scene_0001", "scene_0000")]
+
+
+def test_an_empty_dataset_is_refused_before_anything_is_written(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="no scene to write"):
+        write_dataset([], out)
+    assert not out.exists()
 
 
 def test_undecodable_agent_line_names_file_and_line(written, tmp_path):

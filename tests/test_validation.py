@@ -215,7 +215,7 @@ def test_map_json_numbers_refuse_strings_and_bools(written, tmp_path):
         for value in not_numbers(original):
             meta = shutil.copy(sdir / "map.json", tmp_path / "map.json")
             edit_json(meta, setter(key), value)
-            assert_refused(lambda: load_environment([(sdir / "map.pgm", meta)]), meta, key)
+            assert_refused(lambda: load_environment(sdir / "map.pgm", meta), meta, key)
 
 
 AGENT_FIELDS = {  # path in an agents.jsonl record -> the name its error gives
