@@ -26,7 +26,9 @@ import numpy as np
 
 from .diffusion import ConditionSpec, check_intents
 from .mapguide import NavEnvironment, ecfl_check, load_environment, save_environment
-from .validation import as_float_array, as_int, as_int_array, check_positive, read_jsonl
+from .validation import (
+    as_float_array, as_int, as_int_array, check_object, check_positive, read_jsonl,
+)
 
 ENV_KINDS = ("corridor", "rooms", "maze")
 MIN_COVERAGE = 0.20
@@ -423,6 +425,18 @@ def _read_meta(meta_path: Path) -> tuple:
     return t_obs, t_pred, frame_dt, scene_ids
 
 
+def _read_intents(intents) -> list:
+    """An agent record's `intents` as ConditionSpecs, each entry checked to
+    be a {"frames", "values"} object and named by its 0-based index."""
+    if not isinstance(intents, list):
+        raise ValueError("intents must be a list")
+    specs = []
+    for i, spec in enumerate(intents):
+        check_object(spec, ("frames", "values"), f"intent {i}")
+        specs.append(ConditionSpec(spec["frames"], spec["values"]))
+    return specs
+
+
 def read_dataset(data_dir) -> list:
     """Read scenes back; raises with file/line context on malformed records.
 
@@ -431,7 +445,8 @@ def read_dataset(data_dir) -> list:
     directory is skipped, and each scene (map, then agents.jsonl) is read
     before the next, so the first fault in scene order is raised. Every
     record's `scene_id` must name its directory, its frames must span the
-    split, and its intents must pass `check_intents`.
+    split, and its intents, a list of {"frames", "values"} objects, must pass
+    `check_intents`; a bad intent is named by its 0-based index.
     """
     data_dir = Path(data_dir)
     meta_path = data_dir / "dataset.json"
@@ -445,8 +460,7 @@ def read_dataset(data_dir) -> list:
                                         ("scene_id", "agent_id", "frames", "intents")):
             try:
                 traj = as_float_array(record["frames"], "frames", shape=(t_obs + t_pred, 2))
-                intents = [ConditionSpec(spec["frames"], spec["values"])
-                           for spec in record["intents"]]
+                intents = _read_intents(record["intents"])
                 if intents:
                     check_intents(intents, traj[:t_obs], t_pred)
                 agent_id = as_int(record["agent_id"], "agent_id")

@@ -142,11 +142,20 @@ def read_jsonl(path, kind: str, keys):
                 record = json.loads(line)
             except (ValueError, RecursionError) as exc:  # not UTF-8 or not JSON
                 raise ValueError(f"{where}: malformed {kind}: {exc}") from exc
-            if not isinstance(record, dict):
-                raise ValueError(f"{where}: {kind} is not a JSON object")
-            if missing := [key for key in keys if key not in record]:
-                raise ValueError(f"{where}: {kind} lacks {', '.join(map(repr, missing))}")
-            yield where, record
+            yield where, check_object(record, keys, f"{where}: {kind}")
+
+
+def check_object(record, keys, what: str) -> dict:
+    """`record`, if it is a JSON object (a dict) holding each of `keys`.
+
+    Otherwise raises a ValueError that reads "<what> is not a JSON object" or
+    "<what> lacks 'key'", several missing keys listed comma-separated.
+    """
+    if not isinstance(record, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    if missing := [key for key in keys if key not in record]:
+        raise ValueError(f"{what} lacks {', '.join(map(repr, missing))}")
+    return record
 
 
 def check_same_shape(a: np.ndarray, b: np.ndarray, name_a: str, name_b: str) -> None:

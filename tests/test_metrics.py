@@ -498,3 +498,120 @@ def test_acfl_equals_loop_oracle(seed, n_agents, k, t_obs, t_pred, threshold):
             x = rng.integers(0, 7, size=base.shape).astype(float)
         agents.append(TrajBatch(x, t_obs, t_pred))
     assert acfl(agents, threshold) == acfl_loop(agents, threshold)
+
+
+@pytest.mark.parametrize("n_bins", [True, 2.5, np.float64(3.0), "4"],
+                         ids=["bool", "float", "numpy-float", "string"])
+def test_mve_takes_n_bins_by_the_integer_rule(n_bins):
+    preds = batch(np.random.default_rng(12).normal(size=(5, T, 2)))
+    with pytest.raises(ValueError, match="n_bins must be an integer"):
+        mve(preds, n_bins=n_bins)
+    assert mve(preds, n_bins=np.int64(36)) == mve(preds, n_bins=36)
+    with pytest.raises(ValueError, match="n_bins must be >= 1"):
+        mve(preds, n_bins=0)
+
+
+# ------------------------------------------------- earlier array forms, byte for byte
+# The metrics as they were written before they worked on x and y planes: with
+# np.linalg.norm / np.sum over the length-2 coordinate axis, np.std, and ACFL
+# taking every agent against all the others. The plane forms must reproduce
+# them bit for bit, not to a tolerance.
+
+def ade_fde_norm(predictions, gt):
+    t_obs = predictions.t_obs
+    diff = predictions.samples[:, t_obs:, :] - gt[None, t_obs:, :]
+    dists = np.linalg.norm(diff, axis=2)  # (K, T_pred)
+    return float(dists.mean(axis=1).min()), float(dists[:, -1].min())
+
+
+def kde_nll_norm(predictions, gt):
+    t_obs = predictions.t_obs
+    k = predictions.n_samples
+    pts = np.ascontiguousarray(predictions.samples[:, t_obs:, :].transpose(1, 0, 2))
+    h = np.std(pts, axis=1, ddof=1, keepdims=True) * k ** (-1.0 / 6.0)
+    h = np.maximum(h, KDE_BANDWIDTH_FLOOR)  # (T_pred, 1, 2)
+    z = (gt[t_obs:, None, :] - pts) / h
+    kernels = np.exp(-0.5 * np.sum(z * z, axis=2)) / (2 * math.pi * h[..., 0] * h[..., 1])
+    density = np.maximum(kernels.mean(axis=1), KDE_DENSITY_FLOOR)  # (T_pred,)
+    return float(np.mean(-np.log(density)))
+
+
+def sample_headings_norm(predictions):
+    t_obs = predictions.t_obs
+    steps = np.diff(predictions.samples[:, t_obs:, :], axis=1)  # (K, T_pred-1, 2)
+    lengths = np.linalg.norm(steps, axis=2)
+    angles = np.arctan2(steps[..., 1], steps[..., 0])
+    valid = lengths >= HEADING_EPS
+    s = np.where(valid, np.sin(angles), 0.0).sum(axis=1).tolist()
+    c = np.where(valid, np.cos(angles), 0.0).sum(axis=1).tolist()
+    return np.array([math.atan2(sk, ck) for sk, ck in zip(s, c)])
+
+
+def nearest_norm(scene_predictions):
+    """(A, K) distance from each agent's mode to the nearest mode of any other
+    agent at any future frame, each agent taken against all the others."""
+    t_obs = scene_predictions[0].t_obs
+    futures = np.stack([b.samples[:, t_obs:, :] for b in scene_predictions])  # (A,K,Tp,2)
+    nearest = []
+    for a in range(futures.shape[0]):
+        others = np.delete(futures, a, axis=0)  # (A-1, K, Tp, 2)
+        d = np.linalg.norm(futures[a][:, None, None] - others[None], axis=-1)  # (K,A-1,K,Tp)
+        nearest.append(d.min(axis=(1, 2, 3)))
+    return np.stack(nearest)
+
+
+def acfl_norm(scene_predictions, threshold):
+    nearest = nearest_norm(scene_predictions)
+    return int(np.count_nonzero(nearest >= threshold)) / nearest.size
+
+
+@st.composite
+def scenes(draw):
+    """A = 2..8 agents of K = 1..20 modes over T_pred = 1..16 frames. Half the
+    scenes sit on an integer grid with some agents offset from a shared base
+    by 3-4-5 vectors, so pair distances equal to the threshold occur."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n_agents, k = draw(st.integers(2, 8)), draw(st.integers(1, 20))
+    t_obs, t_pred = draw(st.integers(1, 4)), draw(st.integers(1, 16))
+    rng = np.random.default_rng(seed)
+    shape = (k, t_obs + t_pred, 2)
+    if draw(st.booleans()):
+        base = rng.integers(0, 7, size=shape).astype(float)
+        offsets = [(3, 4), (4, -3), (0, 5), (-5, 0), (4, 5)]
+        samples = [base + offsets[rng.integers(len(offsets))] if rng.random() < 0.5
+                   else rng.integers(0, 7, size=shape).astype(float)
+                   for _ in range(n_agents)]
+    else:
+        scale = 10.0 ** rng.uniform(-3, 2)
+        samples = [rng.normal(size=shape) * scale for _ in range(n_agents)]
+    return [TrajBatch(x, t_obs, t_pred) for x in samples], rng
+
+
+@settings(deadline=None, max_examples=300)
+@given(scene=scenes())
+def test_metrics_equal_their_norm_forms_byte_for_byte(scene):
+    agents, rng = scene
+    nearest = nearest_norm(agents)
+    # Thresholds at a few modes' exact nearest distances and one ulp above
+    # them put a mode on each side of the >= boundary.
+    picks = rng.choice(nearest.ravel(), size=min(3, nearest.size), replace=False)
+    thresholds = [1.0, 5.0, *(d for p in picks[picks > 0]
+                              for d in (float(p), math.nextafter(float(p), math.inf)))]
+    for threshold in thresholds:
+        assert acfl(agents, threshold) == acfl_norm(agents, threshold), threshold
+    gt = rng.normal(size=(agents[0].n_frames, 2)) * 10.0 ** rng.uniform(-3, 2)
+    for b in agents:
+        assert np.array(ade_fde(b, gt)).tobytes() == np.array(ade_fde_norm(b, gt)).tobytes()
+        assert sample_headings(b).tobytes() == sample_headings_norm(b).tobytes()
+        if b.n_samples >= 2:
+            assert np.float64(kde_nll(b, gt)).tobytes() == np.float64(kde_nll_norm(b, gt)).tobytes()
+
+
+def test_acfl_equals_its_norm_form_at_every_exact_nearest_distance():
+    # Every mode's own nearest distance, and one ulp above it, as the threshold.
+    rng = np.random.default_rng(13)
+    agents = [batch(rng.normal(size=(6, T, 2)) * 2.0) for _ in range(4)]
+    for d in np.unique(nearest_norm(agents)).tolist():
+        for threshold in (d, math.nextafter(d, math.inf)):
+            assert acfl(agents, threshold) == acfl_norm(agents, threshold), threshold
+    assert type(acfl(agents, 1.0)) is float

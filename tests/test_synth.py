@@ -418,6 +418,16 @@ def test_listed_scenes_without_a_directory_are_skipped(written, tmp_path):
                  id="intent-history-differs"),
     pytest.param(lambda r: [r["intents"][1][key].pop(T_OBS) for key in ("frames", "values")],
                  "intents do not share one clamp-frame layout", id="two-layouts"),
+    pytest.param(lambda r: r["intents"][2].pop("values"), "intent 2 lacks 'values'",
+                 id="intent-without-values"),
+    pytest.param(lambda r: r["intents"].__setitem__(0, {}), "intent 0 lacks 'frames', 'values'",
+                 id="intent-without-keys"),
+    pytest.param(lambda r: r["intents"].__setitem__(2, r["intents"][2]["frames"]),
+                 "intent 2 is not a JSON object", id="intent-a-list"),
+    pytest.param(lambda r: r.update(intents=r["intents"][0]), "intents must be a list",
+                 id="intents-an-object"),
+    pytest.param(lambda r: r.update(intents="0"), "intents must be a list",
+                 id="intents-a-string"),
 ])
 def test_agent_frames_must_span_the_split(written, tmp_path, edit, problem):
     data = copy_of(written, tmp_path)
