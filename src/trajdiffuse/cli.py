@@ -4,8 +4,8 @@ and SVG rendering.
 Every run is deterministic given its flags and seed, writes a JSON config
 echo next to its outputs, and uses exit codes 0 (success), 1 (runtime
 failure), 2 (usage error). A flag value of the wrong type or outside its
-range, such as `--epochs 0`, is a usage error that argparse reports before
-any file is read or written. TRAJDIFFUSE_LOG sets the default log level.
+range, such as `--epochs 0` or `--log-level bogus`, is a usage error that
+argparse reports before any file is read or written.
 
 `eval` and `render` read a predictions file through one loader, which checks
 every record against the dataset (trajectories through `TrajBatch`) and names
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -364,10 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="trajdiffuse",
         description="Map-guided conditional diffusion for trajectory prediction",
     )
-    parser.add_argument(
-        "--log-level", default=os.environ.get("TRAJDIFFUSE_LOG", "WARNING"),
-        help="logging level (or set TRAJDIFFUSE_LOG)",
-    )
+    parser.add_argument("--log-level", type=str.upper, default="WARNING", help="logging level",
+                        choices=("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset")
@@ -441,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=getattr(logging, str(args.log_level).upper(), logging.WARNING))
+    logging.basicConfig(level=args.log_level)
     try:
         return args.func(args)
     except Exception as exc:  # runtime failure: report and exit 1

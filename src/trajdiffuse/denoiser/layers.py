@@ -93,7 +93,10 @@ def _affine(xhat, gamma, beta):
     return gamma[None, :, None] * xhat + beta[None, :, None]
 
 
-def groupnorm_forward(x, gamma, beta, groups, eps=1e-5):
+GN_EPS = 1e-5  # added to each group's variance before the square root
+
+
+def groupnorm_forward(x, gamma, beta, groups):
     """Group normalization over (B, C, L); groups must divide C."""
     bsz, c, length = x.shape
     xg = x.reshape(bsz, groups, -1)
@@ -101,7 +104,7 @@ def groupnorm_forward(x, gamma, beta, groups, eps=1e-5):
     d = xg - mu
     # the operation sequence of xg.var, reusing d instead of a second mean
     var = np.square(d).sum(axis=2, keepdims=True) / xg.shape[2]
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + GN_EPS)
     d *= inv
     xhat = d.reshape(bsz, c, length)
     return _affine(xhat, gamma, beta), (xhat, inv, gamma, groups)
@@ -168,16 +171,6 @@ def linear_forward(x, w, b):
 def linear_backward(dy, w, cache):
     x = cache
     return dy @ w.T, x.T @ dy, dy.sum(axis=0)
-
-
-# --------------------------------------------------------- nearest upsample
-
-def upsample2_forward(x):
-    return np.repeat(x, 2, axis=2), x.shape
-
-
-def upsample2_backward(dy, cache):
-    return dy[:, :, 0::2] + dy[:, :, 1::2]
 
 
 # ------------------------------------------------------ channel attention

@@ -33,8 +33,6 @@ from .layers import (
     mish_backward,
     mish_forward,
     sinusoidal_embedding,
-    upsample2_backward,
-    upsample2_forward,
 )
 from ..validation import as_int, as_int_array, check_positive, check_steps
 
@@ -272,7 +270,7 @@ def _level_forward(run, p, desc, lvl, h, emb):
         inner = _level_forward(
             run, p, desc, lvl + 1,
             run(conv1d_forward, h, p[f"down.{lvl}.w"], p[f"down.{lvl}.b"], stride=2), emb)
-        h = np.concatenate([run(conv1d_forward, run(upsample2_forward, inner),
+        h = np.concatenate([run(conv1d_forward, np.repeat(inner, 2, axis=2),
                                 p[f"up.{lvl}.w"], p[f"up.{lvl}.b"]), h], axis=1)
     for blk in (0, 1):
         h = run(_res_forward, p, f"dec.{lvl}.{blk}", h, emb, desc)
@@ -288,10 +286,10 @@ def _level_backward(p, desc, lvl, dh, tape, grads, d_emb):
         dh = attention_backward(dh, p, "attn", tape.pop(), grads)
     else:
         d_up, d_skip = np.split(dh, [desc.widths[lvl]], axis=1)
-        dh, d_emb = _level_backward(
-            p, desc, lvl + 1,
-            upsample2_backward(_conv_back(p, f"up.{lvl}", d_up, tape.pop(), grads), tape.pop()),
-            tape, grads, d_emb)
+        d_up = _conv_back(p, f"up.{lvl}", d_up, tape.pop(), grads)
+        # the upsample's backward before the call, so this frame holds only the half-length sum
+        d_up = d_up[:, :, 0::2] + d_up[:, :, 1::2]
+        dh, d_emb = _level_backward(p, desc, lvl + 1, d_up, tape, grads, d_emb)
         dh = _conv_back(p, f"down.{lvl}", dh, tape.pop(), grads) + d_skip
     for blk in (1, 0):
         dh, d_emb = _res_backward(p, f"enc.{lvl}.{blk}", dh, tape.pop(), grads, d_emb)

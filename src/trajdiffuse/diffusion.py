@@ -82,11 +82,13 @@ class ConditionSpec:
 
 def check_intents(intents: list, history: np.ndarray, t_pred: int) -> tuple:
     """The one definition of a valid clamp set, for an agent's K intents, its
-    (t_obs, 2) `history` and the horizon t_pred: one layout of sorted, distinct
-    frames in 0..T-1 holding every observed frame and the goal T-1, values
-    aligned with it and finite, and the history clamped exactly. Each distinct
-    layout is checked once, so a valid agent's rules run once. Returns the
-    layout and the (K, n, 2) values."""
+    (t_obs, 2) `history` and the horizon t_pred: at least one intent, one
+    layout of sorted, distinct frames in 0..T-1 holding every observed frame
+    and the goal T-1, values aligned with it and finite, and the history
+    clamped exactly. Each distinct layout is checked once, so a valid agent's
+    rules run once. Returns the layout and the (K, n, 2) values."""
+    if not intents:
+        raise ValueError("request carries no intents")
     t_obs = len(history)
     t_total = t_obs + t_pred
     layouts = {(spec.frames.shape, spec.frames.tobytes()): spec.frames for spec in intents}
@@ -167,6 +169,11 @@ def reverse_step(x_i: np.ndarray, x0_pred: np.ndarray, i: int, schedule: NoiseSc
     return mean if sigma == 0.0 else mean + sigma * noise
 
 
+# The first step each loss weighting trains on: the paper weight divides by
+# sigma_q^2(1) = 0 (Ho et al. 2020, "Denoising Diffusion Probabilistic Models").
+FIRST_STEP = {"simple": 1, "paper": 2}
+
+
 def loss_and_grad(pred: np.ndarray, target: np.ndarray, t_obs: int, i_steps: np.ndarray,
                   schedule: NoiseSchedule, weighting: str = "simple") -> tuple[float, np.ndarray]:
     """Batched loss with per-sample step indices, plus d(loss)/d(pred).
@@ -182,15 +189,15 @@ def loss_and_grad(pred: np.ndarray, target: np.ndarray, t_obs: int, i_steps: np.
         raise ValueError(f"t_obs {t_obs} out of range 0..{t_total - 1}")
     i_steps = check_steps(i_steps, schedule.n_steps, shape=(k,))
     n_future_elems = (t_total - t_obs) * 2
+    if weighting not in FIRST_STEP:
+        raise ValueError(f"unknown weighting {weighting!r}")
+    if np.any(i_steps < FIRST_STEP[weighting]):
+        raise ValueError(f"{weighting} weighting requires i >= {FIRST_STEP[weighting]}")
     if weighting == "simple":
         w = np.ones(k)
-    elif weighting == "paper":
-        if np.any(i_steps < 2):
-            raise ValueError("paper weighting requires i >= 2")
+    else:
         idx = i_steps - 1
         w = schedule.loss_weights[idx] / (2.0 * schedule.posterior_vars[idx])
-    else:
-        raise ValueError(f"unknown weighting {weighting!r}")
     diff = pred[:, t_obs:, :] - target[:, t_obs:, :]
     per_sample = np.mean(diff * diff, axis=(1, 2))
     loss = float(np.mean(w * per_sample))

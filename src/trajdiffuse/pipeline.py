@@ -24,6 +24,7 @@ from typing import ClassVar
 import numpy as np
 
 from .diffusion import (
+    FIRST_STEP,
     TrajBatch,
     check_intents,
     clamp_frames_batch,
@@ -69,8 +70,6 @@ def predict(params: DenoiserParams, observed, intents: list,
     if not params.all_finite():
         raise ValueError("model parameters contain non-finite values (untrained or corrupt)")
     observed = as_float_array(observed, "observed", shape=(desc.t_obs, 2))
-    if not intents:
-        raise ValueError("request carries no intents")
     frames, values_world = check_intents(intents, observed, desc.t_pred)
     seed = as_int(seed, "seed")
     if seed < 0:
@@ -183,6 +182,11 @@ def train(scenes: list, config: TrainConfig,
     for name, minimum in (("n_epochs", 1), ("batch_size", 1), ("seed", 0)):
         if as_int(getattr(config, name), name) < minimum:
             raise ValueError(f"{name} must be at least {minimum}, got {getattr(config, name)}")
+    first = FIRST_STEP.get(config.weighting)
+    if first is None or as_int(config.n_steps, "n_steps") < first:
+        raise ValueError(
+            f"weighting {config.weighting!r} with n_steps {config.n_steps}: n_steps must "
+            f"reach the weighting's first step, one of {FIRST_STEP}")
     if not scenes:
         raise ValueError("training dataset is empty")
     x0_all, frames, t_obs, t_pred = _collect_training_arrays(scenes, config.coord_scale)
@@ -201,7 +205,6 @@ def train(scenes: list, config: TrainConfig,
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 555]))
 
     n = x0_all.shape[0]
-    i_lo = 2 if config.weighting == "paper" else 1
     log = []
     for epoch in range(config.n_epochs):
         order = rng.permutation(n)
@@ -211,7 +214,7 @@ def train(scenes: list, config: TrainConfig,
             idx = order[lo:lo + config.batch_size]
             x0 = x0_all[idx]
             bsz = x0.shape[0]
-            i_steps = rng.integers(i_lo, config.n_steps + 1, size=bsz)
+            i_steps = rng.integers(first, config.n_steps + 1, size=bsz)
             eps = rng.standard_normal(x0.shape)
             x_i = forward_noise(x0, i_steps, eps, schedule)
             x_i = clamp_frames_batch(x_i, frames, x0[:, frames, :])  # clean values, as at inference

@@ -16,20 +16,42 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
-def test_a_runtime_failure_is_reported_once(tmp_path):
-    # in a subprocess: in-process, logging.basicConfig binds the stream of
-    # the first test that calls main, and keeps it
+def run_in_subprocess(*argv):
+    """`python -m trajdiffuse *argv` in a subprocess: in-process,
+    logging.basicConfig binds the stream and level of the first test that
+    calls main, and keeps them."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "trajdiffuse", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_a_runtime_failure_is_reported_once(tmp_path):
     out = tmp_path / "out"
-    proc = subprocess.run(
-        [sys.executable, "-m", "trajdiffuse", "train", "--data", tmp_path / "missing",
-         "--out", out], capture_output=True, text=True, env=env, timeout=60)
+    proc = run_in_subprocess("train", "--data", tmp_path / "missing", "--out", out)
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [
         f"error: [Errno 2] No such file or directory: '{tmp_path / 'missing' / 'dataset.json'}'"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("level", ["bogus", "basic_format"])
+def test_an_unknown_log_level_is_a_usage_error(tmp_path, capsys, level):
+    out = tmp_path / "out"
+    _assert_usage_error(["--log-level", level, "gen-data", "--out", out],
+                        f"argument --log-level: invalid choice: {level.upper()!r}", capsys)
+    assert not out.exists()
+
+
+def test_log_level_info_logs_at_info(tmp_path):
+    out = tmp_path / "out"
+    proc = run_in_subprocess("--log-level", "info", "gen-data", "--out", out, "--n-scenes", 1,
+                             "--agents-per-scene", 1, "--k-intents", 2)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"INFO:trajdiffuse:wrote 1 scenes, 1 agent records to {out}"]
+    assert json.loads((out / "gen-data.config.json").read_text())["log_level"] == "INFO"
 
 
 GEN_FLAGS = [
@@ -116,6 +138,15 @@ def test_train_resume_rejects_mismatched_checkpoint(workspace, tmp_path, capsys)
     )
     assert code == 1
     assert "does not match" in capsys.readouterr().err
+
+
+def test_train_paper_weighting_needs_two_steps(workspace, tmp_path, capsys):
+    _, data, _, _ = workspace
+    out = tmp_path / "out"
+    _assert_rejected(["train", "--data", data, "--out", out, "--epochs", 1, "--widths", 4,
+                      "--weighting", "paper", "--steps", 1],
+                     "weighting 'paper' with n_steps 1: n_steps must reach", capsys)
+    assert not out.exists()
 
 
 def test_train_resume_accepts_matching_checkpoint(workspace, tmp_path):

@@ -246,6 +246,11 @@ def test_check_intents_compares_the_k_intents():
         check_intents([good, late], history, T_PRED)
 
 
+def test_check_intents_needs_at_least_one_intent():
+    with pytest.raises(ValueError, match="request carries no intents"):
+        check_intents([], np.zeros((T_OBS, 2)), T_PRED)
+
+
 def test_condition_spec_holds_two_arrays_and_checks_no_layout():
     assert [f.name for f in dataclasses.fields(ConditionSpec)] == ["frames", "values"]
     spec = ConditionSpec([5, 3], [[1.0, 2.0, 3.0]])  # typed and frozen, not a valid layout
@@ -388,7 +393,7 @@ def test_paper_loss_rejects_first_step():
     rng = np.random.default_rng(18)
     sched = build_cosine_schedule(20)
     x = make_batch(rng)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("paper weighting requires i >= 2")):
         batch_loss(x, x, 1, sched, "paper")
 
 
@@ -430,6 +435,7 @@ LOSS_INPUT_ERRORS = {
     "steps-length": ({"i_steps": np.array([1, 2])}, ValueError, r"expected \(4,\)"),
     "steps-float": ({"i_steps": np.array([1.0, 2.0, 3.0, 4.0])}, ValueError,
                     "steps must be integers, got dtype float64"),
+    "weighting-unknown": ({"weighting": "mse"}, ValueError, "unknown weighting 'mse'"),
 }
 
 

@@ -19,8 +19,6 @@ from trajdiffuse.denoiser.layers import (
     mish_backward,
     mish_forward,
     sinusoidal_embedding,
-    upsample2_backward,
-    upsample2_forward,
 )
 
 
@@ -176,17 +174,6 @@ def test_linear_gradients():
     assert_close(dx, fd_grad(loss, x))
     assert_close(dw, fd_grad(loss, w))
     assert_close(db, fd_grad(loss, b))
-
-
-def test_upsample_roundtrip_and_gradient():
-    rng = np.random.default_rng(6)
-    x = rng.normal(size=(2, 3, 5))
-    y, cache = upsample2_forward(x)
-    assert y.shape == (2, 3, 10)
-    np.testing.assert_array_equal(y[:, :, 0::2], x)
-    np.testing.assert_array_equal(y[:, :, 1::2], x)
-    up = rng.normal(size=(2, 3, 10))
-    np.testing.assert_array_equal(upsample2_backward(up, cache), up[:, :, 0::2] + up[:, :, 1::2])
 
 
 def _attention_params(rng, width):

@@ -142,6 +142,12 @@ def test_predict_validation_errors(fitted):
         predict(nan_params, **make_request(scenes))
 
 
+def test_predict_needs_at_least_one_intent(fitted):
+    scenes, params = fitted
+    with pytest.raises(ValueError, match="request carries no intents"):
+        predict(params, **{**make_request(scenes), "intents": []})
+
+
 @pytest.mark.parametrize("seed, error", [
     (2.7, "seed must be an integer, got 2.7"),
     (True, "seed must be an integer, got True"),
@@ -370,6 +376,23 @@ def test_paper_weighting_trains():
     assert np.isfinite(log[0]["mean_loss"])
 
 
+def test_paper_weighting_trains_from_its_first_step():
+    # with n_steps 2, every step drawn is 2, the paper weighting's first
+    scenes = tiny_scenes()
+    cfg = TrainConfig(**{**TINY_TRAIN, "weighting": "paper", "n_steps": 2, "n_epochs": 1})
+    _, log = train(scenes, cfg)
+    assert np.isfinite(log[0]["mean_loss"])
+
+
+@pytest.mark.parametrize("weighting, n_steps", [("paper", 1), ("mse", 5)])
+def test_a_weighting_without_a_step_to_train_on_fails_at_the_door(weighting, n_steps):
+    # checked before the dataset: an empty one would fail otherwise
+    message = f"weighting {weighting!r} with n_steps {n_steps}: n_steps must reach"
+    cfg = TrainConfig(**{**TINY_TRAIN, "weighting": weighting, "n_steps": n_steps})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        train([], cfg)
+
+
 def test_agents_without_intents_train_under_the_dataset_layout():
     # the intents clamp one waypoint; an agent without intents must not
     # bring a layout of its own
@@ -390,6 +413,87 @@ def test_dataset_without_intents_is_rejected():
 def test_empty_dataset_rejected():
     with pytest.raises(ValueError):
         train([], TrainConfig(**TINY_TRAIN))
+
+
+def test_dataset_without_agents_is_rejected():
+    scenes = tiny_scenes()
+    for scene in scenes:
+        scene.agents = []
+    with pytest.raises(ValueError, match="dataset contains no agents"):
+        train(scenes, TrainConfig(**TINY_TRAIN))
+
+
+def test_scenes_with_different_frame_splits_are_rejected():
+    scenes = tiny_scenes()
+    scenes[1].t_obs, scenes[1].t_pred = T_OBS + 1, T_PRED - 1
+    with pytest.raises(ValueError, match="all scenes must share the same frame split"):
+        train(scenes, TrainConfig(**TINY_TRAIN))
+
+
+def test_agents_with_different_clamp_layouts_are_rejected():
+    scenes = tiny_scenes()
+    agent = scenes[1].agents[2]
+    frames = list(range(T_OBS)) + [T_OBS + 2, T - 1]  # a valid layout, not the dataset's
+    agent.intents = [ConditionSpec(frames, agent.trajectory[frames])]
+    with pytest.raises(ValueError, match="agents disagree on the clamp-frame layout"):
+        train(scenes, TrainConfig(**TINY_TRAIN))
+
+
+SKIP_CFG = {**TINY_TRAIN, "batch_size": 4}  # 8 trajectories: two steps per epoch
+
+
+def test_a_step_with_a_non_finite_gradient_is_skipped_and_counted(monkeypatch):
+    import trajdiffuse.pipeline as pipeline
+
+    bad_step = 2  # the first step of epoch 1
+    steps = {"backward": 0}
+    real_backward, real_adam = pipeline.backward_from_cache, pipeline.adam_update
+
+    def backward(params, cache, upstream):
+        grads, dx = real_backward(params, cache, upstream)
+        if steps["backward"] == bad_step:
+            grads["out.b"][0] = np.nan
+        steps["backward"] += 1
+        return grads, dx
+
+    around = []  # per Adam call: (tensors, step counter) just before and just after
+
+    def adam(tensors, grads, state, lr):
+        before = ({k: v.copy() for k, v in tensors.items()}, state.step)
+        try:
+            return real_adam(tensors, grads, state, lr)
+        finally:
+            around.append((before, ({k: v.copy() for k, v in tensors.items()}, state.step)))
+
+    monkeypatch.setattr(pipeline, "backward_from_cache", backward)
+    monkeypatch.setattr(pipeline, "adam_update", adam)
+    _, log = train(tiny_scenes(), TrainConfig(**SKIP_CFG))
+    assert [entry["skipped_steps"] for entry in log] == [0, 1, 0]
+    assert all(np.isfinite(entry["mean_loss"]) for entry in log)
+    assert len(around) == 6
+    for call, ((tensors, step), (tensors_after, step_after)) in enumerate(around):
+        unchanged = all(np.array_equal(tensors[k], tensors_after[k]) for k in tensors)
+        assert unchanged == (call == bad_step)
+        assert step_after == step + (call != bad_step)
+
+
+def test_a_non_finite_loss_aborts_naming_epoch_lr_and_weighting(monkeypatch):
+    import trajdiffuse.pipeline as pipeline
+
+    calls = []
+    real = pipeline.loss_and_grad
+
+    def loss_and_grad(*args):
+        loss, grad = real(*args)
+        calls.append(loss)
+        return (np.nan if len(calls) == 3 else loss), grad  # the first step of epoch 1
+
+    monkeypatch.setattr(pipeline, "loss_and_grad", loss_and_grad)
+    cfg = TrainConfig(**{**SKIP_CFG, "lr": 2e-3, "weighting": "paper"})
+    message = "non-finite training loss at epoch 1 (lr=0.002, weighting=paper); aborting"
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        train(tiny_scenes(), cfg)
+    assert len(calls) == 3
 
 
 def test_resume_with_mismatched_architecture_rejected(fitted):
