@@ -253,9 +253,6 @@ def sinusoidal_embedding(i, dim):
     """Sinusoidal encoding of integer step indices; i scalar or (B,)."""
     idx = np.atleast_1d(np.asarray(i, dtype=np.float64))
     half = dim // 2
-    if half > 1:
-        freqs = np.exp(-math.log(10000.0) * np.arange(half) / (half - 1))
-    else:
-        freqs = np.ones(1)
+    freqs = np.exp(-math.log(10000.0) * np.arange(half) / max(half - 1, 1))
     args = idx[:, None] * freqs[None, :]
     return np.concatenate([np.sin(args), np.cos(args)], axis=1)

@@ -286,10 +286,12 @@ def _level_backward(p, desc, lvl, dh, tape, grads, d_emb):
         dh = attention_backward(dh, p, "attn", tape.pop(), grads)
     else:
         d_up, d_skip = np.split(dh, [desc.widths[lvl]], axis=1)
-        d_up = _conv_back(p, f"up.{lvl}", d_up, tape.pop(), grads)
-        # the upsample's backward before the call, so this frame holds only the half-length sum
-        d_up = d_up[:, :, 0::2] + d_up[:, :, 1::2]
-        dh, d_emb = _level_backward(p, desc, lvl + 1, d_up, tape, grads, d_emb)
+        # the upsample's backward: one add per pair of frames, as x[:, :, 0::2] + x[:, :, 1::2]
+        # (a sum over the pair axis turns -0.0 + -0.0 into 0.0); passed with no name, so no
+        # frame holds it while the levels below run
+        dh, d_emb = _level_backward(p, desc, lvl + 1, np.add(*np.moveaxis(
+            _conv_back(p, f"up.{lvl}", d_up, tape.pop(), grads).reshape(
+                len(d_up), desc.widths[lvl + 1], -1, 2), 3, 0)), tape, grads, d_emb)
         dh = _conv_back(p, f"down.{lvl}", dh, tape.pop(), grads) + d_skip
     for blk in (1, 0):
         dh, d_emb = _res_backward(p, f"enc.{lvl}.{blk}", dh, tape.pop(), grads, d_emb)

@@ -164,23 +164,12 @@ class NavEnvironment:
         px, py = self._pixel_floats(pos)
         return _round_half_away_int(py), _round_half_away_int(px)
 
-    def in_bounds(self, row: int, col: int) -> bool:
-        h, w = self.nav_grid.shape
-        return 0 <= row < h and 0 <= col < w
-
     def is_navigable_point(self, pos) -> bool:
+        """Whether one (x, y) point's nearest pixel is on the map and navigable:
+        the point rule of `ecfl_check`, a float at a time."""
         row, col = self.nearest_pixel(pos)
-        return self.in_bounds(row, col) and self.nav_grid.item(row, col)
-
-    def navigable_mask_for(self, positions: np.ndarray) -> np.ndarray:
-        """Vectorized nearest-pixel navigability; out of bounds counts as blocked."""
-        positions = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
-        cols, rows = _round_half_away(self.world_to_pixel(positions)).astype(np.intp).T
         h, w = self.nav_grid.shape
-        ok = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
-        out = np.zeros(positions.shape[0], dtype=bool)
-        out[ok] = self.nav_grid[rows[ok], cols[ok]]
-        return out
+        return 0 <= row < h and 0 <= col < w and self.nav_grid.item(row, col)
 
 
 def sample_gradient(env: NavEnvironment, pos) -> np.ndarray:
@@ -254,13 +243,19 @@ def guidance_delta(env: NavEnvironment, traj: np.ndarray, t_obs: int,
 
 def ecfl_check(env: NavEnvironment, trajs, t_obs: int = 0) -> np.ndarray:
     """One flag per trajectory of a (..., T, 2) array: True iff every frame
-    from t_obs on maps to a navigable pixel. A (T, 2) trajectory gives a 0-d
-    bool."""
+    from t_obs on has its nearest pixel on the map and navigable (off the map
+    counts as blocked). A (T, 2) trajectory gives a 0-d bool."""
     trajs = as_float_array(trajs, "trajectories")
     if trajs.ndim < 2 or trajs.shape[-1] != 2 or trajs.shape[-2] < 1:
         raise ValueError(f"trajectories must have shape (..., T >= 1, 2), got {trajs.shape}")
     future = trajs[..., _check_t_obs(t_obs, trajs.shape[-2]):, :]
-    return env.navigable_mask_for(future).reshape(future.shape[:-1]).all(axis=-1)
+    pixel = _round_half_away(env.world_to_pixel(future)).astype(np.intp)
+    cols, rows = pixel[..., 0], pixel[..., 1]
+    h, w = env.shape
+    ok = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
+    navigable = np.zeros(ok.shape, dtype=bool)
+    navigable[ok] = env.nav_grid[rows[ok], cols[ok]]
+    return navigable.all(axis=-1)
 
 
 # ------------------------------------------------------------------ map files

@@ -397,6 +397,21 @@ def test_save_rejects_a_schedule_the_loader_would_not_rebuild(tmp_path):
     assert not (tmp_path / "x.ckpt").exists()
 
 
+def test_a_missing_descriptor_record_is_reported_with_path(tmp_path):
+    params = init_params(DESC, seed=0)
+    path = tmp_path / "bad.ckpt"
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<I", VERSION))
+        _write_section(fh, sorted(params.tensors.items()))
+        _write_section(fh, [("widths", np.asarray(DESC.widths, float))]
+                       + [(name, np.asarray(float(getattr(DESC, name))))
+                          for name in ("kernel_len", "gn_groups", "emb_dim", "in_channels",
+                                       "t_obs", "n_steps", "coord_scale")])  # no t_pred
+    with pytest.raises(DescriptorMismatchError,
+                       match=re.escape(f"{path}: descriptor field missing: 't_pred'")):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("section, record, problem", [
     (0, "out.w", "record 'out.w' repeats in its section"),  # a dict would keep the last copy
     (1, "n_steps", "record 'n_steps' repeats in its section"),

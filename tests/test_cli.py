@@ -490,6 +490,9 @@ def test_count_flags_below_one_are_rejected_before_reading(tmp_path, capsys, com
     ("train", "--coord-scale", "0", "--coord-scale must be positive and finite, got 0.0"),
     ("train", "--coord-scale", "inf", "--coord-scale must be positive and finite, got inf"),
     ("train", "--widths", "0,16", "--widths must be >= 1, got 0"),
+    ("train", "--widths", "a,b", "--widths must be ints like 32,64,128"),
+    ("gen-data", "--size", "8by8", "--size must look like 32x32, got '8by8'"),
+    ("gen-data", "--kind", ",", "--kind must name at least one environment kind"),
 ])
 def test_settings_out_of_range_are_rejected_before_reading(tmp_path, capsys, command, flag,
                                                            value, message):

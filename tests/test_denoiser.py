@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -150,6 +151,9 @@ def test_input_validation():
     for t_len in (18, 24):  # 18 is not divisible by the downsampling factor, 24 is
         with pytest.raises(ValueError, match="does not match the descriptor"):
             forward_with_cache(params, rng.normal(size=(1, t_len, 2)), 3)
+    with pytest.raises(ValueError, match=re.escape("input must have shape (B, T, 2), got "
+                                                   "(1, 20, 3)")):
+        forward_with_cache(params, rng.normal(size=(1, 20, 3)), 3)
     with pytest.raises(IndexError):
         forward_with_cache(params, rng.normal(size=(1, 20, 2)), 0)
     with pytest.raises(IndexError):

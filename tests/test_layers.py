@@ -248,12 +248,13 @@ def test_attention_gradients():
 
 
 def test_sinusoidal_embedding_distinctness():
-    e = sinusoidal_embedding(np.arange(1, 26), 32)
-    assert e.shape == (25, 32)
-    np.testing.assert_array_equal(sinusoidal_embedding(7, 32), sinusoidal_embedding(7, 32))
-    for i in range(25):
-        for j in range(i + 1, 25):
-            assert np.abs(e[i] - e[j]).max() > 1e-6
+    for dim in (32, 2):  # 2: one frequency, exp(-0.0) = 1
+        e = sinusoidal_embedding(np.arange(1, 26), dim)
+        assert e.shape == (25, dim)
+        np.testing.assert_array_equal(sinusoidal_embedding(7, dim), sinusoidal_embedding(7, dim))
+        for i in range(25):
+            for j in range(i + 1, 25):
+                assert np.abs(e[i] - e[j]).max() > 1e-6
 
 
 # ---------------------------------------------- oracles: the einsum / logaddexp forms

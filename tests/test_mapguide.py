@@ -216,7 +216,7 @@ def test_pixel_world_transforms_take_arrays_of_points():
 
 def array_nearest_pixel(env, pos):
     """nearest_pixel in (2,)-array arithmetic: the array rule of
-    navigable_mask_for, and the reference for the float-at-a-time one."""
+    ecfl_check, and the reference for the float-at-a-time one."""
     v = env.world_to_pixel(pos)
     px, py = np.copysign(np.floor(np.abs(v) + 0.5), v)
     return int(py), int(px)
@@ -280,7 +280,7 @@ def lattice_points(env):
 @pytest.mark.parametrize("env", LATTICE_ENVS, ids=["exact", "inexact", "at-origin"])
 def test_point_rule_equals_the_array_rule_on_a_dense_lattice(env):
     points = lattice_points(env)
-    mask = env.navigable_mask_for(points)
+    mask = ecfl_check(env, points[:, None, :])  # each point a one-frame trajectory
     assert mask.any() and not mask.all()
     for pos, navigable in zip(points, mask):
         row, col = env.nearest_pixel(pos)
@@ -294,7 +294,7 @@ def test_point_rule_equals_the_array_rule_on_a_dense_lattice(env):
 def test_point_rule_equals_the_array_rule_anywhere_near_the_map(x, y):
     for env in LATTICE_ENVS:
         assert env.nearest_pixel([x, y]) == array_nearest_pixel(env, [x, y])
-        assert env.is_navigable_point([x, y]) is bool(env.navigable_mask_for([[x, y]])[0])
+        assert env.is_navigable_point([x, y]) is bool(ecfl_check(env, [[x, y]]))
 
 
 def bits(a) -> bytes:
@@ -529,7 +529,8 @@ def test_monotone_improvement_on_half_plane():
 
     def dist_at(pos):
         row, col = env.nearest_pixel(pos)
-        if not env.in_bounds(row, col):
+        h, w = env.shape
+        if not (0 <= row < h and 0 <= col < w):
             return np.inf
         return env.dist_field[row, col]
 
@@ -622,7 +623,9 @@ def test_pgm_rejects_other_values(tmp_path):
     (b"P5\n-4 -4\n255\n" + b"\xff" * 16, "dimensions must be positive, got -4x-4"),
     (b"P5\n2 4\n255\n" + b"\xff" * 16, "expected 8 pixels, got 16"),
     (b"P5\n2 4\n255\n" + b"\xff" * 7, "expected 8 pixels, got 7"),
-], ids=["header-token", "p2-pixel", "negative-size", "p5-extra-bytes", "p5-short"])
+    (b"P5\n2 4\n15\n" + b"\x0f" * 8, "expected maxval 255, got 15"),
+], ids=["header-token", "p2-pixel", "negative-size", "p5-extra-bytes", "p5-short",
+        "maxval-15"])
 def test_pgm_format_errors_name_the_file(tmp_path, content, problem):
     path = tmp_path / "map.pgm"
     path.write_bytes(content)

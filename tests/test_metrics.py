@@ -48,8 +48,7 @@ def ecfl_loop(predictions, env):
     t_obs = predictions.t_obs
     free = []
     for k in range(predictions.n_samples):
-        mask = env.navigable_mask_for(predictions.samples[k, t_obs:, :])
-        free.append(mask.all())
+        free.append(all(env.is_navigable_point(p) for p in predictions.samples[k, t_obs:, :]))
     return float(np.mean(free))
 
 

@@ -83,6 +83,17 @@ def test_descriptor_counts_are_integers(field, value):
         ArchDescriptor(**{field: value})
 
 
+@pytest.mark.parametrize("fields, error", [
+    ({"widths": (0, 8)}, "widths must be a non-empty tuple of positive ints"),
+    ({"emb_dim": 7}, "emb_dim must be a positive even integer"),
+    ({"widths": (4, 8, 16), "t_obs": 8, "t_pred": 10},
+     "trajectory length 18 not divisible by the total downsampling factor 4"),
+], ids=["zero-width", "odd-emb_dim", "indivisible-length"])
+def test_descriptor_refuses_integers_out_of_range(fields, error):
+    with pytest.raises(ValueError, match=re.escape(error)):
+        ArchDescriptor(**fields)
+
+
 def test_descriptor_keeps_valid_integers_as_python_ints():
     desc = ArchDescriptor(widths=np.array([16, 32, 64], dtype=np.int32), n_steps=np.int64(25))
     assert desc == ArchDescriptor(widths=(16, 32, 64))
@@ -126,6 +137,12 @@ def test_valid_numbers_and_integers_keep_their_values():
     assert as_numbers(ints, "x").tolist() == [0.0, 1.0, 2.0, 3.0]
     floats = np.ones(3)
     assert as_float_array(floats, "x") is floats  # an ndarray is only judged by its dtype
+
+
+def test_a_float_array_checked_against_a_shape_is_non_empty():
+    assert as_float_array([], "x").shape == (0,)
+    with pytest.raises(ValueError, match=re.escape("x must be non-empty, got shape (0,)")):
+        as_float_array([], "x", shape=(None,))
 
 
 # ------------------------------------------------------------- file fields
@@ -272,11 +289,14 @@ def test_prediction_numbers_refuse_strings_and_bools(written, tmp_path):
 TINY_ARCH = dict(widths=(4,), kernel_len=3, gn_groups=2, emb_dim=8, n_steps=5)
 
 
-@pytest.mark.parametrize("t_obs, t_pred, name", [
-    (True, 19, "t_obs"), (8.0, 12, "t_obs"), (8, np.float64(12.0), "t_pred"), ("8", 12, "t_obs"),
-], ids=["bool", "float", "numpy-float", "string"])
-def test_a_trajectory_batch_split_is_integers(t_obs, t_pred, name):
-    with pytest.raises(ValueError, match=f"{name} must be an integer, got "):
+@pytest.mark.parametrize("t_obs, t_pred, error", [
+    (True, 19, "t_obs must be an integer, got "), (8.0, 12, "t_obs must be an integer, got "),
+    (8, np.float64(12.0), "t_pred must be an integer, got "),
+    ("8", 12, "t_obs must be an integer, got "),
+    (0, 20, "t_obs and t_pred must each be >= 1"), (20, 0, "t_obs and t_pred must each be >= 1"),
+], ids=["bool", "float", "numpy-float", "string", "zero-t_obs", "zero-t_pred"])
+def test_a_trajectory_batch_split_is_integers(t_obs, t_pred, error):
+    with pytest.raises(ValueError, match=re.escape(error)):
         TrajBatch(np.zeros((2, 20, 2)), t_obs, t_pred)
     batch = TrajBatch(np.zeros((2, 20, 2)), np.int32(8), 12)
     assert type(batch.t_obs) is int and batch.t_obs == 8
