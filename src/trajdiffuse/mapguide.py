@@ -1,11 +1,11 @@
 """Navigability maps and gradient-based trajectory guidance.
 
-A NavEnvironment wraps a binary navigability grid with its exact Euclidean
-distance field (meters to the nearest navigable pixel center, zero inside
-navigable cells), the central-difference gradient of that field, and the
-world <-> pixel transform. Guidance walks each future frame of a trajectory
-down the distance field and shifts all later frames along with it, so the
-local shape of the prediction is preserved while collisions are removed.
+A NavEnvironment wraps a binary navigability grid with the central-difference
+gradient of its exact Euclidean distance field (meters to the nearest
+navigable pixel center, zero inside navigable cells) and the world <-> pixel
+transform. Guidance walks each future frame of a trajectory down the distance
+field and shifts all later frames along with it, so the local shape of the
+prediction is preserved while collisions are removed.
 
 Grid convention: nav_grid[row, col] with row <-> y and col <-> x; `origin`
 is the world coordinate of pixel (0, 0)'s center. World positions map to
@@ -114,30 +114,28 @@ def _round_half_away_int(v: float) -> int:
     return -r if v < 0 else r
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NavEnvironment:
-    """Immutable navigability grid with precomputed distance and gradient fields."""
+    """Immutable navigability grid with the precomputed gradient of its distance
+    field; the field itself is `distance_transform(nav_grid, resolution)`."""
 
     nav_grid: np.ndarray
     resolution: float
     origin: np.ndarray  # world (x, y) of pixel (0, 0)'s center
-    dist_field: np.ndarray
     grad_field: np.ndarray
 
-    def __post_init__(self):
-        self.nav_grid.setflags(write=False)
-        self.dist_field.setflags(write=False)
-        self.grad_field.setflags(write=False)
-        self.origin.setflags(write=False)
-
-    @classmethod
-    def from_grid(cls, nav_grid, resolution: float, origin=(0.0, 0.0)) -> "NavEnvironment":
+    def __init__(self, nav_grid, resolution: float, origin=(0.0, 0.0)):  # the one way in
         nav_grid = np.array(nav_grid, dtype=bool)
         resolution = check_positive(resolution, "resolution")
         dist = distance_transform(nav_grid, resolution)  # checks the map's shape
         origin = np.array(origin, dtype=np.float64).reshape(2)
         _check_extent(nav_grid.shape, resolution, origin)
-        return cls(nav_grid, resolution, origin, dist, gradient_field(dist, resolution))
+        grad_field = gradient_field(dist, resolution)
+        for array in (nav_grid, origin, grad_field):
+            array.setflags(write=False)
+        for name, value in (("nav_grid", nav_grid), ("resolution", resolution),
+                            ("origin", origin), ("grad_field", grad_field)):
+            object.__setattr__(self, name, value)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -249,12 +247,13 @@ def ecfl_check(env: NavEnvironment, trajs, t_obs: int = 0) -> np.ndarray:
     if trajs.ndim < 2 or trajs.shape[-1] != 2 or trajs.shape[-2] < 1:
         raise ValueError(f"trajectories must have shape (..., T >= 1, 2), got {trajs.shape}")
     future = trajs[..., _check_t_obs(t_obs, trajs.shape[-2]):, :]
-    pixel = _round_half_away(env.world_to_pixel(future)).astype(np.intp)
+    with np.errstate(over="ignore"):  # a pixel coordinate past the float range is off the map
+        pixel = _round_half_away(env.world_to_pixel(future))
     cols, rows = pixel[..., 0], pixel[..., 1]
     h, w = env.shape
-    ok = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
+    ok = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)  # on floats: no cast can wrap
     navigable = np.zeros(ok.shape, dtype=bool)
-    navigable[ok] = env.nav_grid[rows[ok], cols[ok]]
+    navigable[ok] = env.nav_grid[rows[ok].astype(np.intp), cols[ok].astype(np.intp)]
     return navigable.all(axis=-1)
 
 
@@ -339,7 +338,7 @@ def _read_map_meta(json_path) -> tuple[float, np.ndarray]:
 
 def load_environment(pgm_path, json_path) -> NavEnvironment:
     """The NavEnvironment that `save_environment` wrote to these two files. Both
-    are read and checked before `from_grid` builds its fields, so each error names its file."""
+    are read and checked before the constructor builds its fields, so each error names its file."""
     resolution, origin = _read_map_meta(json_path)
     nav_grid = read_pgm(pgm_path)
     try:
@@ -348,4 +347,4 @@ def load_environment(pgm_path, json_path) -> NavEnvironment:
         raise ValueError(f"{json_path}: bad map metadata: {exc}") from exc
     if not nav_grid.any():
         raise ValueError(f"{pgm_path}: nav_grid has no navigable pixel")
-    return NavEnvironment.from_grid(nav_grid, resolution, origin)
+    return NavEnvironment(nav_grid, resolution, origin)

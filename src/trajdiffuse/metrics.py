@@ -104,10 +104,9 @@ def mve(predictions: TrajBatch, n_bins: int = 36) -> float:
     headings = sample_headings(predictions)
     width = 2 * math.pi / n_bins
     idx = np.floor((headings + math.pi) / width).astype(int) % n_bins
-    counts = np.bincount(idx, minlength=n_bins)
+    _, counts = np.unique(idx, return_counts=True)  # occupied bins only, in bin order
     p = counts / counts.sum()
-    nz = p[p > 0]
-    return float(-(nz * np.log2(nz)).sum())
+    return float(-(p * np.log2(p)).sum())
 
 
 def acfl(scene_predictions: list[TrajBatch], threshold: float) -> float:

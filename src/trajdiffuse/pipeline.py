@@ -44,7 +44,7 @@ from .denoiser import (
 )
 from .mapguide import NavEnvironment, ecfl_check, guidance_delta
 from .schedule import DEFAULT_COSINE_OFFSET, build_cosine_schedule
-from .validation import as_float_array, as_int
+from .validation import as_float_array, as_int, check_non_negative
 
 
 @dataclass
@@ -130,11 +130,11 @@ ARCH_FIELDS = tuple(f.name for f in fields(ArchDescriptor)
                     if f.name in {g.name for g in fields(TrainConfig)})
 
 
-def _collect_training_arrays(scenes: list, coord_scale: float):
-    """Standardized clean trajectories plus the clamp-frame layout of the
-    dataset's intents, which agents without intents train under too."""
-    t_obs = scenes[0].t_obs
-    t_pred = scenes[0].t_pred
+def _collect_training_arrays(scenes: list, desc: ArchDescriptor):
+    """Clean trajectories standardized by `desc.coord_scale`, plus the
+    clamp-frame layout of the dataset's intents, which agents without intents
+    train under too. Every scene must have `desc`'s frame split."""
+    t_obs, t_pred = desc.t_obs, desc.t_pred
     frames = None
     x0 = []
     for scene in scenes:
@@ -147,12 +147,12 @@ def _collect_training_arrays(scenes: list, coord_scale: float):
                     raise ValueError("agents disagree on the clamp-frame layout")
                 frames = layout
             center = agent.trajectory[t_obs - 1]
-            x0.append((agent.trajectory - center) / coord_scale)
+            x0.append((agent.trajectory - center) / desc.coord_scale)
     if not x0:
         raise ValueError("dataset contains no agents")
     if frames is None:
         raise ValueError("dataset holds no intents to take the clamp-frame layout from")
-    return np.stack(x0), frames, t_obs, t_pred
+    return np.stack(x0), frames
 
 
 def _train_step(params, state, x_i, x0, i_steps, t_obs, schedule, config):
@@ -187,13 +187,12 @@ def train(scenes: list, config: TrainConfig,
         raise ValueError(
             f"weighting {config.weighting!r} with n_steps {config.n_steps}: n_steps must "
             f"reach the weighting's first step, one of {FIRST_STEP}")
+    check_non_negative(config.lr, "lr")
     if not scenes:
         raise ValueError("training dataset is empty")
-    x0_all, frames, t_obs, t_pred = _collect_training_arrays(scenes, config.coord_scale)
-
-    desc = ArchDescriptor(
-        t_obs=t_obs, t_pred=t_pred, **{name: getattr(config, name) for name in ARCH_FIELDS},
-    )
+    desc = ArchDescriptor(t_obs=scenes[0].t_obs, t_pred=scenes[0].t_pred,
+                          **{name: getattr(config, name) for name in ARCH_FIELDS})
+    x0_all, frames = _collect_training_arrays(scenes, desc)
     if init is not None:
         if init.arch != desc:
             raise ValueError("resume checkpoint architecture does not match the config")
@@ -219,7 +218,7 @@ def train(scenes: list, config: TrainConfig,
             x_i = forward_noise(x0, i_steps, eps, schedule)
             x_i = clamp_frames_batch(x_i, frames, x0[:, frames, :])  # clean values, as at inference
             try:
-                loss = _train_step(params, state, x_i, x0, i_steps, t_obs, schedule, config)
+                loss = _train_step(params, state, x_i, x0, i_steps, desc.t_obs, schedule, config)
             except NonFiniteGradientError:
                 skipped += 1
                 continue

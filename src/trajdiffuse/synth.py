@@ -185,7 +185,7 @@ def generate_environment(kind: str, size: tuple, resolution: float, seed: int) -
     coverage = grid.mean()
     if coverage < MIN_COVERAGE:
         raise RuntimeError(f"{kind} layout covers only {coverage:.0%} (seed {seed})")
-    return NavEnvironment.from_grid(grid, resolution, origin=(0.0, 0.0))
+    return NavEnvironment(grid, resolution, origin=(0.0, 0.0))
 
 
 # ------------------------------------------------------------- trajectories

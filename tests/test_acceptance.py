@@ -298,7 +298,7 @@ def test_a6_metric_oracles():
 
     grid = rng.random((10, 10)) < 0.6
     grid[0, 0] = True
-    env = NavEnvironment.from_grid(grid, 0.5, origin=(0.0, 0.0))
+    env = NavEnvironment(grid, 0.5, origin=(0.0, 0.0))
     free = 0
     for k in range(5):
         ok = True

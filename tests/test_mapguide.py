@@ -1,4 +1,5 @@
 import re
+from dataclasses import FrozenInstanceError, fields
 from functools import partial
 
 import numpy as np
@@ -34,7 +35,7 @@ def half_plane_env(width=20, height=5, res=1.0):
     grid = np.zeros((height, width), dtype=bool)
     grid[:, : width // 2] = True
     origin = ((-(width // 2) + 0.5) * res, -(height // 2) * res)
-    return NavEnvironment.from_grid(grid, res, origin)
+    return NavEnvironment(grid, res, origin)
 
 
 # ---------------------------------------------------------- distance transform
@@ -195,14 +196,48 @@ def test_gradient_zero_strictly_inside_navigable():
     rng = np.random.default_rng(2)
     grid = rng.random((12, 12)) < 0.5
     grid[4:8, 4:8] = True
-    env = NavEnvironment.from_grid(grid, 1.0)
+    env = NavEnvironment(grid, 1.0)
     np.testing.assert_array_equal(env.grad_field[5:7, 5:7], np.zeros((2, 2, 2)))
+
+
+# ----------------------------------------------------------------- the map
+
+def test_the_constructor_is_the_one_way_in_and_keeps_the_gradient_only():
+    grid = np.random.default_rng(4).random((6, 9)) < 0.5
+    grid[2, 3] = True
+    env = NavEnvironment(grid, 0.25, origin=[-1, 2])
+    assert [f.name for f in fields(env)] == ["nav_grid", "resolution", "origin", "grad_field"]
+    assert not hasattr(env, "from_grid") and not hasattr(env, "dist_field")
+    want = gradient_field(distance_transform(grid, 0.25), 0.25)
+    assert env.grad_field.tobytes() == want.tobytes() and env.grad_field.shape == (6, 9, 2)
+    assert env.origin.tolist() == [-1.0, 2.0] and env.resolution == 0.25
+    for array in (env.nav_grid, env.origin, env.grad_field):
+        assert not array.flags.writeable
+    assert grid.flags.writeable and not np.shares_memory(grid, env.nav_grid)
+    with pytest.raises(FrozenInstanceError):
+        env.resolution = 0.5
+    with pytest.raises(TypeError):
+        NavEnvironment(env.nav_grid, env.resolution, env.origin, want, env.grad_field)
+
+
+@pytest.mark.parametrize("grid, resolution, origin, problem", [
+    (np.ones((3, 4)), 0.0, (0, 0), "resolution must be positive and finite, got 0.0"),
+    (np.ones((3, 4)), True, (0, 0), "resolution must be a number, got True"),
+    (np.ones((3, 4, 5)), 1.0, (0, 0), "(H, W) boolean array, got shape (3, 4, 5)"),
+    (np.ones((0, 4)), 1.0, (0, 0), "(H, W) boolean array, got shape (0, 4)"),
+    (np.zeros((3, 4)), 1.0, (0, 0), "nav_grid has no navigable pixel"),
+    (np.ones((3, 4)), 1.0, (0, 0, 0), "cannot reshape array of size 3 into shape (2,)"),
+    (np.ones((3, 4)), 1e-300, (1e300, 0), "overflows the world <-> pixel transform"),
+])
+def test_the_constructor_checks_the_map(grid, resolution, origin, problem):
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        NavEnvironment(grid, resolution, origin)
 
 
 # ------------------------------------------------------------ grid convention
 
 def test_pixel_world_transforms_take_arrays_of_points():
-    env = NavEnvironment.from_grid(np.ones((4, 5), dtype=bool), 0.5, origin=(-1.0, 2.0))
+    env = NavEnvironment(np.ones((4, 5), dtype=bool), 0.5, origin=(-1.0, 2.0))
     rows, cols = np.array([0, 3, 2]), np.array([4, 0, 1])
     points = env.pixel_to_world(rows, cols)
     assert points.shape == (3, 2)
@@ -251,7 +286,7 @@ def lattice_envs():
     """A 7x9 map at an exact and at an inexact resolution and origin, and at the origin."""
     grid = np.random.default_rng(8).random((7, 9)) < 0.5
     grid[3, 4] = True
-    return [NavEnvironment.from_grid(grid, res, origin)
+    return [NavEnvironment(grid, res, origin)
             for res, origin in ((0.5, (-1.0, 2.0)), (0.1, (0.3, -0.7)), (0.25, (0.0, 0.0)))]
 
 
@@ -295,6 +330,23 @@ def test_point_rule_equals_the_array_rule_anywhere_near_the_map(x, y):
     for env in LATTICE_ENVS:
         assert env.nearest_pixel([x, y]) == array_nearest_pixel(env, [x, y])
         assert env.is_navigable_point([x, y]) is bool(ecfl_check(env, [[x, y]]))
+
+
+@given(x=st.floats(-1e300, 1e300), y=st.floats(-1e300, 1e300))
+@settings(max_examples=200, deadline=None)
+def test_point_rule_equals_the_array_rule_at_any_finite_distance(x, y):
+    # pixel coordinates far past the intp range are off the map, with no cast
+    for env in LATTICE_ENVS:
+        for pos in ([x, y], [x, 1.0], [1.0, y]):
+            assert env.is_navigable_point(pos) is bool(ecfl_check(env, [pos]))
+
+
+def test_a_pixel_coordinate_past_the_float_range_is_off_the_map():
+    env = LATTICE_ENVS[1]  # 0.1 m/px: x / 0.1 overflows to inf
+    x, y = env.pixel_to_world(3, 4).tolist()  # a navigable pixel
+    for far in (1.7e308, -1.7e308):
+        trajs = [[[x, y], [x, y]], [[x, y], [far, y]], [[x, y], [x, far]]]
+        assert ecfl_check(env, trajs).tolist() == [True, False, False]
 
 
 def bits(a) -> bytes:
@@ -364,7 +416,7 @@ def test_sample_gradient_matches_four_corner_oracle():
     rng = np.random.default_rng(3)
     grid = rng.random((10, 10)) < 0.5
     grid[0, 0] = True
-    env = NavEnvironment.from_grid(grid, 0.5, origin=(-1.0, 2.0))
+    env = NavEnvironment(grid, 0.5, origin=(-1.0, 2.0))
     for _ in range(50):
         px = rng.uniform(0, 9)
         py = rng.uniform(0, 9)
@@ -473,7 +525,7 @@ def test_suffix_shift_structure_replay():
     grid = rng.random((16, 16)) < 0.55
     grid[6:10, 6:10] = True
     kg, s = 5, 0.2
-    env = NavEnvironment.from_grid(grid, s, origin=(0.0, 0.0))
+    env = NavEnvironment(grid, s, origin=(0.0, 0.0))
     traj = rng.uniform(0.0, 15 * s, size=(8, 2))
     t_obs = 2
     delta = guidance_delta(env, traj, t_obs, kg)
@@ -526,13 +578,14 @@ def test_monotone_improvement_on_half_plane():
     traj = np.column_stack([rng.uniform(-4, 6, size=12), rng.uniform(-1.5, 1.5, size=12)])
     delta = guidance_delta(env, traj, t_obs=0, n_grad_steps=10)
     after = traj + delta
+    dist = distance_transform(env.nav_grid, env.resolution)
 
     def dist_at(pos):
         row, col = env.nearest_pixel(pos)
         h, w = env.shape
         if not (0 <= row < h and 0 <= col < w):
             return np.inf
-        return env.dist_field[row, col]
+        return dist[row, col]
 
     for f in range(12):
         assert dist_at(after[f]) <= dist_at(traj[f]) + 1e-12
@@ -553,7 +606,7 @@ def test_ecfl_check_basic():
 def test_ecfl_boundary_rounding_rule():
     grid = np.zeros((3, 4), dtype=bool)
     grid[:, :2] = True
-    env = NavEnvironment.from_grid(grid, 1.0, origin=(0.0, 0.0))
+    env = NavEnvironment(grid, 1.0, origin=(0.0, 0.0))
     # x = 1.5 sits on the boundary between cols 1 (navigable) and 2 (blocked);
     # halves round away from zero, so it lands on col 2
     assert not ecfl_check(env, np.array([[1.5, 1.0]]))
@@ -565,7 +618,7 @@ def test_ecfl_boundary_rounding_rule():
 def test_batched_ecfl_check_equals_per_trajectory_calls():
     rng = np.random.default_rng(3)
     grid = rng.random((10, 12)) < 0.85
-    env = NavEnvironment.from_grid(grid, 0.5, origin=(-0.3, 0.2))
+    env = NavEnvironment(grid, 0.5, origin=(-0.3, 0.2))
     trajs = rng.uniform(-0.6, 5.6, size=(3, 5, 6, 2))
     for t_obs in (0, 3, 6):
         flags = ecfl_check(env, trajs, t_obs)

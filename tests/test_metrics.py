@@ -224,7 +224,7 @@ def test_kde_nll_needs_two_samples():
 def strip_env():
     grid = np.zeros((4, 8), dtype=bool)
     grid[:, :4] = True
-    return NavEnvironment.from_grid(grid, 1.0, origin=(0.0, 0.0))
+    return NavEnvironment(grid, 1.0, origin=(0.0, 0.0))
 
 
 def test_ecfl_all_navigable():
@@ -244,7 +244,7 @@ def test_ecfl_matches_per_frame_boolean_oracle():
     rng = np.random.default_rng(7)
     grid = rng.random((10, 10)) < 0.6
     grid[0, 0] = True
-    env = NavEnvironment.from_grid(grid, 0.5, origin=(0.0, 0.0))
+    env = NavEnvironment(grid, 0.5, origin=(0.0, 0.0))
     preds = rng.uniform(-1, 6, size=(8, T, 2))
     got = ecfl(batch(preds), env)
 
@@ -453,7 +453,7 @@ def test_kde_nll_matches_loop_oracle(seed, k, t_obs, t_pred):
 def test_ecfl_equals_loop_oracle(seed, k, t_obs, t_pred):
     rng = np.random.default_rng(seed)
     grid = rng.random((12, 9)) < rng.uniform(0.5, 1.0)
-    env = NavEnvironment.from_grid(grid, 0.5, origin=tuple(rng.uniform(-1, 1, size=2)))
+    env = NavEnvironment(grid, 0.5, origin=tuple(rng.uniform(-1, 1, size=2)))
     x = rng.uniform(-1.5, 5.5, size=(k, t_obs + t_pred, 2))
     x[: k // 2, t_obs:] = x[: k // 2, t_obs:t_obs + 1]  # some samples sit still
     b = TrajBatch(x, t_obs, t_pred)
@@ -497,6 +497,37 @@ def test_acfl_equals_loop_oracle(seed, n_agents, k, t_obs, t_pred, threshold):
             x = rng.integers(0, 7, size=base.shape).astype(float)
         agents.append(TrajBatch(x, t_obs, t_pred))
     assert acfl(agents, threshold) == acfl_loop(agents, threshold)
+
+
+def mve_bincount(predictions, n_bins):
+    """MVE as it was first written, with a histogram of all n_bins bins."""
+    width = 2 * math.pi / n_bins
+    idx = np.floor((sample_headings(predictions) + math.pi) / width).astype(int) % n_bins
+    counts = np.bincount(idx, minlength=n_bins)
+    p = counts / counts.sum()
+    nz = p[p > 0]
+    return float(-(nz * np.log2(nz)).sum())
+
+
+@settings(deadline=None, max_examples=300)
+@given(n_bins=st.integers(1, 360), rounded=st.booleans(), **FUZZ_SIZES)
+def test_mve_equals_its_full_histogram_form_byte_for_byte(seed, k, t_obs, t_pred, n_bins,
+                                                          rounded):
+    # Rounded coordinates give repeated headings, so bins with several
+    # samples, and zero steps.
+    rng = np.random.default_rng(seed)
+    x = fuzz_samples(rng, k, t_obs, t_pred)
+    b = TrajBatch(np.round(x) if rounded else x, t_obs, t_pred)
+    got, want = np.float64(mve(b, n_bins)), np.float64(mve_bincount(b, n_bins))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_mve_memory_does_not_grow_with_the_bin_count():
+    # 2**40 bins would be an 8 TiB histogram; only the occupied bins are counted
+    headings = [-2.5, -1.0, 0.2, 1.1, 2.9]  # one per 36-bin, so the same counts as there
+    spread = batch(np.stack([straight_traj(h) for h in headings]))
+    assert mve(spread, n_bins=2**40) == mve(spread, n_bins=36) == mve_bincount(spread, 36)
+    assert mve(batch(np.stack([straight_traj(0.3)] * 5)), n_bins=2**40) == 0.0
 
 
 @pytest.mark.parametrize("n_bins", [True, 2.5, np.float64(3.0), "4"],

@@ -31,7 +31,7 @@ def open_env():
     grid = np.ones((24, 24), dtype=bool)
     grid[:2] = grid[-2:] = False
     grid[:, :2] = grid[:, -2:] = False
-    return NavEnvironment.from_grid(grid, 0.5, origin=(0.0, 0.0))
+    return NavEnvironment(grid, 0.5, origin=(0.0, 0.0))
 
 
 def straight_track(rng, agent_id):
@@ -421,6 +421,24 @@ def test_dataset_without_agents_is_rejected():
         scene.agents = []
     with pytest.raises(ValueError, match="dataset contains no agents"):
         train(scenes, TrainConfig(**TINY_TRAIN))
+
+
+@pytest.mark.parametrize("coord_scale, problem", [
+    (0.0, "coord_scale must be positive and finite, got 0.0"),
+    ("5", "coord_scale must be a number, got '5'"),
+])
+def test_coord_scale_is_checked_before_any_trajectory_is_scaled(coord_scale, problem):
+    cfg = TrainConfig(**{**TINY_TRAIN, "coord_scale": coord_scale})
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        train(tiny_scenes(), cfg)
+
+
+def test_a_negative_learning_rate_is_reported_before_the_data_is_read():
+    scenes = tiny_scenes()
+    for scene in scenes:
+        scene.agents = []
+    with pytest.raises(ValueError, match=re.escape("lr must be >= 0 and finite, got -0.001")):
+        train(scenes, TrainConfig(**{**TINY_TRAIN, "lr": -1e-3}))
 
 
 def test_scenes_with_different_frame_splits_are_rejected():

@@ -117,7 +117,7 @@ def test_trajectory_progress_is_monotone_in_straight_corridor():
 
     grid = np.zeros((16, 48), dtype=bool)
     grid[5:11, :] = True
-    env = NavEnvironment.from_grid(grid, 0.5, origin=(0.0, 0.0))
+    env = NavEnvironment(grid, 0.5, origin=(0.0, 0.0))
     traj = generate_trajectory(env, T, DT, (0.8, 1.2), seed=1)
     axis_progress = np.diff(traj[:, 0])
     # straight corridor: motion stays along one axis direction
@@ -372,7 +372,7 @@ def test_scenes_come_from_scene_ids_in_their_order(written, tmp_path):
     swapped = read_dataset(data)
     assert [s.scene_id for s in swapped] == ["scene_0001", "scene_0000"]
     for a, b in zip(swapped, both[::-1]):
-        assert a.env.dist_field.tobytes() == b.env.dist_field.tobytes()
+        assert a.env.grad_field.tobytes() == b.env.grad_field.tobytes()
         assert [x.trajectory.tobytes() for x in a.agents] == [
             x.trajectory.tobytes() for x in b.agents]
     with_scene_ids(data, ["scene_0001"])
@@ -498,8 +498,7 @@ def test_maps_of_several_shapes_and_resolutions_match_per_map_builds(written, tm
         ((32, 32), 0.5), ((20, 28), 0.5), ((32, 32), 0.25), ((20, 28), 0.25)}
     for scene in scenes:
         env = scene.env
-        alone = NavEnvironment.from_grid(env.nav_grid, env.resolution, env.origin)
-        assert env.dist_field.tobytes() == alone.dist_field.tobytes()
+        alone = NavEnvironment(env.nav_grid, env.resolution, env.origin)
         assert env.grad_field.tobytes() == alone.grad_field.tobytes()
 
 
