@@ -107,10 +107,6 @@ def _agent_seed(base: int, scene_idx: int, agent_id: int) -> int:
 # ------------------------------------------------------------------ gen-data
 
 def cmd_gen_data(args) -> int:
-    if args.speed_min > args.speed_max:
-        raise ValueError(
-            f"--speed-min must be <= --speed-max, got {args.speed_min} > {args.speed_max}"
-        )
     intent_cfg = IntentOracleConfig(
         n_waypoints=args.waypoints, goal_noise_sigma=args.goal_noise,
         diversify=args.diversify,

@@ -95,7 +95,7 @@ class ArchDescriptor:
                 return g
 
 
-@dataclass
+@dataclass(eq=False)
 class DenoiserParams:
     """Named parameter tensors plus the architecture they belong to."""
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from ..validation import check_non_negative
@@ -16,21 +14,14 @@ class NonFiniteGradientError(ValueError):
     """Raised when a gradient tensor contains NaN or inf; the step is invalid."""
 
 
-@dataclass
 class AdamState:
-    """First/second moment accumulators plus the step counter."""
+    """First/second moment accumulators plus the step counter: zero moments
+    of each tensor's shape, at step 0."""
 
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-    step: int = 0
-
-    @classmethod
-    def for_params(cls, tensors: dict) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(t) for k, t in tensors.items()},
-            v={k: np.zeros_like(t) for k, t in tensors.items()},
-            step=0,
-        )
+    def __init__(self, tensors: dict):
+        self.m = {k: np.zeros_like(t) for k, t in tensors.items()}
+        self.v = {k: np.zeros_like(t) for k, t in tensors.items()}
+        self.step = 0
 
 
 def adam_update(tensors: dict, grads: dict, state: AdamState,

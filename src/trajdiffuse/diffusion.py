@@ -25,7 +25,7 @@ from .validation import (
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class TrajBatch:
     """K trajectories of T = t_obs + t_pred frames, world meters.
 
@@ -57,7 +57,7 @@ class TrajBatch:
         return self.samples.shape[1]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class ConditionSpec:
     """One intent's clamp set: values[j] (float64, by the number rule) is
     clamped onto frames[j] (intp, by the integer rule). Both are frozen copies;

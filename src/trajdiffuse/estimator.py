@@ -15,6 +15,7 @@ from .denoiser import DenoiserParams, load_checkpoint, save_checkpoint
 from .mapguide import NavEnvironment
 from .pipeline import ARCH_FIELDS, PredictionResult, TrainConfig, predict, train
 from .schedule import build_cosine_schedule
+from .validation import as_int
 
 
 class NotFittedError(RuntimeError):
@@ -75,7 +76,7 @@ class TrajDiffuse(TrainConfig):
                 seed: int = 0, guidance: bool = True) -> PredictionResult:
         """Sample one trajectory per intent for a single agent."""
         self._check_fitted()
-        if guidance and self.guidance_steps < 1:
+        if guidance and as_int(self.guidance_steps, "guidance_steps") < 1:
             raise ValueError(f"guidance_steps must be >= 1, got {self.guidance_steps}")
         return predict(self.model_params_, observed, list(intents), env,
                        seed=seed, guidance_steps=self.guidance_steps if guidance else 0)

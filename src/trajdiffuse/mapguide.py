@@ -114,7 +114,7 @@ def _round_half_away_int(v: float) -> int:
     return -r if v < 0 else r
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class NavEnvironment:
     """Immutable navigability grid with the precomputed gradient of its distance
     field; the field itself is `distance_transform(nav_grid, resolution)`."""

@@ -47,7 +47,7 @@ from .schedule import DEFAULT_COSINE_OFFSET, build_cosine_schedule
 from .validation import as_float_array, as_int, check_non_negative
 
 
-@dataclass
+@dataclass(eq=False)
 class PredictionResult:
     trajectories: TrajBatch  # (K, T, 2), world meters
     per_sample_ecfl: np.ndarray | None  # (K,) booleans, None without an env
@@ -200,7 +200,7 @@ def train(scenes: list, config: TrainConfig,
     else:
         params = init_params(desc, seed=config.seed)
     schedule = build_cosine_schedule(config.n_steps)
-    state = AdamState.for_params(params.tensors)
+    state = AdamState(params.tensors)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 555]))
 
     n = x0_all.shape[0]

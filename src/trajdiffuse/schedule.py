@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .validation import as_int, check_positive
+from .validation import as_float_array, as_int, check_positive
 
 # Per-step retention is clipped away from 0 and 1 so posterior denominators
 # (1 - alpha_bar_i) never vanish at the ends of the schedule.
@@ -26,9 +26,11 @@ ALPHA_MAX = 0.9999
 DEFAULT_COSINE_OFFSET = 0.008
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class NoiseSchedule:
-    """Immutable, fully precomputed variance schedule.
+    """Immutable, fully precomputed variance schedule, built one way:
+    `NoiseSchedule(alphas)` copies `alphas`, a non-empty 1-D vector of finite
+    numbers (by the number rule) strictly inside (0, 1).
 
     Attributes
     ----------
@@ -53,33 +55,20 @@ class NoiseSchedule:
     posterior_vars: np.ndarray
     loss_weights: np.ndarray
 
-    def __post_init__(self):
-        for field in ("alphas", "alpha_bars", "alpha_bars_prev", "posterior_vars", "loss_weights"):
-            arr = getattr(self, field)
-            if arr.shape != (self.n_steps,):
-                raise ValueError(f"{field} must have shape ({self.n_steps},), got {arr.shape}")
-            arr.setflags(write=False)
-
-
-def from_alphas(alphas: np.ndarray) -> NoiseSchedule:
-    """Assemble a NoiseSchedule from per-step retention values."""
-    alphas = np.asarray(alphas, dtype=np.float64)
-    if alphas.ndim != 1 or alphas.size < 1:
-        raise ValueError("alphas must be a non-empty 1-D vector")
-    if np.any(alphas <= 0) or np.any(alphas >= 1):
-        raise ValueError("alphas must lie strictly inside (0, 1)")
-    alpha_bars = np.cumprod(alphas)
-    alpha_bars_prev = np.concatenate(([1.0], alpha_bars[:-1]))
-    posterior_vars = (1.0 - alphas) * (1.0 - alpha_bars_prev) / (1.0 - alpha_bars)
-    loss_weights = alpha_bars_prev * (1.0 - alphas) ** 2 / (1.0 - alpha_bars) ** 2
-    return NoiseSchedule(
-        n_steps=int(alphas.size),
-        alphas=alphas,
-        alpha_bars=alpha_bars,
-        alpha_bars_prev=alpha_bars_prev,
-        posterior_vars=posterior_vars,
-        loss_weights=loss_weights,
-    )
+    def __init__(self, alphas):
+        alphas = as_float_array(alphas, "alphas", shape=(None,)).copy()
+        if np.any(alphas <= 0) or np.any(alphas >= 1):
+            raise ValueError("alphas must lie strictly inside (0, 1)")
+        alpha_bars = np.cumprod(alphas)
+        alpha_bars_prev = np.concatenate(([1.0], alpha_bars[:-1]))
+        posterior_vars = (1.0 - alphas) * (1.0 - alpha_bars_prev) / (1.0 - alpha_bars)
+        loss_weights = alpha_bars_prev * (1.0 - alphas) ** 2 / (1.0 - alpha_bars) ** 2
+        for name, value in (("alphas", alphas), ("alpha_bars", alpha_bars),
+                            ("alpha_bars_prev", alpha_bars_prev),
+                            ("posterior_vars", posterior_vars), ("loss_weights", loss_weights)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "n_steps", int(alphas.size))
 
 
 def build_cosine_schedule(n_steps: int, offset: float = DEFAULT_COSINE_OFFSET) -> NoiseSchedule:
@@ -100,5 +89,5 @@ def build_cosine_schedule(n_steps: int, offset: float = DEFAULT_COSINE_OFFSET) -
     profile = f / f[0]
     alphas = profile[1:] / profile[:-1]
     alphas = np.clip(alphas, ALPHA_MIN, ALPHA_MAX)
-    return from_alphas(alphas)
+    return NoiseSchedule(alphas)
 

@@ -37,14 +37,14 @@ PROJECTION_RADIUS_CELLS = 10
 TRAJECTORY_RETRIES = 50
 
 
-@dataclass
+@dataclass(eq=False)
 class AgentTrack:
     agent_id: int
     trajectory: np.ndarray  # (T, 2) world meters
     intents: list  # list[ConditionSpec]
 
 
-@dataclass
+@dataclass(eq=False)
 class Scene:
     scene_id: str
     env: NavEnvironment
@@ -352,7 +352,12 @@ def intent_oracle(trajectory: np.ndarray, t_obs: int, cfg: IntentOracleConfig,
 def generate_dataset(kinds, n_scenes: int, n_agents: int, size, resolution,
                      t_obs: int, t_pred: int, frame_dt: float, speed_range,
                      intent_cfg: IntentOracleConfig, k_intents: int, seed: int) -> list:
-    """n_scenes scenes cycling through the list `kinds`; deterministic per seed."""
+    """n_scenes scenes cycling through the list `kinds`; deterministic per seed.
+    Before any map: frame_dt > 0 and 0 < speed min <= max, all finite."""
+    check_positive(frame_dt, "frame_dt")
+    speed_min, speed_max = as_float_array(speed_range, "speed_range", shape=(2,)).tolist()
+    if not 0 < speed_min <= speed_max:
+        raise ValueError(f"speed_range must be two positive speeds, min <= max, got {speed_range}")
     scenes = []
     for s in range(n_scenes):
         seed_s = seed * 7919 + s
@@ -369,8 +374,9 @@ def generate_dataset(kinds, n_scenes: int, n_agents: int, size, resolution,
 
 def write_dataset(scenes: list, out_dir) -> None:
     """Write scenes under `out_dir`. dataset.json holds one frame split and
-    frame_dt, so every scene must share the first's; a scene that does not is
-    refused before anything is written, and so is an empty list."""
+    frame_dt, so every scene must share the first's. What `read_dataset` would
+    refuse (an empty list, another split, `_check_meta`'s faults, an agent id
+    twice in a scene) is refused before anything is written."""
     if not scenes:
         raise ValueError("no scene to write: read_dataset needs at least one scene")
     split = {key: getattr(scenes[0], key) for key in ("t_obs", "t_pred", "frame_dt")}
@@ -379,9 +385,15 @@ def write_dataset(scenes: list, out_dir) -> None:
         if theirs != split:
             raise ValueError(f"scene {scene.scene_id!r} has {theirs}, not the {split} of scene "
                              f"{scenes[0].scene_id!r}: dataset.json holds one split")
+    meta = {**split, "scene_ids": [s.scene_id for s in scenes]}
+    _check_meta(meta)
+    for scene in scenes:
+        agent_ids = [agent.agent_id for agent in scene.agents]
+        if len(set(agent_ids)) < len(agent_ids):
+            twice = Counter(agent_ids).most_common(1)[0][0]
+            raise ValueError(f"scene {scene.scene_id!r} lists agent_id {twice!r} twice")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    meta = {**split, "scene_ids": [s.scene_id for s in scenes]}
     (out_dir / "dataset.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
     for scene in scenes:
         sdir = out_dir / scene.scene_id
@@ -401,28 +413,34 @@ def write_dataset(scenes: list, out_dir) -> None:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def _check_meta(meta) -> tuple:
+    """(t_obs, t_pred, frame_dt, scene_ids) of a dataset.json object, by the
+    one rule `write_dataset` and `read_dataset` share. A missing key raises
+    KeyError, a bad value ValueError."""
+    t_obs, t_pred = (as_int(meta[key], key) for key in ("t_obs", "t_pred"))
+    frame_dt = check_positive(meta["frame_dt"], "frame_dt")
+    for key, value in (("t_obs", t_obs), ("t_pred", t_pred)):
+        if value < 1:
+            raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
+    scene_ids = meta["scene_ids"]
+    if type(scene_ids) is not list or not scene_ids:
+        raise ValueError(f"scene_ids must be a non-empty list, got {scene_ids!r}")
+    for sid in scene_ids:
+        if type(sid) is not str or "/" in sid or sid in ("", ".", ".."):
+            raise ValueError(f"scene id {sid!r} does not name a subdirectory")
+    if len(set(scene_ids)) < len(scene_ids):
+        raise ValueError(f"scene_ids list {Counter(scene_ids).most_common(1)[0][0]!r} twice")
+    return t_obs, t_pred, frame_dt, scene_ids
+
+
 def _read_meta(meta_path: Path) -> tuple:
     """(t_obs, t_pred, frame_dt, scene_ids) from a dataset's dataset.json."""
     try:
-        meta = json.loads(meta_path.read_text())
-        t_obs, t_pred = (as_int(meta[key], key) for key in ("t_obs", "t_pred"))
-        frame_dt = check_positive(meta["frame_dt"], "frame_dt")
-        for key, value in (("t_obs", t_obs), ("t_pred", t_pred)):
-            if value < 1:
-                raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
-        scene_ids = meta["scene_ids"]
-        if type(scene_ids) is not list or not scene_ids:
-            raise ValueError(f"scene_ids must be a non-empty list, got {scene_ids!r}")
-        for sid in scene_ids:
-            if type(sid) is not str or "/" in sid or sid in ("", ".", ".."):
-                raise ValueError(f"scene id {sid!r} does not name a subdirectory")
-        if len(set(scene_ids)) < len(scene_ids):
-            raise ValueError(f"scene_ids list {Counter(scene_ids).most_common(1)[0][0]!r} twice")
+        return _check_meta(json.loads(meta_path.read_text()))
     except KeyError as exc:
         raise ValueError(f"{meta_path}: lacks {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:  # not JSON, not an object, or a bad value
         raise ValueError(f"{meta_path}: {exc}") from exc
-    return t_obs, t_pred, frame_dt, scene_ids
 
 
 def _read_intents(intents) -> list:

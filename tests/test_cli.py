@@ -575,7 +575,8 @@ def test_render_unknown_scene_fails(workspace, tmp_path, capsys):
     (["--resolution", "inf"], "--resolution must be positive and finite, got inf"),
     (["--speed-min", "0"], "--speed-min must be positive and finite, got 0.0"),
     (["--speed-max", "inf"], "--speed-max must be positive and finite, got inf"),
-    (["--speed-min", "2", "--speed-max", "1"], "--speed-min must be <= --speed-max, got 2.0 > 1.0"),
+    (["--speed-min", "2", "--speed-max", "1"],
+     "speed_range must be two positive speeds, min <= max, got (2.0, 1.0)"),
     (["--goal-noise", "-1"], "--goal-noise must be >= 0 and finite, got -1.0"),
     (["--goal-noise", "nan"], "--goal-noise must be >= 0 and finite, got nan"),
 ])
@@ -584,7 +585,7 @@ def test_gen_data_float_flags_are_checked_before_writing(tmp_path, capsys, flags
     argv = ["gen-data", "--out", out, *flags]
     if len(flags) == 2:  # one flag out of its range: a usage error
         _assert_usage_error(argv, message, capsys)
-    else:  # the two speeds are compared when the command runs
+    else:  # generate_dataset compares the two speeds
         _assert_rejected(argv, message, capsys)
     assert not out.exists()
 

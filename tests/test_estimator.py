@@ -81,6 +81,15 @@ def test_guided_predict_needs_a_descent_step():
     np.testing.assert_array_equal(unguided.trajectories.samples, expected.trajectories.samples)
 
 
+@pytest.mark.parametrize("steps", ["3", 2.5, True])
+def test_guidance_steps_follow_the_integer_rule(steps):
+    scenes = tiny_scenes()
+    model = tiny_model(guidance_steps=steps).fit(scenes)
+    agent = scenes[0].agents[0]
+    with pytest.raises(ValueError, match="guidance_steps must be an integer"):
+        model.predict(agent.trajectory[:T_OBS], agent.intents, env=scenes[0].env, seed=3)
+
+
 def test_save_load_round_trip(tmp_path):
     scenes = tiny_scenes()
     model = tiny_model().fit(scenes)

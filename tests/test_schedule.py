@@ -9,9 +9,11 @@ from trajdiffuse.diffusion import posterior_mean
 from trajdiffuse.schedule import (
     ALPHA_MAX,
     ALPHA_MIN,
+    NoiseSchedule,
     build_cosine_schedule,
-    from_alphas,
 )
+
+VECTORS = ("alphas", "alpha_bars", "alpha_bars_prev", "posterior_vars", "loss_weights")
 
 
 def cosine_profile_oracle(n_steps, offset):
@@ -114,8 +116,52 @@ def test_schedule_invariants(n_steps, offset):
     np.testing.assert_allclose(sq, 1.0, atol=1e-12)
 
 
-def test_from_alphas_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        from_alphas(np.array([0.5, 1.0]))
-    with pytest.raises(ValueError):
-        from_alphas(np.array([]))
+@pytest.mark.parametrize("alphas", [
+    np.array([0.5, 1.0]), [0.0, 0.5], [0.5, math.nan], np.array([0.5, np.inf]), ["0.5", "0.9"],
+    [[0.5, 0.6]], np.array([]),
+], ids=["one", "zero", "nan", "inf", "strings", "2-D", "empty"])
+def test_noise_schedule_refuses_bad_alphas(alphas):
+    with pytest.raises(ValueError, match="alphas"):
+        NoiseSchedule(alphas)
+
+
+def test_noise_schedule_has_one_constructor():
+    vectors = [np.full(2, 0.5)] * 5
+    with pytest.raises(TypeError):
+        NoiseSchedule(2, *vectors)
+    with pytest.raises(TypeError):
+        NoiseSchedule(n_steps=2, alphas=vectors[0], alpha_bars=vectors[1],
+                      alpha_bars_prev=vectors[2], posterior_vars=vectors[3],
+                      loss_weights=vectors[4])
+
+
+def test_noise_schedule_copies_the_callers_alphas():
+    alphas = np.array([0.5, 0.6])
+    s = NoiseSchedule(alphas)
+    alphas[0] = 0.1  # the caller's array stays writable
+    assert s.alphas.tolist() == [0.5, 0.6]
+    for name in VECTORS:
+        assert not getattr(s, name).flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        s.alphas[0] = 0.1
+
+
+def reference_from_alphas(alphas):
+    """The schedule vectors as the former `schedule.from_alphas` computed them."""
+    alphas = np.asarray(alphas, dtype=np.float64)
+    alpha_bars = np.cumprod(alphas)
+    alpha_bars_prev = np.concatenate(([1.0], alpha_bars[:-1]))
+    posterior_vars = (1.0 - alphas) * (1.0 - alpha_bars_prev) / (1.0 - alpha_bars)
+    loss_weights = alpha_bars_prev * (1.0 - alphas) ** 2 / (1.0 - alpha_bars) ** 2
+    return alphas, alpha_bars, alpha_bars_prev, posterior_vars, loss_weights
+
+
+@pytest.mark.parametrize("n", [1, 2, 25, 400])
+def test_noise_schedule_vectors_equal_the_reference_byte_for_byte(n):
+    rng = np.random.default_rng(n)
+    for alphas in (rng.uniform(ALPHA_MIN, ALPHA_MAX, n), build_cosine_schedule(n).alphas):
+        s = NoiseSchedule(alphas)
+        assert s.n_steps == n
+        for name, want in zip(VECTORS, reference_from_alphas(alphas)):
+            got = getattr(s, name)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), name

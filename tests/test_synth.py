@@ -281,6 +281,59 @@ def test_write_dataset_refuses_scenes_of_another_split(tmp_path, change):
     assert not (tmp_path / "out").exists()
 
 
+def _same_scene_id(scenes):
+    scenes[1] = dataclasses.replace(scenes[1], scene_id=scenes[0].scene_id)
+
+
+def _empty_scene_id(scenes):
+    scenes[0] = dataclasses.replace(scenes[0], scene_id="")
+
+
+def _negative_frame_dt(scenes):
+    scenes[:] = [dataclasses.replace(scene, frame_dt=-0.4) for scene in scenes]
+
+
+def _agent_id_twice(scenes):
+    agents = scenes[0].agents
+    agents[1] = dataclasses.replace(agents[1], agent_id=agents[0].agent_id)
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (_same_scene_id, "scene_ids list 'scene_0000' twice"),
+    (_empty_scene_id, "scene id '' does not name a subdirectory"),
+    (_negative_frame_dt, "frame_dt must be positive and finite, got -0.4"),
+    (_agent_id_twice, "scene 'scene_0000' lists agent_id 0 twice"),
+], ids=["same-scene-id", "empty-scene-id", "negative-frame-dt", "agent-id-twice"])
+def test_write_dataset_refuses_what_read_dataset_would_refuse(tmp_path, spoil, message):
+    scenes = small_dataset()
+    spoil(scenes)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write_dataset(scenes, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"speed_range": (-1.0, -2.0)}, "speed_range must be two positive speeds"),
+    ({"speed_range": (2.0, 1.0)}, "speed_range must be two positive speeds"),
+    ({"speed_range": (0.0, 1.0)}, "speed_range must be two positive speeds"),
+    ({"speed_range": (0.6, np.inf)}, "speed_range contains non-finite values"),
+    ({"speed_range": (0.6, 1.0, 1.4)}, "speed_range has shape (3,)"),
+    ({"frame_dt": -0.4}, "frame_dt must be positive and finite, got -0.4"),
+], ids=["negative", "min-above-max", "zero", "inf", "three", "frame-dt"])
+def test_generate_dataset_checks_speeds_and_frame_dt_before_any_map(monkeypatch, change, message):
+    import trajdiffuse.synth as synth
+
+    def no_map(*args):
+        raise AssertionError("a map was made before the arguments were checked")
+
+    monkeypatch.setattr(synth, "generate_environment", no_map)
+    kwargs = dict(kinds=["corridor"], n_scenes=1, n_agents=1, size=(32, 32), resolution=0.5,
+                  t_obs=T_OBS, t_pred=T_PRED, frame_dt=DT, speed_range=(0.6, 1.4),
+                  intent_cfg=IntentOracleConfig(), k_intents=1, seed=0)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        generate_dataset(**{**kwargs, **change})
+
+
 def test_missing_map_sidecar_is_reported(tmp_path):
     scenes = small_dataset()
     write_dataset(scenes, tmp_path)
